@@ -18,7 +18,7 @@ from ._ratback import rat, rat_str
 from .qpoly import BiPoly, PolyParseError, ZeroPolynomialError, parse_poly
 from .newton import (
     FaceForm,
-    ObstructionPolygonNotTriangle,
+    PolygonNotTriangle,
     face_binomial_power,
     lattice_counts,
     newton_polygon,
@@ -233,7 +233,7 @@ def _cmd_polygon(args) -> int:
     }
     if P.degx >= 1 and P.degy >= 1:
         tf = triangle_face(P)
-        if not isinstance(tf, ObstructionPolygonNotTriangle):
+        if not isinstance(tf, PolygonNotTriangle):
             doc["triangle"] = True
             ff = face_binomial_power(tf)
             if isinstance(ff, FaceForm):
@@ -290,15 +290,14 @@ def _cmd_corpus(args) -> int:
         if len(lines) < 2:
             raise CaseFormatError(f"{name}: need an expression line and a tag line")
         expr, tag = lines[0], lines[1]
-        P = parse_poly(expr)
-        v = check(P)
+        scan = theorem3_scan(parse_poly(expr), n_random=args.samples, seed=args.seed)
+        v = scan.verdict
         got = _j_verdict(v)
         tags = {got["outcome"]}
         if isinstance(v, Coordinate):
             tags.add("coordinate")
         else:
             tags.add(v.obstruction.kind)
-        scan = theorem3_scan(P, n_random=args.samples, seed=args.seed)
         ok = tag in tags and not scan.theorem_violation_suspected
         if not ok:
             failed += 1
@@ -364,9 +363,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("path", help="directory of .case files")
     sp.add_argument("--samples", type=int, default=8)
     sp.add_argument("--seed", type=int, default=0)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true", help="always on; reserved")
     return p
 
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._ratback import RAT_ONE, RAT_ZERO, Rat, rat
 from .qpoly import BiPoly, UniPoly, squarefree_part, substitute
+from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
     BIPOLY_RING,
@@ -124,7 +126,10 @@ def absolute_factor_count(f: BiPoly) -> int:
     rows, ncols = ruppert_rows(dict(f.items()), m, n, RAT_RING)
     rank, _, _ = rat_eliminate(rows)
     dim = ncols - rank
-    assert dim >= 1, "solution space lost the logarithmic-derivative solutions"
+    if dim < 1:
+        raise InternalVerificationFailure(
+            "Ruppert solution space lost the logarithmic-derivative solutions"
+        )
     return dim
 
 
@@ -167,7 +172,7 @@ def nondegenerate(f: BiPoly) -> Nondegeneracy:
 # genus and branches at infinity
 
 
-def _shift_to_nonzero_constant(f: BiPoly) -> Optional[Tuple[BiPoly, Tuple]]:
+def _shift_to_nonzero_constant(f: BiPoly) -> Optional[BiPoly]:
     """Seeded translation (x,y) -> (x+u, y+v) with f(u,v) != 0; None if the
     8 attempts all fail."""
     rng = random.Random(0)
@@ -177,41 +182,37 @@ def _shift_to_nonzero_constant(f: BiPoly) -> Optional[Tuple[BiPoly, Tuple]]:
         if f.eval(u, v) != 0:
             sx = BiPoly({(1, 0): RAT_ONE, (0, 0): u})
             sy = BiPoly({(0, 1): RAT_ONE, (0, 0): v})
-            return substitute(f, sx, sy), (u, v)
+            return substitute(f, sx, sy)
     return None
 
 
-def _genus_pipeline(
-    f: BiPoly,
-) -> Tuple[MaybeInt, Optional[BiPoly], Optional[Nondegeneracy]]:
-    """Shared by genus() and fibre_report(): returns (genus, shifted poly
-    actually analyzed, its nondegeneracy)."""
-    if f.is_constant():
-        raise ConstantInputError("genus needs a nonconstant input")
-    g = f
-    if f.constant_term() == 0:
-        shifted = _shift_to_nonzero_constant(f)
-        if shifted is None:
-            return Unknown("ShiftFailed"), None, None
-        g = shifted[0]
-    if not bipoly_squarefree_part(g)[1]:
-        return Unknown("NotSquarefree"), g, None
-    nd = nondegenerate(g)
-    if not nd.ok:
-        return Unknown("Degenerate"), g, nd
-    if absolute_factor_count(g) != 1:
-        return Unknown("Reducible"), g, nd
+def _genus_tail(g: BiPoly) -> MaybeInt:
+    """Interior lattice points of g, once g is known squarefree,
+    nondegenerate and absolutely irreducible."""
     N = newton_polygon(g)
     if N.dim < 2:
-        return Unknown("SegmentPolygon"), g, nd
+        return Unknown("SegmentPolygon")
     interior, _, _ = lattice_counts(N)
-    return interior, g, nd
+    return interior
 
 
 def genus(f: BiPoly) -> MaybeInt:
     """Geometric genus via interior lattice points; translation applied first
     when the constant term vanishes (the genus is translation invariant)."""
-    return _genus_pipeline(f)[0]
+    if f.is_constant():
+        raise ConstantInputError("genus needs a nonconstant input")
+    g = f
+    if f.constant_term() == 0:
+        g = _shift_to_nonzero_constant(f)
+        if g is None:
+            return Unknown("ShiftFailed")
+    if not bipoly_squarefree_part(g)[1]:
+        return Unknown("NotSquarefree")
+    if not nondegenerate(g).ok:
+        return Unknown("Degenerate")
+    if absolute_factor_count(g) != 1:
+        return Unknown("Reducible")
+    return _genus_tail(g)
 
 
 def branches_at_infinity(f: BiPoly) -> MaybeInt:
@@ -224,9 +225,14 @@ def branches_at_infinity(f: BiPoly) -> MaybeInt:
         raise ConstantInputError("branches_at_infinity needs a nonconstant input")
     if f.constant_term() == 0:
         return Unknown("ZeroConstantTerm")
-    nd = nondegenerate(f)
-    if not nd.ok:
+    if not nondegenerate(f).ok:
         return Unknown("Degenerate")
+    return _branches_tail(f)
+
+
+def _branches_tail(f: BiPoly) -> int:
+    """Boundary lattice lengths facing infinity, once f is known
+    nondegenerate with a nonzero constant term."""
     N = newton_polygon(f)
     if N.dim == 2:
         total = 0
@@ -235,7 +241,7 @@ def branches_at_infinity(f: BiPoly) -> MaybeInt:
             # CCW boundary: outward normal is the direction rotated by -90
             nu1, nu2 = uy, -ux
             if nu1 > 0 or nu2 > 0:
-                total += _gcd(abs(ux), abs(uy))
+                total += gcd(abs(ux), abs(uy))
         return total
     # segment through the origin: f = e(x^p y^q) with e(0) != 0
     faces = edge_faces(f, N)
@@ -244,12 +250,6 @@ def branches_at_infinity(f: BiPoly) -> MaybeInt:
     s = squarefree_part(e).deg
     beta = 2 if (p >= 1 and q >= 1) else 1
     return s * beta
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -267,19 +267,33 @@ class FibreReport:
 
 
 def fibre_report(P: BiPoly, c) -> FibreReport:
-    """All invariants of the fibre P = c, computed on the squarefree part."""
+    """All invariants of the fibre P = c, computed on the squarefree part.
+
+    Each invariant is computed once: a translation keeps squarefreeness and
+    the factor count, so nondegeneracy is the only test made on the
+    polynomial the genus is read from (shifted only for a zero constant
+    term, where the branches are refused).
+    """
     if P.is_constant():
         raise ConstantInputError("fibre_report needs a nonconstant P")
-    f = P - BiPoly.const(c)
-    sq, reduced = bipoly_squarefree_part(f)
+    sq, reduced = bipoly_squarefree_part(P - BiPoly.const(c))
     count = absolute_factor_count(sq)
     if count != 1:
-        nd = nondegenerate(sq)
-        return FibreReport(c, count, reduced, nd.ok, Unknown("Reducible"), Unknown("Reducible"))
-    g_val, analyzed, nd = _genus_pipeline(sq)
-    nd_ok = nd.ok if nd is not None else False
-    b_val = branches_at_infinity(sq)
-    return FibreReport(c, count, reduced, nd_ok, g_val, b_val)
+        reducible = Unknown("Reducible")
+        return FibreReport(c, count, reduced, nondegenerate(sq).ok, reducible, reducible)
+    shifted = sq.constant_term() == 0
+    g = _shift_to_nonzero_constant(sq) if shifted else sq
+    if g is None:
+        return FibreReport(
+            c, count, reduced, False, Unknown("ShiftFailed"), Unknown("ZeroConstantTerm")
+        )
+    nd = nondegenerate(g).ok
+    g_val = _genus_tail(g) if nd else Unknown("Degenerate")
+    if shifted:
+        b_val = Unknown("ZeroConstantTerm")
+    else:
+        b_val = _branches_tail(sq) if nd else Unknown("Degenerate")
+    return FibreReport(c, count, reduced, nd, g_val, b_val)
 
 
 # ---------------------------------------------------------------------------
@@ -292,31 +306,19 @@ class SpecialValues:
     irrational_witnesses: Tuple[UniPoly, ...]
 
 
-def _c_poly(const_term, shift_c: bool) -> BiPoly:
-    """Constant coefficient as a polynomial in c (axes (x, c))."""
-    t = {}
-    if const_term != 0:
-        t[(0, 0)] = const_term
-    if shift_c:
-        t[(0, 1)] = -RAT_ONE
-    return BiPoly(t)
-
-
-def _yrep_minus_c(P: BiPoly) -> List[BiPoly]:
-    """P - c as a polynomial in y whose coefficients live in Q[x, c]."""
-    rows: List[Dict] = [dict() for _ in range(P.degy + 1)]
-    for (i, j), coeff in P.items():
-        rows[j][(i, 0)] = coeff
-    out = [BiPoly(r) for r in rows]
-    out[0] = out[0] + BiPoly({(0, 1): -RAT_ONE})
-    return out
-
-
 def _yrep_plain(P: BiPoly) -> List[BiPoly]:
+    """P as a polynomial in y whose coefficients live in Q[x, c]."""
     rows: List[Dict] = [dict() for _ in range(P.degy + 1)]
     for (i, j), coeff in P.items():
         rows[j][(i, 0)] = coeff
     return [BiPoly(r) for r in rows]
+
+
+def _yrep_minus_c(P: BiPoly) -> List[BiPoly]:
+    """P - c in the representation of _yrep_plain."""
+    out = _yrep_plain(P)
+    out[0] = out[0] + BiPoly({(0, 1): -RAT_ONE})
+    return out
 
 
 def _split_x_content(A: BiPoly) -> Tuple[UniPoly, BiPoly]:

@@ -123,19 +123,19 @@ class FaceForm:
 
 
 @dataclass(frozen=True)
-class ObstructionPolygonNotTriangle:
+class PolygonNotTriangle:
     kind = "PolygonNotTriangle"
     point: Optional[Point] = None
     missing_vertex: Optional[Point] = None
 
 
 @dataclass(frozen=True)
-class ObstructionFaceNotBinomialPower:
+class FaceNotBinomialPower:
     kind = "FaceNotBinomialPower"
     k: int = 0
 
 
-def triangle_face(P: BiPoly) -> Union[TriangleFace, ObstructionPolygonNotTriangle]:
+def triangle_face(P: BiPoly) -> Union[TriangleFace, PolygonNotTriangle]:
     """Gate: the polygon is the triangle (0,0), (dx,0), (0,dy).
 
     Requires degx(P) >= 1 and degy(P) >= 1.  Succeeds iff both pure-power
@@ -146,15 +146,15 @@ def triangle_face(P: BiPoly) -> Union[TriangleFace, ObstructionPolygonNotTriangl
     if dx < 1 or dy < 1:
         raise ValueError("triangle_face requires degx >= 1 and degy >= 1")
     if P.coeff(dx, 0) == 0:
-        return ObstructionPolygonNotTriangle(missing_vertex=(dx, 0))
+        return PolygonNotTriangle(missing_vertex=(dx, 0))
     if P.coeff(0, dy) == 0:
-        return ObstructionPolygonNotTriangle(missing_vertex=(0, dy))
+        return PolygonNotTriangle(missing_vertex=(0, dy))
     edge = {}
     bound = dx * dy
     for (i, j), c in P.items():
         v = dy * i + dx * j
         if v > bound:
-            return ObstructionPolygonNotTriangle(point=(i, j))
+            return PolygonNotTriangle(point=(i, j))
         if v == bound:
             edge[(i, j)] = c
     return TriangleFace(dx, dy, BiPoly(edge))
@@ -162,7 +162,7 @@ def triangle_face(P: BiPoly) -> Union[TriangleFace, ObstructionPolygonNotTriangl
 
 def face_binomial_power(
     F: TriangleFace,
-) -> Union[FaceForm, ObstructionFaceNotBinomialPower]:
+) -> Union[FaceForm, FaceNotBinomialPower]:
     """Gate: the edge polynomial is C*(y^q - a*x^p)^m.
 
     m is forced to gcd(dx, dy); a is read off the k = m-1 edge coefficient
@@ -179,13 +179,13 @@ def face_binomial_power(
         # the first slot no nonzero a could ever fill
         for k in range(m):
             if F.E.coeff(p * (m - k), q * k) == 0:
-                return ObstructionFaceNotBinomialPower(k=k)
+                return FaceNotBinomialPower(k=k)
     binom = 1
     for k in range(m + 1):
         # binom holds C(m, k); expected coefficient of x^{p(m-k)} y^{qk}
         expected = C * binom * (-a) ** (m - k)
         if F.E.coeff(p * (m - k), q * k) != expected:
-            return ObstructionFaceNotBinomialPower(k=k)
+            return FaceNotBinomialPower(k=k)
         binom = binom * (m - k) // (k + 1)
     return FaceForm(C=C, a=a, p=p, q=q, m=m)
 

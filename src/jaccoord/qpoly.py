@@ -168,15 +168,6 @@ class UniPoly:
             acc = acc * v + c
         return acc
 
-    def strip_root_zero(self) -> Tuple["UniPoly", int]:
-        """Split off the t^k factor: returns (p / t^k, k)."""
-        k = 0
-        while k < len(self.coeffs) and self.coeffs[k] == 0:
-            k += 1
-        if k >= len(self.coeffs):
-            raise ZeroPolynomialError("zero polynomial")
-        return UniPoly(self.coeffs[k:]), k
-
     def to_bipoly(self, axis: str = "x") -> "BiPoly":
         terms = {}
         for k, c in enumerate(self.coeffs):

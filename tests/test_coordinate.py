@@ -168,6 +168,26 @@ class TestClosedLoop:
             gen_random_coordinate(0, 1, 0, 3)
 
 
+class TestCertificate:
+    def test_wrong_step_is_refused(self, monkeypatch):
+        # a wrong step with the true next polynomial still ends in a linear
+        # form, so only the certificate x o Phi^-1 = P can catch it
+        from jaccoord import coordinate
+
+        true_reduce_step = coordinate.reduce_step
+
+        def wrong_reduce_step(P):
+            r = true_reduce_step(P)
+            return ReduceSuccess(step=r.step.inverse(), next=r.next, face=r.face)
+
+        polys = [parse_poly(t) for t in ("y + x^3", "x + (y + x^2)^3")]
+        assert all(isinstance(check(P), Coordinate) for P in polys)
+        monkeypatch.setattr(coordinate, "reduce_step", wrong_reduce_step)
+        for P in polys:
+            with pytest.raises(InternalVerificationFailure):
+                check(P)
+
+
 class TestDegreeGuard:
     def test_guard_triggers(self, monkeypatch):
         monkeypatch.setenv("JACCOORD_DEGREE_GUARD", "4")

@@ -16,6 +16,7 @@ from jaccoord import (
     special_value_candidates,
     substitute,
 )
+from jaccoord import fibre
 from jaccoord.coordinate import _rand_linear
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
 
@@ -150,6 +151,21 @@ class TestFibreReport:
         r = fibre_report(parse_poly("y + x^3"), rat(2))
         assert r.genus == 0
         assert r.branches_at_infinity == 1
+
+    def test_each_invariant_computed_once(self, monkeypatch):
+        # c = 1 reads genus and branches from one polynomial; c = 0 shifts
+        for c in (rat(1), rat(0)):
+            calls = {"absolute_factor_count": 0, "nondegenerate": 0}
+            for name in calls:
+
+                def counted(f, _orig=getattr(fibre, name), _name=name):
+                    calls[_name] += 1
+                    return _orig(f)
+
+                monkeypatch.setattr(fibre, name, counted)
+            fibre_report(parse_poly("y^2 - x^3 - x"), c)
+            monkeypatch.undo()
+            assert calls == {"absolute_factor_count": 1, "nondegenerate": 1}
 
 
 class TestSpecialValues:

@@ -13,8 +13,8 @@ from jaccoord import (
     triangle_face,
 )
 from jaccoord.newton import (
-    ObstructionFaceNotBinomialPower,
-    ObstructionPolygonNotTriangle,
+    FaceNotBinomialPower,
+    PolygonNotTriangle,
     edge_faces,
 )
 
@@ -107,17 +107,17 @@ class TestTriangleGate:
 
     def test_missing_vertex(self):
         ob = triangle_face(parse_poly("x*y"))
-        assert isinstance(ob, ObstructionPolygonNotTriangle)
+        assert isinstance(ob, PolygonNotTriangle)
         assert ob.missing_vertex is not None
 
     def test_point_above_hypotenuse(self):
         ob = triangle_face(parse_poly("x^2 + y + x^2*y"))
-        assert isinstance(ob, ObstructionPolygonNotTriangle)
+        assert isinstance(ob, PolygonNotTriangle)
         assert ob.point == (2, 1)
 
     def test_missing_pure_power(self):
         ob = triangle_face(parse_poly("x + y + x*y^2"))
-        assert isinstance(ob, ObstructionPolygonNotTriangle)
+        assert isinstance(ob, PolygonNotTriangle)
 
     def test_edge_collects_only_face_terms(self):
         tf = triangle_face(parse_poly("y^2 - x^3 + x + 1"))
@@ -142,7 +142,7 @@ class TestFaceGate:
             base = BiPoly({(0, q): rat(1), (p, 0): -a})
             E = base ** m * C
             tf = triangle_face(E + BiPoly.const(0) + BiPoly({(0, 0): rat(1)}))
-            if isinstance(tf, ObstructionPolygonNotTriangle):
+            if isinstance(tf, PolygonNotTriangle):
                 continue
             ff = face_binomial_power(tf)
             assert isinstance(ff, FaceForm)
@@ -151,7 +151,7 @@ class TestFaceGate:
     def test_sum_of_cubes_fails(self):
         tf = triangle_face(parse_poly("x^3 + y^3"))
         ff = face_binomial_power(tf)
-        assert isinstance(ff, ObstructionFaceNotBinomialPower)
+        assert isinstance(ff, FaceNotBinomialPower)
         assert ff.k == 1
 
     def test_cusp_face_form(self):
