@@ -5,7 +5,7 @@ C-implemented ``mpq`` type is used for the hot polynomial kernels; otherwise
 we fall back to the pure-Python ``fractions.Fraction``.  Both types share the
 operator surface we rely on (arithmetic, comparisons, ``numerator`` /
 ``denominator``, ``str`` printing as ``p/q``), so the choice is made once at
-import time.  ``benchmarks/bench_backend.py`` compares the two.
+import time.
 """
 
 try:

@@ -10,7 +10,6 @@ from the closed-form inverses of the steps, and x o Phi^-1 must equal P.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import List, Tuple, Union
@@ -25,8 +24,7 @@ from .newton import (
     triangle_face,
 )
 
-DEFAULT_DEGREE_GUARD = 512
-DEGREE_GUARD_ENV = "JACCOORD_DEGREE_GUARD"
+DEGREE_GUARD = 512  # bound on degx + degy during reduction
 
 
 class InternalVerificationFailure(RuntimeError):
@@ -232,11 +230,6 @@ def _final_linear(P: BiPoly) -> Linear:
     return Linear(RAT_ZERO, RAT_ONE, RAT_ONE / beta, RAT_ZERO, RAT_ZERO, -gamma / beta)
 
 
-def degree_guard() -> int:
-    v = os.environ.get(DEGREE_GUARD_ENV)
-    return int(v) if v else DEFAULT_DEGREE_GUARD
-
-
 def check(P: BiPoly) -> CoordinateVerdict:
     """Decide coordinacy; certify with a witness or a checked obstruction.
 
@@ -244,7 +237,6 @@ def check(P: BiPoly) -> CoordinateVerdict:
     Phi^-1 comes from the closed-form step inverses, and by a nonzero
     constant Jacobian of P and the complement y o Phi^-1.
     """
-    guard = degree_guard()
     steps: List[ElementaryAuto] = []
     cur = P
     while True:
@@ -258,9 +250,9 @@ def check(P: BiPoly) -> CoordinateVerdict:
             return NotCoordinate(UnivariateNonlinear(var="y", deg=dy), cur)
         if dy == 0:
             return NotCoordinate(UnivariateNonlinear(var="x", deg=dx), cur)
-        if dx + dy > guard:
+        if dx + dy > DEGREE_GUARD:
             raise InternalVerificationFailure(
-                f"degree guard exceeded: degx+degy = {dx + dy} > {guard}"
+                f"degree guard exceeded: degx+degy = {dx + dy} > {DEGREE_GUARD}"
             )
         r = reduce_step(cur)
         if not isinstance(r, ReduceSuccess):

@@ -1,21 +1,22 @@
 """Exact elimination machinery: subresultant chains, resultants, bivariate
 gcd, rational Gaussian elimination, and rational root extraction.
 
-Polynomials in the elimination variable are dense coefficient lists over a
-coefficient ring given by a small adapter, so the same pseudo-remainder code
-serves Q, Q[x] and Q[x,c] coefficients.  All divisions performed by the
-subresultant chain are exact by theory; an inexact division raises, it is
-never silently rounded.
+Polynomials in the elimination variable are dense coefficient lists over
+Q, Q[x] or Q[x,c].  The coefficient types' own operators do the ring
+arithmetic; a small adapter carries only what differs between them (zero,
+one and exact division), so the same pseudo-remainder code serves all
+three.  All divisions performed by the subresultant chain are exact by
+theory; an inexact division raises, it is never silently rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import sympy
 
-from ._ratback import RAT_ONE, RAT_ZERO, Rat, rat
+from ._ratback import RAT_ONE, RAT_ZERO, rat
 from .qpoly import BiPoly, UniPoly, ZeroPolynomialError
 
 
@@ -25,55 +26,23 @@ from .qpoly import BiPoly, UniPoly, ZeroPolynomialError
 
 @dataclass(frozen=True)
 class Ring:
+    """What differs between coefficient types; +, -, * and == are their own."""
+
     zero: object
     one: object
-    is_zero: Callable
-    add: Callable
-    sub: Callable
-    mul: Callable
-    neg: Callable
     exact_div: Callable
 
 
-RAT_RING = Ring(
-    zero=RAT_ZERO,
-    one=RAT_ONE,
-    is_zero=lambda a: a == 0,
-    add=lambda a, b: a + b,
-    sub=lambda a, b: a - b,
-    mul=lambda a, b: a * b,
-    neg=lambda a: -a,
-    exact_div=lambda a, b: a / b,
-)
-
-UNIPOLY_RING = Ring(
-    zero=UniPoly.zero(),
-    one=UniPoly.const(1),
-    is_zero=lambda a: a.is_zero(),
-    add=lambda a, b: a + b,
-    sub=lambda a, b: a - b,
-    mul=lambda a, b: a * b,
-    neg=lambda a: -a,
-    exact_div=lambda a, b: a.exact_div(b),
-)
-
-BIPOLY_RING = Ring(
-    zero=BiPoly.zero(),
-    one=BiPoly.const(1),
-    is_zero=lambda a: a.is_zero(),
-    add=lambda a, b: a + b,
-    sub=lambda a, b: a - b,
-    mul=lambda a, b: a * b,
-    neg=lambda a: -a,
-    exact_div=lambda a, b: a.exact_div(b),
-)
+RAT_RING = Ring(RAT_ZERO, RAT_ONE, lambda a, b: a / b)
+UNIPOLY_RING = Ring(UniPoly.zero(), UniPoly.const(1), UniPoly.exact_div)
+BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), BiPoly.exact_div)
 
 
 # dense polynomial-over-ring helpers; a poly is a list of ring elements
 
 
 def pstrip(p: List, R: Ring) -> List:
-    while p and R.is_zero(p[-1]):
+    while p and p[-1] == R.zero:
         p.pop()
     return p
 
@@ -87,7 +56,7 @@ def plc(p: Sequence):
 
 
 def pscale(p: Sequence, c, R: Ring) -> List:
-    return pstrip([R.mul(a, c) for a in p], R)
+    return pstrip([a * c for a in p], R)
 
 
 def psub(p: Sequence, q: Sequence, R: Ring) -> List:
@@ -96,12 +65,13 @@ def psub(p: Sequence, q: Sequence, R: Ring) -> List:
     for k in range(n):
         a = p[k] if k < len(p) else R.zero
         b = q[k] if k < len(q) else R.zero
-        out.append(R.sub(a, b))
+        out.append(a - b)
     return pstrip(out, R)
+
 
 def pshift_mul(p: Sequence, k: int, c, R: Ring) -> List:
     """x^k * c * p."""
-    return [R.zero] * k + [R.mul(a, c) for a in p]
+    return [R.zero] * k + [a * c for a in p]
 
 
 def pseudo_rem(A: Sequence, B: Sequence, R: Ring) -> List:
@@ -128,30 +98,34 @@ def pexact_div_scalar(p: Sequence, c, R: Ring) -> List:
     return [R.exact_div(a, c) for a in p]
 
 
-def subresultant_prs(A: List, B: List, R: Ring) -> List[List]:
-    """The subresultant polynomial remainder sequence, first entries included."""
-    prs = [list(A), list(B)]
+def _subresultant_steps(a: List, b: List, R: Ring) -> Iterator[Tuple]:
+    """Yield (a, b, h) for each new subresultant remainder b; the chain ends
+    after a constant remainder, or silently when the next one is zero."""
     g = R.one
     h = R.one
-    a, b = list(A), list(B)
     while True:
         delta = pdeg(a) - pdeg(b)
         r = pseudo_rem(a, b, R)
         if not r:
-            return prs
-        divisor = R.mul(g, _ring_pow(h, delta, R))
+            return
+        divisor = g * _ring_pow(h, delta, R)
         a, b = b, pexact_div_scalar(r, divisor, R)
-        prs.append(b)
         g = plc(a)
         h = _pow_quotient(h, g, delta, R)
+        yield a, b, h
         if pdeg(b) == 0:
-            return prs
+            return
+
+
+def subresultant_prs(A: List, B: List, R: Ring) -> List[List]:
+    """The subresultant polynomial remainder sequence, first entries included."""
+    return [list(A), list(B)] + [b for _, b, _ in _subresultant_steps(A, B, R)]
 
 
 def _ring_pow(a, n: int, R: Ring):
     out = R.one
     for _ in range(n):
-        out = R.mul(out, a)
+        out = out * a
     return out
 
 
@@ -182,25 +156,15 @@ def resultant(A: List, B: List, R: Ring):
         return _ring_pow(B[0], dA, R)
     if dA < dB:
         A, B = B, A
-        dA, dB = dB, dA
-    g = R.one
-    h = R.one
-    a, b = A, B
-    while True:
-        delta = pdeg(a) - pdeg(b)
-        r = pseudo_rem(a, b, R)
-        if not r:
-            return R.zero  # common factor
-        divisor = R.mul(g, _ring_pow(h, delta, R))
-        a, b = b, pexact_div_scalar(r, divisor, R)
-        g = plc(a)
-        h = _pow_quotient(h, g, delta, R)
-        if pdeg(b) == 0:
-            da = pdeg(a)
-            # s_0 = lc(b)^da / h^(da-1)
-            num = _ring_pow(b[0], da, R)
-            den = _ring_pow(h, da - 1, R)
-            return R.exact_div(num, den)
+    last = None
+    for last in _subresultant_steps(A, B, R):
+        pass
+    if last is None or pdeg(last[1]) > 0:
+        return R.zero  # the chain ended on a zero remainder: common factor
+    a, b, h = last
+    da = pdeg(a)
+    # s_0 = lc(b)^da / h^(da-1)
+    return R.exact_div(_ring_pow(b[0], da, R), _ring_pow(h, da - 1, R))
 
 
 # ---------------------------------------------------------------------------
@@ -320,31 +284,19 @@ def rat_rank(rows: List[List]) -> int:
 
 
 def rat_det(rows: List[List]):
-    """Determinant of a square rational matrix (fresh copy, exact)."""
+    """Determinant of a square rational matrix (fresh copy, exact): the
+    product of rat_eliminate's pivots, signed by its row permutation."""
     n = len(rows)
     m = [list(r) for r in rows]
-    det = RAT_ONE
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if m[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            return RAT_ZERO
-        if sel != col:
-            m[col], m[sel] = m[sel], m[col]
-            det = -det
-        piv = m[col][col]
-        det = det * piv
-        prow = m[col]
-        for i in range(col + 1, n):
-            ci = m[i][col]
-            if ci != 0:
-                f = ci / piv
-                ri = m[i]
-                for k in range(col, n):
-                    ri[k] = ri[k] - f * prow[k]
+    rank, pivot_rows, _ = rat_eliminate(m)
+    if rank < n:
+        return RAT_ZERO
+    inversions = sum(
+        a > b for k, a in enumerate(pivot_rows) for b in pivot_rows[k + 1:]
+    )
+    det = -RAT_ONE if inversions % 2 else RAT_ONE
+    for k in range(n):
+        det = det * m[k][k]
     return det
 
 

@@ -26,6 +26,7 @@ from .elim import (
     BIPOLY_RING,
     RAT_RING,
     UNIPOLY_RING,
+    _unipoly_list_gcd,
     bipoly_gcd,
     bipoly_squarefree_part,
     has_common_torus_zero,
@@ -70,8 +71,9 @@ def _ruppert_unknowns(m: int, n: int) -> Tuple[List[Tuple[str, int, int]], int]:
 def ruppert_rows(f_terms: Dict[Tuple[int, int], object], m: int, n: int, ring):
     """Coefficient matrix of the differential system, rows sorted by monomial.
 
-    Works over any coefficient ring (rationals, or polynomials in the fibre
-    value c when hunting rank drops).
+    The coefficients may be rationals, or polynomials in the fibre value c
+    when hunting rank drops; their own operators do the arithmetic, and the
+    ring is used only for the zero that fills absent entries.
     """
     unknowns, ncols = _ruppert_unknowns(m, n)
     columns: List[Dict[Tuple[int, int], object]] = []
@@ -82,38 +84,27 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], object], m: int, n: int, ring):
             if i < 0 or j < 0:
                 return
             cur = col.get((i, j))
-            col[(i, j)] = coeff if cur is None else ring.add(cur, coeff)
+            col[(i, j)] = coeff if cur is None else cur + coeff
 
         for (i, j), c in sorted(f_terms.items()):
             if kind == "g":
                 # g_y * f  -  g * f_y
                 if v > 0:
-                    acc(i + u, j + v - 1, ring.mul(c, _ring_int(ring, v)))
+                    acc(i + u, j + v - 1, c * v)
                 if j > 0:
-                    acc(i + u, j - 1 + v, ring.mul(c, _ring_int(ring, -j)))
+                    acc(i + u, j - 1 + v, c * -j)
             else:
                 # -(h_x * f - h * f_x) = -h_x f + h f_x
                 if u > 0:
-                    acc(i + u - 1, j + v, ring.mul(c, _ring_int(ring, -u)))
+                    acc(i + u - 1, j + v, c * -u)
                 if i > 0:
-                    acc(i - 1 + u, j + v, ring.mul(c, _ring_int(ring, i)))
+                    acc(i - 1 + u, j + v, c * i)
         columns.append(col)
     monomials = sorted({e for col in columns for e in col})
     rows = []
     for e in monomials:
         rows.append([col.get(e, ring.zero) for col in columns])
     return rows, ncols
-
-
-def _ring_int(ring, k: int):
-    if ring is RAT_RING:
-        return Rat(k)
-    one = ring.one
-    out = ring.zero
-    step = one if k >= 0 else ring.neg(one)
-    for _ in range(abs(k)):
-        out = ring.add(out, step)
-    return out
 
 
 def absolute_factor_count(f: BiPoly) -> int:
@@ -324,10 +315,7 @@ def _yrep_minus_c(P: BiPoly) -> List[BiPoly]:
 def _split_x_content(A: BiPoly) -> Tuple[UniPoly, BiPoly]:
     """A in Q[x, c] = cont(c) * pp; returns (content in c, primitive part)."""
     coeffs = A.x_coeffs()  # UniPoly in c per x power
-    cont = UniPoly.zero()
-    for u in coeffs:
-        if not u.is_zero():
-            cont = cont.gcd(u) if not cont.is_zero() else u.monic()
+    cont = _unipoly_list_gcd(coeffs)
     pp = BiPoly.from_x_coeffs([u.exact_div(cont) for u in coeffs])
     return cont, pp
 

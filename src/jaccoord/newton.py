@@ -66,8 +66,10 @@ def newton_polygon(P: BiPoly) -> LatticePolygon:
 def lattice_counts(N: LatticePolygon) -> Tuple[int, int, int]:
     """(interior points, boundary points, twice the area).
 
-    Interior points are counted by direct enumeration over the bounding box,
-    independently of Pick's identity, so the identity stays testable.
+    Boundary points are summed edge by edge as gcd lattice lengths, twice
+    the area by the shoelace formula, and interior points follow from
+    Pick's formula 2A = 2I + B - 2, so the cost is linear in the number of
+    vertices, whatever the degrees.
     """
     v = N.vertices
     if N.dim == 0:
@@ -83,19 +85,7 @@ def lattice_counts(N: LatticePolygon) -> Tuple[int, int, int]:
         a2 += x0 * y1 - x1 * y0
         b += gcd(abs(x1 - x0), abs(y1 - y0))
     a2 = abs(a2)
-    xs = [p[0] for p in v]
-    ys = [p[1] for p in v]
-    interior = 0
-    for px in range(min(xs) + 1, max(xs)):
-        for py in range(min(ys) + 1, max(ys)):
-            inside = True
-            for k in range(n):
-                if _cross(v[k], v[(k + 1) % n], (px, py)) <= 0:
-                    inside = False
-                    break
-            if inside:
-                interior += 1
-    return interior, b, a2
+    return (a2 - b + 2) // 2, b, a2
 
 
 @dataclass(frozen=True)

@@ -190,14 +190,15 @@ class TestCertificate:
 
 class TestDegreeGuard:
     def test_guard_triggers(self, monkeypatch):
-        monkeypatch.setenv("JACCOORD_DEGREE_GUARD", "4")
-        P, _ = gen_random_coordinate(2, 2, 3, 3)
-        if P.degx + P.degy > 4:
-            with pytest.raises(InternalVerificationFailure):
-                check(P)
+        from jaccoord import coordinate
 
-    def test_guard_default(self, monkeypatch):
-        monkeypatch.delenv("JACCOORD_DEGREE_GUARD", raising=False)
-        from jaccoord.coordinate import degree_guard
+        P = parse_poly("x + (y + x^2)^3")  # degx + degy = 9
+        assert isinstance(check(P), Coordinate)
+        monkeypatch.setattr(coordinate, "DEGREE_GUARD", 4)
+        with pytest.raises(InternalVerificationFailure):
+            check(P)
 
-        assert degree_guard() == 512
+    def test_guard_default(self):
+        from jaccoord.coordinate import DEGREE_GUARD
+
+        assert DEGREE_GUARD == 512

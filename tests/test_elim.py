@@ -2,6 +2,8 @@
 
 import random
 
+import sympy
+
 from jaccoord import (
     BiPoly,
     UniPoly,
@@ -14,6 +16,7 @@ from jaccoord import (
 from jaccoord.elim import (
     RAT_RING,
     UNIPOLY_RING,
+    bipoly_to_sympy,
     has_common_torus_zero,
     rat_det,
     rat_eliminate,
@@ -22,11 +25,26 @@ from jaccoord.elim import (
     resultant,
     strip_rational_roots,
     subresultant_prs,
+    unipoly_to_sympy,
 )
 
 
 def upoly(*coeffs):
     return UniPoly([rat(c) for c in coeffs])
+
+
+def sparse_poly(rng, deg, even, degx):
+    """Random integer polynomial of y-degree deg (2*deg, in even powers of y
+    only, when even) and x-degree at most degx; the skipped y-powers let a
+    remainder chain drop by more than one degree."""
+    terms = {}
+    for j in range(deg + 1):
+        if j == deg or rng.random() < 0.5:
+            jj = 2 * j if even else j
+            for i in range(degx + 1):
+                terms[(i, jj)] = rat(rng.randint(-3, 3))
+            terms[(0, jj)] = rat(rng.choice([-2, -1, 1, 2]))
+    return BiPoly(terms)
 
 
 class TestResultant:
@@ -65,6 +83,34 @@ class TestResultant:
         r = resultant(P.y_coeffs(), Q.y_coeffs(), UNIPOLY_RING)
         expected = (parse_poly("x^3 + x + 1") * 4).y_coeffs()[0]
         assert r == expected or r == -expected
+
+    def test_matches_sympy(self):
+        # equal to sympy's resultant up to sign, over Q and over Q[x]; the
+        # inputs include common factors, and chains whose degree drops by
+        # more than one after the first step, where h^(delta-1) divides
+        rng = random.Random(33)
+        x, y = sympy.symbols("x y")
+        inner_gaps = [0, 0]
+        for k in range(160):
+            degx, even = k % 2, k % 3 == 0
+            da = rng.randint(2, 5)
+            f = sparse_poly(rng, da, even, degx)
+            g = sparse_poly(rng, rng.randint(1, da), even, degx)
+            if k % 10 == 0:
+                f, g = f * parse_poly("y - 1"), g * parse_poly("y - 1")
+            A, B, R = f.y_coeffs(), g.y_coeffs(), UNIPOLY_RING
+            if degx == 0:
+                A, B, R = [u[0] for u in A], [u[0] for u in B], RAT_RING
+            degs = [len(p) - 1 for p in subresultant_prs(A, B, R)]
+            inner_gaps[degx] += any(
+                degs[i] - degs[i + 1] > 1 for i in range(1, len(degs) - 2)
+            )
+            r = resultant(A, B, R)
+            r = unipoly_to_sympy(r if degx else UniPoly([r]), x)
+            expected = sympy.resultant(bipoly_to_sympy(f), bipoly_to_sympy(g), y)
+            expected = sympy.Poly(expected, x)
+            assert r in (expected, -expected)
+        assert min(inner_gaps) >= 10, inner_gaps
 
     def test_prs_ends_with_gcd(self):
         a = upoly(-1, 0, 1) * upoly(1, 1)  # (t^2-1)(t+1)
@@ -157,6 +203,28 @@ class TestLinearAlgebra:
         assert rat_det(rows) == rat(-2)
         rows = [[rat(1), rat(2)], [rat(2), rat(4)]]
         assert rat_det(rows) == rat(0)
+        # against sympy; a zero leading entry forces row swaps, so the sign
+        # of the permutation is tested, and duplicated rows make it singular
+        rng = random.Random(34)
+        swapped = singular = 0
+        for k in range(240):
+            n = rng.randint(1, 7)
+            rows = [
+                [rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                for _ in range(n)
+            ]
+            if k % 2:
+                rows[0][0] = rat(0)
+            if k % 5 == 0 and n > 1:
+                rows[rng.randrange(1, n)] = list(rows[0])
+            expected = sympy.Matrix(
+                [[sympy.Rational(str(c)) for c in r] for r in rows]
+            ).det()
+            det = rat_det(rows)
+            assert det == rat(str(expected))
+            swapped += rows[0][0] == 0 and det != 0
+            singular += det == 0
+        assert swapped >= 40 and singular >= 40
 
 
 class TestSympyBridge:

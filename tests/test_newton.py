@@ -19,6 +19,21 @@ from jaccoord.newton import (
 )
 
 
+def enumerated_interior(N):
+    """Interior lattice points counted over the bounding box, independently
+    of Pick's formula, as the oracle for lattice_counts."""
+    xs = [p[0] for p in N.vertices]
+    ys = [p[1] for p in N.vertices]
+    count = 0
+    for px in range(min(xs) + 1, max(xs)):
+        for py in range(min(ys) + 1, max(ys)):
+            count += all(
+                (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0
+                for (ax, ay), (bx, by) in N.edges()
+            )
+    return count
+
+
 def rand_polygon(rng, max_coord=8, npts=6):
     t = {}
     for _ in range(npts):
@@ -77,7 +92,8 @@ class TestLatticeCounts:
         assert lattice_counts(newton_polygon(parse_poly("5"))) == (0, 1, 0)
 
     def test_pick_identity(self):
-        # 2A = 2I + B - 2; interior counted by enumeration, so this is a test
+        # 2A = 2I + B - 2, with the library's interior count checked against
+        # direct enumeration
         rng = random.Random(11)
         checked = 0
         for _ in range(300):
@@ -85,9 +101,14 @@ class TestLatticeCounts:
             if N.dim != 2:
                 continue
             interior, boundary, a2 = lattice_counts(N)
+            assert interior == enumerated_interior(N)
             assert a2 == 2 * interior + boundary - 2
             checked += 1
         assert checked >= 200
+
+    def test_high_degree_triangle(self):
+        N = newton_polygon(parse_poly("x^2000 + y^2000 + 1"))
+        assert lattice_counts(N) == (1997001, 6000, 4000000)
 
     def test_scaling(self):
         # doubling a triangle: area x4, structured boundary growth
