@@ -387,10 +387,12 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - single JSON error surface
         for cls, kind in _ERROR_KINDS:
             if isinstance(exc, cls):
+                detail = str(exc)
                 break
         else:
-            raise
-        _emit({"error": {"kind": kind, "detail": str(exc)}}, sys.stderr)
+            # a fault of the program, not of the input; still one JSON error
+            kind, detail = "InternalError", f"{type(exc).__name__}: {exc}"
+        _emit({"error": {"kind": kind, "detail": detail}}, sys.stderr)
         return 1
 
 

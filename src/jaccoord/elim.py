@@ -1,5 +1,6 @@
 """Exact elimination machinery: subresultant chains, resultants, bivariate
-gcd, rational Gaussian elimination, and rational root extraction.
+gcd, exact Gaussian elimination of rational matrices, and rational root
+extraction.
 
 Polynomials in the elimination variable are dense coefficient lists over
 Q, Q[x] or Q[x,c].  The coefficient types' own operators do the ring
@@ -7,10 +8,15 @@ arithmetic; a small adapter carries only what differs between them (zero,
 one and exact division), so the same pseudo-remainder code serves all
 three.  All divisions performed by the subresultant chain are exact by
 theory; an inexact division raises, it is never silently rounded.
+
+A rational matrix is eliminated fraction-free: on a copy whose rows are
+scaled to primitive integer rows, with plain integer arithmetic, and with
+the scale of each row tracked so that the rational pivots stay exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence, Tuple
 
@@ -118,7 +124,10 @@ def _subresultant_steps(a: List, b: List, R: Ring) -> Iterator[Tuple]:
 
 
 def subresultant_prs(A: List, B: List, R: Ring) -> List[List]:
-    """The subresultant polynomial remainder sequence, first entries included."""
+    """The subresultant polynomial remainder sequence, first entries included;
+    needs deg A >= deg B."""
+    if pdeg(A) < pdeg(B):
+        raise ValueError(f"subresultant_prs needs deg A >= deg B, got {pdeg(A)} < {pdeg(B)}")
     return [list(A), list(B)] + [b for _, b, _ in _subresultant_steps(A, B, R)]
 
 
@@ -241,62 +250,87 @@ def bipoly_is_squarefree(f: BiPoly) -> bool:
 # exact rational linear algebra
 
 
-def rat_eliminate(rows: List[List]) -> Tuple[int, List[int], List[int]]:
-    """In-place Gaussian elimination; returns (rank, pivot_rows, pivot_cols).
+class Elimination(tuple):
+    """``(rank, pivot_rows, pivot_cols)``, with ``pivots``: the rational
+    pivots in order, the values Gaussian elimination over Q meets."""
 
-    Deterministic: scans columns left to right and picks the first row with
-    a nonzero entry.
+    def __new__(cls, rank: int, pivot_rows: List[int], pivot_cols: List[int], pivots: List):
+        self = super().__new__(cls, (rank, pivot_rows, pivot_cols))
+        self.pivots = pivots
+        return self
+
+
+def rat_eliminate(rows: List[List]) -> Elimination:
+    """Gaussian elimination of a rational matrix, which is left untouched;
+    returns (rank, pivot_rows, pivot_cols).
+
+    Deterministic: scans columns left to right and picks the first remaining
+    row with a nonzero entry.  Fraction-free: each row is scaled to a
+    primitive integer row; a row r with entry c in the pivot column becomes
+    ((piv/g)*r - (c/g)*prow) / content, g = gcd(piv, c), and rows with a zero
+    there are left as they are.  Each row's scale against the rational
+    elimination is kept as an integer numerator and denominator, which makes
+    the rational pivots exact.
     """
-    if not rows:
-        return 0, [], []
-    ncols = len(rows[0])
-    order = list(range(len(rows)))  # original index of each physical row
+    mat, num, den = [], [], []
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (lcm // x.denominator) for x in row]
+        h = math.gcd(*ints) or 1
+        mat.append([v // h for v in ints])
+        num.append(lcm)
+        den.append(h)
+    n = len(mat)
+    order = list(range(n))  # original index of each physical row
     pivot_rows: List[int] = []
     pivot_cols: List[int] = []
+    pivots: List = []
     r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][col] != 0:
-                sel = i
-                break
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(r, n) if mat[i][col]), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        order[r], order[sel] = order[sel], order[r]
-        piv = rows[r][col]
-        prow = rows[r]
-        for i in range(r + 1, len(rows)):
-            ci = rows[i][col]
-            if ci != 0:
-                f = ci / piv
-                ri = rows[i]
-                for k in range(col, ncols):
-                    ri[k] = ri[k] - f * prow[k]
+        for seq in (mat, order, num, den):
+            seq[r], seq[sel] = seq[sel], seq[r]
+        piv = mat[r][col]
+        ptail = mat[r][col + 1:]
+        for i in range(r + 1, n):
+            ri = mat[i]
+            c = ri[col]
+            if c:
+                # entries left of col are zero in every row below the pivot
+                g = math.gcd(piv, c)
+                a, b = piv // g, c // g
+                tail = [a * x - b * y for x, y in zip(ri[col + 1:], ptail)]
+                h = math.gcd(*tail) or 1
+                ri[col] = 0
+                ri[col + 1:] = [v // h for v in tail] if h > 1 else tail
+                num[i] *= a
+                den[i] *= h
         pivot_rows.append(order[r])
         pivot_cols.append(col)
+        pivots.append(rat(piv * den[r], num[r]))
         r += 1
-    return r, pivot_rows, pivot_cols
+    return Elimination(r, pivot_rows, pivot_cols, pivots)
 
 
 def rat_rank(rows: List[List]) -> int:
-    return rat_eliminate([list(r) for r in rows])[0]
+    return rat_eliminate(rows)[0]
 
 
 def rat_det(rows: List[List]):
-    """Determinant of a square rational matrix (fresh copy, exact): the
-    product of rat_eliminate's pivots, signed by its row permutation."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    rank, pivot_rows, _ = rat_eliminate(m)
-    if rank < n:
+    """Determinant of a square rational matrix (exact): the product of
+    rat_eliminate's pivots, signed by its row permutation."""
+    elim = rat_eliminate(rows)
+    rank, pivot_rows, _ = elim
+    if rank < len(rows):
         return RAT_ZERO
     inversions = sum(
         a > b for k, a in enumerate(pivot_rows) for b in pivot_rows[k + 1:]
     )
     det = -RAT_ONE if inversions % 2 else RAT_ONE
-    for k in range(n):
-        det = det * m[k][k]
+    for p in elim.pivots:
+        det = det * p
     return det
 
 

@@ -44,6 +44,17 @@ class TestCheck:
         assert code == 0
         assert doc["outcome"] == "coordinate"
 
+    def test_internal_error_is_json(self, capsys, tmp_path):
+        # 3,000 nested parentheses exhaust the parser's recursion
+        f = tmp_path / "deep.txt"
+        f.write_text("(" * 3000 + "x" + ")" * 3000 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "InternalError"
+        assert error["detail"].startswith("RecursionError: maximum recursion depth")
+
 
 class TestWitness:
     def test_steps_and_complement(self, capsys):

@@ -1,7 +1,9 @@
 """Resultants, bivariate gcd, squarefree parts, exact linear algebra."""
 
+import copy
 import random
 
+import pytest
 import sympy
 
 from jaccoord import (
@@ -119,6 +121,19 @@ class TestResultant:
         last = UniPoly(chain[-1]).monic()
         assert last == upoly(-1, 0, 1).monic()
 
+    def test_prs_needs_ordered_degrees(self):
+        # deg A < deg B used to return a wrong chain over Q (ending on 21/5,
+        # not 21) and an inexact division over Q[x]
+        A, B = upoly(1, 2), upoly(3, 0, 1, 5)
+        assert subresultant_prs(list(B.coeffs), list(A.coeffs), RAT_RING)[-1] == [rat(21)]
+        rings = (
+            (RAT_RING, lambda u: list(u.coeffs)),
+            (UNIPOLY_RING, lambda u: [UniPoly([c]) for c in u.coeffs]),
+        )
+        for R, wrap in rings:
+            with pytest.raises(ValueError, match="deg A >= deg B"):
+                subresultant_prs(wrap(A), wrap(B), R)
+
 
 class TestBivariateGcd:
     def test_common_factor(self):
@@ -225,6 +240,74 @@ class TestLinearAlgebra:
             swapped += rows[0][0] == 0 and det != 0
             singular += det == 0
         assert swapped >= 40 and singular >= 40
+
+
+def random_matrix(rng, nrows, ncols):
+    """Rational matrix with zero entries, plain ints, 20-digit numerators
+    and mixed denominators."""
+    def entry():
+        kind = rng.random()
+        if kind < 0.35:
+            return rat(0)
+        if kind < 0.5:
+            return rng.randint(-6, 6)
+        if kind < 0.65:
+            return rat(rng.randint(-10**20, 10**20), rng.randint(1, 10**6))
+        return rat(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 12, 35]))
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def to_sympy(rows, ncols):
+    return sympy.Matrix(len(rows), ncols, [sympy.Rational(str(c)) for r in rows for c in r])
+
+
+class TestKernelOracle:
+    def test_eliminate_matches_sympy(self):
+        rng = random.Random(35)
+        shapes = dups = 0
+        for k in range(150):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            rows = random_matrix(rng, nrows, ncols)
+            if k % 3 == 0 and nrows > 1:
+                rows[rng.randrange(1, nrows)] = list(rows[0])
+                dups += 1
+            if k % 4 == 0:
+                rows[rng.randrange(nrows)] = [rat(0)] * ncols
+            if k % 5 == 0:
+                j = rng.randrange(ncols)
+                for r in rows:
+                    r[j] = rat(0)
+            before = copy.deepcopy(rows)
+            elim = rat_eliminate(rows)
+            rank, prows, pcols = elim
+            assert rows == before
+            M = to_sympy(rows, ncols)
+            assert rank == M.rank()
+            assert tuple(pcols) == M.rref()[1]
+            assert len(prows) == rank and len(set(prows)) == rank
+            # the k-th rational pivot is the ratio of the leading minors of
+            # M[pivot_rows][pivot_cols] of sizes k+1 and k; the last is nonzero
+            minors = [M.extract(prows[:j], pcols[:j]).det() for j in range(1, rank + 1)]
+            assert all(minors)
+            assert elim.pivots == [rat(str(b / a)) for a, b in zip([1] + minors, minors)]
+            shapes += nrows != ncols
+        assert shapes >= 100 and dups >= 40
+
+    def test_det_big_entries(self):
+        rng = random.Random(36)
+        singular = 0
+        for k in range(80):
+            n = rng.randint(1, 6)
+            rows = random_matrix(rng, n, n)
+            if k % 4 == 0 and n > 1:
+                rows[-1] = list(rows[0])
+            before = copy.deepcopy(rows)
+            det = rat_det(rows)
+            assert rows == before
+            assert det == rat(str(to_sympy(rows, n).det()))
+            singular += det == 0
+        assert 20 <= singular <= 60
 
 
 class TestSympyBridge:
