@@ -1,11 +1,12 @@
 """Rational arithmetic backend selection.
 
-The whole pipeline runs on exact rationals.  When gmpy2 is available its
-C-implemented ``mpq`` type is used for the hot polynomial kernels; otherwise
-we fall back to the pure-Python ``fractions.Fraction``.  Both types share the
-operator surface we rely on (arithmetic, comparisons, ``numerator`` /
-``denominator``, ``str`` printing as ``p/q``), so the choice is made once at
-import time.
+The whole pipeline runs on exact rationals: gmpy2's C-implemented ``mpq``
+when it is available, else the pure-Python ``fractions.Fraction``.  Both
+share the surface we rely on (arithmetic, comparisons, ``numerator`` /
+``denominator``, ``Rat(n, d)``, ``str`` as ``p/q``), so the choice is made
+once at import time.  With either backend the hot bivariate kernels
+(products, substitution, the Jacobian) run on Python ints over a common
+denominator and build ``Rat`` values only for their results.
 """
 
 try:

@@ -27,6 +27,7 @@ from .newton import (
 from .coordinate import (
     Coordinate,
     CoordinateVerdict,
+    InputTooLarge,
     InternalVerificationFailure,
     Linear,
     TriangularX,
@@ -374,6 +375,7 @@ _ERROR_KINDS = (
     (NotSquarefreeError, "NotSquarefree"),
     (ZeroPolynomialError, "ZeroPolynomial"),
     (InternalVerificationFailure, "InternalVerificationFailure"),
+    (InputTooLarge, "InputTooLarge"),
     (OSError, "IoError"),
     (ValueError, "ValueError"),
 )

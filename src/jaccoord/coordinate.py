@@ -31,6 +31,10 @@ class InternalVerificationFailure(RuntimeError):
     """A certificate or internal invariant failed; never report a wrong answer."""
 
 
+class InputTooLarge(ValueError):
+    """The input exceeds a resource budget such as DEGREE_GUARD; no verdict."""
+
+
 # ---------------------------------------------------------------------------
 # elementary automorphisms
 
@@ -251,7 +255,7 @@ def check(P: BiPoly) -> CoordinateVerdict:
         if dy == 0:
             return NotCoordinate(UnivariateNonlinear(var="x", deg=dx), cur)
         if dx + dy > DEGREE_GUARD:
-            raise InternalVerificationFailure(
+            raise InputTooLarge(
                 f"degree guard exceeded: degx+degy = {dx + dy} > {DEGREE_GUARD}"
             )
         r = reduce_step(cur)

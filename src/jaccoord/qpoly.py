@@ -2,13 +2,16 @@
 
 A :class:`BiPoly` is a sparse map from exponent pairs ``(i, j)`` (powers of
 ``x`` and ``y``) to nonzero rational coefficients; the zero polynomial is the
-empty map.  A :class:`UniPoly` is a dense coefficient list from degree 0 up.
+empty map.  Products, :func:`substitute` and :func:`jacobian_det` run on the
+common-denominator integer form ``(den, {exponent: numerator})``, ``den`` the
+lcm of the denominators.  A :class:`UniPoly` is a dense list, degree 0 first.
 All values are immutable after construction and every operation is pure, so
 instances can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -194,6 +197,30 @@ def squarefree_part(u: UniPoly) -> UniPoly:
 # bivariate polynomials
 
 
+def _int_form(terms: Dict[Term, object]) -> Tuple[int, Dict[Term, int]]:
+    """(den, nums) with terms[e] == nums[e] / den; den is the lcm of the denominators."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _from_int_form(den: int, nums: Dict[Term, int]) -> "BiPoly":
+    """The BiPoly with coefficients nums[e] / den; zero numerators are dropped."""
+    return BiPoly({e: Rat(n, den) for e, n in nums.items() if n}, _trusted=True)
+
+
+def _int_mul(a: Dict[Term, int], b: Dict[Term, int]) -> Dict[Term, int]:
+    """Sparse product of two integer term maps; cancelled terms stay as 0."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: Dict[Term, int] = {}
+    get = out.get
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            e = (i1 + i2, j1 + j2)
+            out[e] = get(e, 0) + c1 * c2
+    return out
+
+
 class BiPoly:
     """Sparse exact polynomial in x, y over the rationals."""
 
@@ -312,34 +339,26 @@ class BiPoly:
             if c == 0:
                 return BiPoly.zero()
             return BiPoly({e: v * c for e, v in self._t.items()}, _trusted=True)
-        if not self._t or not other._t:
-            return BiPoly.zero()
-        a, b = self._t, other._t
-        if len(a) < len(b):
-            a, b = b, a
-        out: Dict[Term, object] = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                e = (i1 + i2, j1 + j2)
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    out[e] = s + c1 * c2
-        return BiPoly({e: c for e, c in out.items() if c != 0}, _trusted=True)
+        da, a = _int_form(self._t)
+        db, b = _int_form(other._t)
+        return _from_int_form(da * db, _int_mul(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power")
+        if len(self._t) == 1:  # a monomial: (c x^i y^j)^n = c^n x^(i n) y^(j n)
+            ((i, j), c), = self._t.items()
+            return BiPoly({(i * n, j * n): c ** n}, _trusted=True)
         out = BiPoly.const(1)
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def diff_x(self) -> "BiPoly":
@@ -467,37 +486,34 @@ class BiPoly:
 
 
 def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
-    """P(sx, sy), computed exactly by Horner over the term lattice."""
-    if P.is_zero():
-        return BiPoly.zero()
-    x_is_id = sx == BiPoly.var_x()
-    y_is_id = sy == BiPoly.var_y()
-    if x_is_id and y_is_id:
-        return P
-    if y_is_id and not x_is_id:
-        # Horner in x; the y-rows pass through unchanged.
-        rows = P.x_coeffs()
-        acc = BiPoly.zero()
-        for u in reversed(rows):
-            acc = acc * sx + u.to_bipoly("y")
-        return acc
-    # Horner in y with x-rows evaluated at sx via cached powers.
-    rows = P.y_coeffs()
-    powers = [BiPoly.const(1)]
-    for _ in range(P.degx):
-        powers.append(powers[-1] * sx)
-    acc = BiPoly.zero()
-    for u in reversed(rows):
-        row_val = BiPoly.zero()
-        for i, c in enumerate(u.coeffs):
-            if c != 0:
-                row_val = row_val + powers[i] * c
-        acc = acc * sy + row_val
-    return acc
+    """P(sx, sy), exactly, by Horner in y on integer numerators.
+
+    With P = p / d, sx = nx / dx and sy = ny / dy in common-denominator
+    integer form, term c x^i y^j of p is scaled by dx^(degx - i) dy^(degy - j),
+    row j is evaluated at nx, Horner multiplies by ny, and the integer result
+    is divided by d dx^degx dy^degy once, at the end.
+    """
+    d, p = _int_form(P._t)
+    dx, nx = _int_form(sx._t)
+    dy, ny = _int_form(sy._t)
+    degx, degy = P.degx, P.degy
+    xpow = [{(0, 0): 1}]
+    for _ in range(degx):
+        xpow.append(_int_mul(xpow[-1], nx))
+    rows: List[Dict[int, int]] = [{} for _ in range(degy + 1)]
+    for (i, j), c in p.items():
+        rows[j][i] = c * dx ** (degx - i) * dy ** (degy - j)
+    acc: Dict[Term, int] = {}
+    for row in reversed(rows):
+        acc = _int_mul(acc, ny)
+        for i, c in row.items():
+            for e, v in xpow[i].items():
+                acc[e] = acc.get(e, 0) + c * v
+    return _from_int_form(d * dx ** degx * dy ** degy, acc)
 
 
 def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """P_x Q_y - P_y Q_x, exactly."""
+    """P_x Q_y - P_y Q_x, exactly; both products run on integer numerators."""
     return P.diff_x() * Q.diff_y() - P.diff_y() * Q.diff_x()
 
 

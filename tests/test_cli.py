@@ -55,6 +55,15 @@ class TestCheck:
         assert error["kind"] == "InternalError"
         assert error["detail"].startswith("RecursionError: maximum recursion depth")
 
+    def test_degree_guard_is_input_too_large(self, capsys, monkeypatch):
+        from jaccoord import coordinate
+
+        monkeypatch.setattr(coordinate, "DEGREE_GUARD", 4)
+        code, out, err = run(capsys, "check", "x + (y + x^2)^3")  # degx + degy = 9
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+
 
 class TestWitness:
     def test_steps_and_complement(self, capsys):

@@ -3,14 +3,18 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jaccoord import (
     BiPoly,
     Coordinate,
+    InputTooLarge,
     InternalVerificationFailure,
+    Linear,
     NotCoordinate,
     TriangularX,
     TriangularY,
+    UniPoly,
     Witness,
     apply_witness,
     apply_witness_to,
@@ -195,10 +199,43 @@ class TestDegreeGuard:
         P = parse_poly("x + (y + x^2)^3")  # degx + degy = 9
         assert isinstance(check(P), Coordinate)
         monkeypatch.setattr(coordinate, "DEGREE_GUARD", 4)
-        with pytest.raises(InternalVerificationFailure):
+        with pytest.raises(InputTooLarge):
             check(P)
 
     def test_guard_default(self):
         from jaccoord.coordinate import DEGREE_GUARD
 
         assert DEGREE_GUARD == 512
+
+
+# ---------------------------------------------------------------------------
+# metamorphic property: P is a coordinate iff P o sigma is one, for every
+# automorphism sigma; negative verdicts rest on this alone
+
+COORDINATE_TEXTS = ["x", "y + x^3", "x + (y + x^2)^3", "2/3*x - 5*y + 1"] + [
+    gen_random_coordinate(s, s % 2 + 1, 2, 3)[0].to_str() for s in range(4)
+]
+# the known non-coordinates the benchmark composes its negative items from
+NON_COORDINATE_TEXTS = ["x*y", "y^2 - x^3", "x^2 + y^2 - 1", "y^3 + x^4 + x*y + 1", "x + x^2*y"]
+
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4).map(
+    lambda f: rat(f.numerator, f.denominator)
+)
+
+
+@st.composite
+def automorphisms(draw):
+    """The polynomial pair of sigma = linear o (TriangularX or TriangularY)."""
+    a, b, c, d, e, f = (draw(small_rats) for _ in range(6))
+    assume(a * d - b * c != 0)
+    phi = UniPoly([draw(small_rats) for _ in range(draw(st.integers(1, 4)))])
+    tri = TriangularX(phi) if draw(st.booleans()) else TriangularY(phi)
+    return apply_witness(Witness((Linear(a, b, c, d, e, f), tri)))
+
+
+class TestMetamorphic:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(text=st.sampled_from(COORDINATE_TEXTS + NON_COORDINATE_TEXTS), sigma=automorphisms())
+    def test_verdict_invariant_under_automorphism(self, text, sigma):
+        P = parse_poly(text)
+        assert check(P).outcome == check(substitute(P, *sigma)).outcome

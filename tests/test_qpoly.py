@@ -7,6 +7,7 @@ import pytest
 from jaccoord import (
     BiPoly,
     PolyParseError,
+    Rat,
     UniPoly,
     jacobian_det,
     parse_poly,
@@ -22,6 +23,52 @@ def rand_bipoly(rng, max_deg=3, bound=5, terms=6):
         i, j = rng.randint(0, max_deg), rng.randint(0, max_deg)
         t[(i, j)] = rat(rng.randint(-bound, bound), rng.randint(1, bound))
     return BiPoly(t)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the product and substitution on rational
+# coefficients that the library used before its integer-numerator kernel
+
+
+def ref_mul(A, B):
+    """Term-by-term product with rational coefficients."""
+    out = {}
+    for (i1, j1), c1 in A.items():
+        for (i2, j2), c2 in B.items():
+            e = (i1 + i2, j1 + j2)
+            s = out.get(e)
+            out[e] = c1 * c2 if s is None else s + c1 * c2
+    return BiPoly({e: c for e, c in out.items() if c != 0})
+
+
+def ref_substitute(P, sx, sy):
+    """P(sx, sy) by Horner in x when sy = y, else in y over powers of sx."""
+    if P.is_zero():
+        return BiPoly.zero()
+    x_is_id = sx == BiPoly.var_x()
+    y_is_id = sy == BiPoly.var_y()
+    if x_is_id and y_is_id:
+        return P
+    if y_is_id:
+        acc = BiPoly.zero()
+        for u in reversed(P.x_coeffs()):
+            acc = ref_mul(acc, sx) + u.to_bipoly("y")
+        return acc
+    powers = [BiPoly.const(1)]
+    for _ in range(P.degx):
+        powers.append(ref_mul(powers[-1], sx))
+    acc = BiPoly.zero()
+    for u in reversed(P.y_coeffs()):
+        row_val = BiPoly.zero()
+        for i, c in enumerate(u.coeffs):
+            if c != 0:
+                row_val = row_val + powers[i] * c
+        acc = ref_mul(acc, sy) + row_val
+    return acc
+
+
+def ref_jacobian(P, Q):
+    return ref_mul(P.diff_x(), Q.diff_y()) - ref_mul(P.diff_y(), Q.diff_x())
 
 
 class TestParse:
@@ -93,6 +140,76 @@ class TestArithmetic:
             if B.is_zero():
                 continue
             assert (A * B).exact_div(B) == A
+
+
+def oracle_coeff(rng):
+    num = rng.randint(1, 10 ** rng.choice([1, 3, 20])) * rng.choice([-1, 1])
+    return rat(num, rng.choice([1, 2, 3, 7, 12, rng.randint(10**19, 10**20 - 1)]))
+
+
+def oracle_bipoly(rng):
+    """Zero, a constant, a monomial, or up to 8 terms of degree <= 4."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return BiPoly.zero()
+    if kind == 1:
+        return BiPoly.const(oracle_coeff(rng))
+    n = 1 if kind == 2 else rng.randint(2, 8)
+    return BiPoly({(rng.randint(0, 4), rng.randint(0, 4)): oracle_coeff(rng) for _ in range(n)})
+
+
+def oracle_component(rng, var):
+    """A substitution component: the identity, a rational constant, or small."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return BiPoly.var_x() if var == "x" else BiPoly.var_y()
+    if kind == 1:
+        return BiPoly.const(oracle_coeff(rng))
+    t = {(rng.randint(0, 2), rng.randint(0, 2)): oracle_coeff(rng) for _ in range(rng.randint(1, 4))}
+    return BiPoly(t)
+
+
+def assert_rat_coefficients(P):
+    for _, c in P.items():
+        assert isinstance(c, Rat) and c != 0, (type(c), c)
+
+
+class TestKernelOracle:
+    """Products, powers, substitute and jacobian_det against the references."""
+
+    def test_random_against_reference(self):
+        rng = random.Random(12)
+        seen = {"zero": 0, "const": 0, "monomial": 0, "identity": 0, "const_comp": 0}
+        for _ in range(200):
+            A, B = oracle_bipoly(rng), oracle_bipoly(rng)
+            sx, sy = oracle_component(rng, "x"), oracle_component(rng, "y")
+            seen["zero"] += A.is_zero()
+            seen["const"] += A.is_constant() and not A.is_zero()
+            seen["monomial"] += A.num_terms() == 1
+            seen["identity"] += sx == BiPoly.var_x()
+            seen["const_comp"] += sy.is_constant()
+            for got, want in (
+                (A * B, ref_mul(A, B)),
+                (A ** 3, ref_mul(ref_mul(A, A), A)),
+                (substitute(A, sx, sy), ref_substitute(A, sx, sy)),
+                (jacobian_det(A, B), ref_jacobian(A, B)),
+            ):
+                assert got == want
+                assert_rat_coefficients(got)
+        assert min(seen.values()) >= 10, seen
+
+    def test_cancellation(self):
+        third, two_sevenths = rat(1, 3), rat(2, 7)
+        X, Y = BiPoly.var_x(), BiPoly.var_y()
+        prod = (X * third + Y * two_sevenths) * (X * third - Y * two_sevenths)
+        assert prod == X * X * (third * third) - Y * Y * (two_sevenths * two_sevenths)
+        assert_rat_coefficients(prod)
+        P = parse_poly("3/7*x^2*y - 5/11*y^3 + 1/10")
+        assert jacobian_det(P, P).is_zero()
+        assert jacobian_det(P, P * P * rat(2, 3) + P).is_zero()
+        assert substitute(parse_poly("9*y - x^2"), X * third, X * X * rat(1, 81)).is_zero()
+        assert (P * BiPoly.zero()).is_zero()
+        assert P ** 0 == BiPoly.const(1) == BiPoly.zero() ** 0
 
 
 class TestSubstitute:
