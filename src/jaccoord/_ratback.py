@@ -5,8 +5,9 @@ when it is available, else the pure-Python ``fractions.Fraction``.  Both
 share the surface we rely on (arithmetic, comparisons, ``numerator`` /
 ``denominator``, ``Rat(n, d)``, ``str`` as ``p/q``), so the choice is made
 once at import time.  With either backend the hot bivariate kernels
-(products, substitution, the Jacobian) run on Python ints over a common
-denominator and build ``Rat`` values only for their results.
+(products, substitution, the Jacobian) and the univariate gcd, product and
+exact division run on Python ints over a common denominator and build
+``Rat`` values only for their results.
 """
 
 try:

@@ -183,7 +183,7 @@ def resultant(A: List, B: List, R: Ring):
 def _unipoly_list_gcd(us: Sequence[UniPoly]) -> UniPoly:
     g = UniPoly.zero()
     for u in us:
-        g = g.gcd(u) if not g.is_zero() else u.monic() if not u.is_zero() else g
+        g = g.gcd(u)
     return g
 
 

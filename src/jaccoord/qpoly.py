@@ -4,9 +4,13 @@ A :class:`BiPoly` is a sparse map from exponent pairs ``(i, j)`` (powers of
 ``x`` and ``y``) to nonzero rational coefficients; the zero polynomial is the
 empty map.  Products, :func:`substitute` and :func:`jacobian_det` run on the
 common-denominator integer form ``(den, {exponent: numerator})``, ``den`` the
-lcm of the denominators.  A :class:`UniPoly` is a dense list, degree 0 first.
-All values are immutable after construction and every operation is pure, so
-instances can be shared freely across threads.
+lcm of the denominators.  A :class:`UniPoly` is a dense tuple, degree 0
+first.  Its products run on the same integer form as a list; its exact
+division and its gcd run on the primitive integer form (the integer list
+divided by its content): division by Gauss's lemma in Z[x], the gcd by the
+primitive PRS, which is the one univariate gcd of the package.  All values
+are immutable after construction and every operation is pure, so instances
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -30,6 +34,65 @@ class PolyParseError(SyntaxError):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
+
+
+# ---------------------------------------------------------------------------
+# integer forms
+
+
+def _int_coeffs(cs) -> Tuple[int, List[int]]:
+    """(den, nums) with cs[k] == nums[k] / den; den is the lcm of the denominators."""
+    den = math.lcm(*[c.denominator for c in cs])
+    return den, [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _int_primitive(nums: List[int]) -> Tuple[int, List[int]]:
+    """(g, nums / g) with g > 0 the gcd of nums, or 1 when all are zero."""
+    g = math.gcd(*nums) or 1
+    return g, [n // g for n in nums]
+
+
+def _int_conv(a: List[int], b: List[int]) -> List[int]:
+    """Dense product of two nonzero integer coefficient lists."""
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + nb] = [s + x * y for s, y in zip(out[i:i + nb], b)]
+    return out
+
+
+def _int_prem(a: List[int], b: List[int]) -> List[int]:
+    """A nonzero integer multiple of (a mod b), stripped; b is nonzero."""
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    body = b[:-1]
+    while len(rem) > db:
+        lead = rem.pop()
+        g = math.gcd(lead, lb)
+        s, t = lb // g, lead // g
+        k = len(rem) - db
+        rem = [s * r for r in rem[:k]] + [s * r - t * y for r, y in zip(rem[k:], body)]
+        while rem and not rem[-1]:
+            rem.pop()
+    return rem
+
+
+def _int_exact_div(a: List[int], b: List[int]) -> List[int]:
+    """a / b in Z[x]; ValueError when b does not divide a there."""
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * max(len(a) - db, 0)
+    for k in reversed(range(len(q))):
+        c, r = divmod(rem[k + db], lb)
+        if r:
+            raise ValueError("inexact univariate division")
+        if c:
+            q[k] = c
+            rem[k:k + db] = [x - c * y for x, y in zip(rem[k:k + db], b)]
+    if any(rem[:db]):
+        raise ValueError("inexact univariate division")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -102,13 +165,10 @@ class UniPoly:
             return UniPoly([a * c for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
-        out = [RAT_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        da, a = _int_coeffs(self.coeffs)
+        db, b = _int_coeffs(other.coeffs)
+        den = da * db
+        return UniPoly([Rat(n, den) for n in _int_conv(a, b)])
 
     __rmul__ = __mul__
 
@@ -145,10 +205,20 @@ class UniPoly:
         return UniPoly(q), UniPoly(rem)
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact univariate division")
-        return q
+        """self / other; ValueError when other does not divide self.
+
+        By Gauss's lemma the quotient of the primitive integer parts lies in
+        Z[x]; it is divided out over the integers and scaled by the ratio of
+        the contents.
+        """
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        da, a = _int_coeffs(self.coeffs)
+        ga, a = _int_primitive(a)
+        db, b = _int_coeffs(other.coeffs)
+        gb, b = _int_primitive(b)
+        num, den = ga * db, da * gb
+        return UniPoly([Rat(n * num, den) for n in _int_exact_div(a, b)])
 
     def derivative(self) -> "UniPoly":
         return UniPoly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
@@ -160,10 +230,16 @@ class UniPoly:
         return UniPoly([c * inv for c in self.coeffs])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        """The monic gcd (zero when both are zero), by the primitive PRS:
+        on primitive integer forms, each remainder is an integer
+        pseudo-remainder with its content divided out."""
+        a = _int_primitive(_int_coeffs(self.coeffs)[1])[1]
+        b = _int_primitive(_int_coeffs(other.coeffs)[1])[1]
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, _int_primitive(_int_prem(a, b))[1]
+        return UniPoly([Rat(n, a[-1]) for n in a])
 
     def eval(self, v):
         acc = RAT_ZERO

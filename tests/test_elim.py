@@ -35,17 +35,26 @@ def upoly(*coeffs):
     return UniPoly([rat(c) for c in coeffs])
 
 
-def sparse_poly(rng, deg, even, degx):
-    """Random integer polynomial of y-degree deg (2*deg, in even powers of y
-    only, when even) and x-degree at most degx; the skipped y-powers let a
-    remainder chain drop by more than one degree."""
+def sparse_poly(rng, deg, even, degx, rational=False):
+    """Random polynomial of y-degree deg (2*deg, in even powers of y only,
+    when even) and x-degree at most degx; the skipped y-powers let a
+    remainder chain drop by more than one degree.  Integer coefficients, or
+    with rational, numerators up to 20 digits over mixed denominators."""
+
+    def coeff(nonzero):
+        num = rng.choice([-2, -1, 1, 2]) if nonzero else rng.randint(-3, 3)
+        if not rational:
+            return rat(num)
+        num *= rng.choice([1, 1, 10**19 + 1 + rng.randrange(10**19)])
+        return rat(num, rng.choice([1, 2, 3, 7, 12, 10**19 + 3]))
+
     terms = {}
     for j in range(deg + 1):
         if j == deg or rng.random() < 0.5:
             jj = 2 * j if even else j
             for i in range(degx + 1):
-                terms[(i, jj)] = rat(rng.randint(-3, 3))
-            terms[(0, jj)] = rat(rng.choice([-2, -1, 1, 2]))
+                terms[(i, jj)] = coeff(False)
+            terms[(0, jj)] = coeff(True)
     return BiPoly(terms)
 
 
@@ -89,22 +98,24 @@ class TestResultant:
     def test_matches_sympy(self):
         # equal to sympy's resultant up to sign, over Q and over Q[x]; the
         # inputs include common factors, and chains whose degree drops by
-        # more than one after the first step, where h^(delta-1) divides
+        # more than one after the first step, where h^(delta-1) divides;
+        # the last 80 pairs are over Q[x] with rational coefficients
         rng = random.Random(33)
         x, y = sympy.symbols("x y")
-        inner_gaps = [0, 0]
-        for k in range(160):
-            degx, even = k % 2, k % 3 == 0
+        inner_gaps = [0, 0, 0]
+        for k in range(240):
+            rational = k >= 160
+            degx, even = 1 if rational else k % 2, k % 3 == 0
             da = rng.randint(2, 5)
-            f = sparse_poly(rng, da, even, degx)
-            g = sparse_poly(rng, rng.randint(1, da), even, degx)
+            f = sparse_poly(rng, da, even, degx, rational)
+            g = sparse_poly(rng, rng.randint(1, da), even, degx, rational)
             if k % 10 == 0:
                 f, g = f * parse_poly("y - 1"), g * parse_poly("y - 1")
             A, B, R = f.y_coeffs(), g.y_coeffs(), UNIPOLY_RING
             if degx == 0:
                 A, B, R = [u[0] for u in A], [u[0] for u in B], RAT_RING
             degs = [len(p) - 1 for p in subresultant_prs(A, B, R)]
-            inner_gaps[degx] += any(
+            inner_gaps[degx + rational] += any(
                 degs[i] - degs[i + 1] > 1 for i in range(1, len(degs) - 2)
             )
             r = resultant(A, B, R)

@@ -187,6 +187,13 @@ class TestSpecialValues:
         sv = special_value_candidates(parse_poly("x + x^2*y"))
         assert rat(0) in sv.rational_candidates
 
+    def test_fermat_quintic_critical_value(self):
+        # x^5 + y^5 + 1 has one critical point, (0, 0), so c = 1 is its only
+        # critical value, and an affine image keeps it; about 1.5 s
+        F = parse_poly("x^5 + y^5 + 1")
+        P = substitute(F, parse_poly("x + 2*y - 1"), parse_poly("x - y + 1/2"))
+        assert rat(1) in special_value_candidates(P).rational_candidates
+
     def test_irrational_witnesses_reported(self):
         sv = special_value_candidates(parse_poly("y^2 - x^3 - x - 1"))
         assert sv.rational_candidates == ()

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 
 from jaccoord import (
     BiPoly,
@@ -69,6 +70,13 @@ def ref_substitute(P, sx, sy):
 
 def ref_jacobian(P, Q):
     return ref_mul(P.diff_x(), Q.diff_y()) - ref_mul(P.diff_y(), Q.diff_x())
+
+
+def ref_gcd(a, b):
+    """Euclid's algorithm over Q, the univariate gcd before the primitive PRS."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
 
 
 class TestParse:
@@ -298,3 +306,94 @@ class TestUniPoly:
             b = g * UniPoly([rat(rng.randint(-3, 3)), rat(2)])
             # the common factor g divides gcd(a, b)
             assert a.gcd(b).divmod(g.monic())[1].is_zero()
+
+
+_T = sympy.Symbol("t")
+
+
+def to_sympy(u):
+    cs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(u.coeffs)]
+    return sympy.Poly.from_list(cs or [0], _T, domain=sympy.QQ)
+
+
+def from_sympy(p):
+    return UniPoly([rat(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+def oracle_unipoly(rng, deg):
+    return UniPoly([oracle_coeff(rng) for _ in range(deg + 1)])
+
+
+def oracle_unipoly_pair(rng, kind):
+    """(a, b) of the given kind: 'zero' and 'const' set a, 'coprime' draws
+    two random polynomials, 'shared' multiplies both by common factors of
+    multiplicity up to 4."""
+    b = oracle_unipoly(rng, rng.randint(0, 4))
+    if kind == "zero":
+        return UniPoly.zero(), b
+    if kind == "const":
+        return UniPoly.const(oracle_coeff(rng)), b
+    a = oracle_unipoly(rng, rng.randint(1, 5))
+    if kind == "shared":
+        for _ in range(rng.randint(1, 2)):
+            f = oracle_unipoly(rng, rng.randint(1, 2))
+            a = a * f ** rng.randint(1, 4)
+            b = b * f ** rng.randint(1, 4)
+    return a, b
+
+
+class TestUniPolyKernelOracle:
+    """gcd, squarefree_part, * and exact_div against sympy and Euclid over Q."""
+
+    def test_random_against_sympy(self):
+        rng = random.Random(14)
+        kinds = ["zero", "const", "coprime", "shared", "shared"]
+        seen = dict.fromkeys(kinds, 0)
+        seen["multiplicity4"] = 0
+        for k in range(240):
+            kind = kinds[k % len(kinds)]
+            a, b = oracle_unipoly_pair(rng, kind)
+            A, B = to_sympy(a), to_sympy(b)
+            g = a.gcd(b)
+            assert g == from_sympy(sympy.gcd(A, B)).monic() == ref_gcd(a, b)
+            assert b.gcd(a) == g
+            seen[kind] += kind != "coprime" or g == UniPoly.const(1)
+            prod = a * b
+            assert prod == from_sympy(A * B)
+            for u in (g, prod):
+                assert all(isinstance(c, Rat) for c in u.coeffs)
+            q, r = sympy.div(A * B, B)
+            assert r.is_zero and prod.exact_div(b) == from_sympy(q) == a
+            if not g.is_zero():
+                q, r = sympy.div(B, to_sympy(g))
+                assert r.is_zero and b.exact_div(g) == from_sympy(q)
+            for u, U in ((a, A), (prod, A * B)):
+                if not u.is_zero():
+                    assert squarefree_part(u) == from_sympy(sympy.sqf_part(U)).monic()
+            seen["multiplicity4"] += any(m == 4 for _, m in sympy.sqf_list(A)[1])
+        assert min(seen.values()) >= 10, seen
+
+    def test_large_coefficients(self):
+        # 20-digit numerators over mixed denominators, to the fourth power
+        f = UniPoly([rat(12345678901234567890, 7), rat(-98765432109876543211, 12), rat(1, 10**19 + 7)])
+        h = UniPoly([rat(3, 2), rat(-11111111111111111111), rat(5, 3), rat(2)])
+        u = f ** 4 * h
+        assert squarefree_part(u) == (f * h).monic()
+        assert u.gcd(u.derivative()) == (f ** 3).monic() == ref_gcd(u, u.derivative())
+        assert u.exact_div(f ** 3) == f * h
+
+    def test_errors(self):
+        t2 = UniPoly([rat(-1), rat(0), rat(1)])  # t^2 - 1
+        with pytest.raises(ValueError, match="inexact univariate division"):
+            t2.exact_div(UniPoly([rat(2), rat(3)]))  # 3t + 2 does not divide
+        with pytest.raises(ValueError, match="inexact univariate division"):
+            UniPoly([rat(1), rat(0), rat(1)]).exact_div(UniPoly([rat(1), rat(1)]))  # remainder 2
+        with pytest.raises(ValueError, match="inexact univariate division"):
+            UniPoly([rat(0), rat(0), rat(1)]).exact_div(UniPoly([rat(1), rat(2)]))  # lc 2 fails on t^2
+        with pytest.raises(ValueError, match="inexact univariate division"):
+            UniPoly([rat(1), rat(1)]).exact_div(t2)  # degree too high
+        for dividend in (t2, UniPoly.zero()):
+            with pytest.raises(ZeroDivisionError):
+                dividend.exact_div(UniPoly.zero())
+        assert UniPoly.zero().gcd(UniPoly.zero()).is_zero()
+        assert UniPoly.zero().exact_div(t2).is_zero()
