@@ -15,7 +15,7 @@ import sys
 from typing import Optional
 
 from ._ratback import rat, rat_str
-from .qpoly import BiPoly, PolyParseError, ZeroPolynomialError, parse_poly
+from .qpoly import BiPoly, InputTooLarge, PolyParseError, ZeroPolynomialError, parse_poly
 from .newton import (
     FaceForm,
     PolygonNotTriangle,
@@ -27,7 +27,6 @@ from .newton import (
 from .coordinate import (
     Coordinate,
     CoordinateVerdict,
-    InputTooLarge,
     InternalVerificationFailure,
     Linear,
     TriangularX,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from ._ratback import RAT_ONE, RAT_ZERO, rat
-from .qpoly import BiPoly, UniPoly, jacobian_det, substitute
+from .qpoly import BiPoly, InputTooLarge, UniPoly, jacobian_det, substitute
 from .newton import (
     FaceForm,
     FaceNotBinomialPower,
@@ -29,10 +29,6 @@ DEGREE_GUARD = 512  # bound on degx + degy during reduction
 
 class InternalVerificationFailure(RuntimeError):
     """A certificate or internal invariant failed; never report a wrong answer."""
-
-
-class InputTooLarge(ValueError):
-    """The input exceeds a resource budget such as DEGREE_GUARD; no verdict."""
 
 
 # ---------------------------------------------------------------------------

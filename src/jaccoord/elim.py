@@ -11,7 +11,9 @@ theory; an inexact division raises, it is never silently rounded.
 
 A rational matrix is eliminated fraction-free: on a copy whose rows are
 scaled to primitive integer rows, with plain integer arithmetic, and with
-the scale of each row tracked so that the rational pivots stay exact.
+the scale of each row tracked so that the rational pivots stay exact.  An
+integer matrix also has a rank modulo a prime, which is a lower bound on
+its rank over Q.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def bipoly_is_squarefree(f: BiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra
+# exact rational linear algebra, and rank modulo a prime
 
 
 class Elimination(tuple):
@@ -314,8 +316,33 @@ def rat_eliminate(rows: List[List]) -> Elimination:
     return Elimination(r, pivot_rows, pivot_cols, pivots)
 
 
-def rat_rank(rows: List[List]) -> int:
-    return rat_eliminate(rows)[0]
+def rank_mod_p(rows: List[List], p: int) -> int:
+    """Rank modulo the prime p of a matrix of integers (ints or integral
+    rationals), which is left untouched.
+
+    A minor that is nonzero mod p is nonzero over Q, so this is at most the
+    rank over Q, and equal to it unless p divides every nonzero maximal
+    minor.
+    """
+    mat = [[int(x) % p for x in row] for row in rows]
+    n = len(mat)
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(rank, n) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        prow = mat[rank]
+        inv = pow(prow[col], -1, p)
+        ptail = [(k, x * inv % p) for k, x in enumerate(prow[col + 1:], col + 1) if x]
+        for i in range(rank + 1, n):
+            ri = mat[i]
+            c = ri[col]
+            if c:
+                for k, x in ptail:
+                    ri[k] = (ri[k] - c * x) % p
+        rank += 1
+    return rank
 
 
 def rat_det(rows: List[List]):

@@ -6,9 +6,13 @@ solution space of a first-order differential system (Ruppert/Gao): for
 squarefree f, pairs (g, h) with g_y f - g f_y = h_x f - h f_x under the
 degree bounds degx g <= degx f - 1, degy g <= degy f, degx h <= degx f,
 degy h <= degy f - 1.  The bounds are validated against a constructive
-oracle in the test suite.  Genus is the interior lattice point count of the
-Newton polygon, reported only under full nondegeneracy and irreducibility;
-everything outside those hypotheses is an explicit Unknown, never a guess.
+oracle in the test suite.  The system is built with integer coefficients
+and its rank is taken modulo RUPPERT_PRIME first: rank_p <= rank_Q gives
+count_p >= count_Q >= 1, so count_p == 1 certifies absolute
+irreducibility, and only count_p > 1 runs the exact elimination over Q.
+Genus is the interior lattice point count of the Newton polygon, reported
+only under full nondegeneracy and irreducibility; everything outside those
+hypotheses is an explicit Unknown, never a guess.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._ratback import RAT_ONE, RAT_ZERO, Rat, rat
-from .qpoly import BiPoly, UniPoly, squarefree_part, substitute
+from .qpoly import BiPoly, UniPoly, _int_form, squarefree_part, substitute
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
@@ -32,6 +36,7 @@ from .elim import (
     has_common_torus_zero,
     rat_det,
     rat_eliminate,
+    rank_mod_p,
     resultant,
     strip_rational_roots,
 )
@@ -61,6 +66,9 @@ MaybeInt = Union[int, Unknown]
 # ---------------------------------------------------------------------------
 # Ruppert/Gao linear system
 
+# the largest prime below 2^30, so that residues are one-digit Python ints
+RUPPERT_PRIME = 1073741789
+
 
 def _ruppert_unknowns(m: int, n: int) -> Tuple[List[Tuple[str, int, int]], int]:
     unknowns = [("g", u, v) for u in range(m) for v in range(n + 1)]
@@ -71,9 +79,10 @@ def _ruppert_unknowns(m: int, n: int) -> Tuple[List[Tuple[str, int, int]], int]:
 def ruppert_rows(f_terms: Dict[Tuple[int, int], object], m: int, n: int, ring):
     """Coefficient matrix of the differential system, rows sorted by monomial.
 
-    The coefficients may be rationals, or polynomials in the fibre value c
-    when hunting rank drops; their own operators do the arithmetic, and the
-    ring is used only for the zero that fills absent entries.
+    The coefficients may be integers (the integer form of f, for the factor
+    count), or polynomials in the fibre value c when hunting rank drops;
+    their own operators do the arithmetic, and the ring is used only for the
+    zero that fills absent entries.
     """
     unknowns, ncols = _ruppert_unknowns(m, n)
     columns: List[Dict[Tuple[int, int], object]] = []
@@ -108,15 +117,24 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], object], m: int, n: int, ring):
 
 
 def absolute_factor_count(f: BiPoly) -> int:
-    """Number of absolutely irreducible factors of a squarefree polynomial."""
+    """Number of absolutely irreducible factors of a squarefree polynomial.
+
+    The count is ncols - rank of the Ruppert system, built on the integer
+    form of f (a nonzero scalar keeps the kernel).  The count mod
+    RUPPERT_PRIME satisfies count_p >= count_Q >= 1, the lower bound being
+    the logarithmic-derivative solution; so count_p == 1 is the exact answer,
+    and only count_p > 1 (a reducible fibre, or a prime dividing the minors)
+    runs the exact elimination, whose count is final.  A count of 0, mod p
+    and hence over Q, is an internal failure.
+    """
     if f.is_constant():
         raise ConstantInputError("absolute_factor_count needs a nonconstant input")
     if not bipoly_squarefree_part(f)[1]:
         raise NotSquarefreeError("input must be squarefree")
-    m, n = f.degx, f.degy
-    rows, ncols = ruppert_rows(dict(f.items()), m, n, RAT_RING)
-    rank, _, _ = rat_eliminate(rows)
-    dim = ncols - rank
+    rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1], f.degx, f.degy, RAT_RING)
+    dim = ncols - rank_mod_p(rows, RUPPERT_PRIME)
+    if dim > 1:
+        dim = ncols - rat_eliminate(rows)[0]
     if dim < 1:
         raise InternalVerificationFailure(
             "Ruppert solution space lost the logarithmic-derivative solutions"

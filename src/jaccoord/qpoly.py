@@ -28,6 +28,11 @@ class ZeroPolynomialError(ValueError):
     """Raised when an operation requires a nonzero polynomial."""
 
 
+class InputTooLarge(ValueError):
+    """The input exceeds a resource budget, such as MAX_NESTING while parsing
+    or the degree guard of the reduction; no verdict."""
+
+
 class PolyParseError(SyntaxError):
     """Parse failure; carries the 0-based offset of the offending token."""
 
@@ -619,12 +624,16 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
     return toks
 
 
+MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
+
+
 class _Parser:
     """Recursive descent over: + - * ^ parentheses, x, y, integer and p/q."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.k]
@@ -690,8 +699,14 @@ class _Parser:
         if kind == "y":
             return BiPoly.var_y()
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise InputTooLarge(
+                    f"parentheses nested deeper than {MAX_NESTING} (at position {pos})"
+                )
             p = self.expr()
             self.expect(")")
+            self.depth -= 1
             return p
         raise PolyParseError(f"unexpected {tok!r}", pos)
 

@@ -44,16 +44,33 @@ class TestCheck:
         assert code == 0
         assert doc["outcome"] == "coordinate"
 
-    def test_internal_error_is_json(self, capsys, tmp_path):
-        # 3,000 nested parentheses exhaust the parser's recursion
-        f = tmp_path / "deep.txt"
-        f.write_text("(" * 3000 + "x" + ")" * 3000 + "\n", encoding="utf-8")
-        code, out, err = run(capsys, "check", str(f))
+    def test_internal_error_is_json(self, capsys, monkeypatch):
+        from jaccoord import cli
+
+        def fault(text):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "parse_poly", fault)
+        code, out, err = run(capsys, "check", "y + x^3")
         assert code == 1
         assert out == ""
         error = json.loads(err)["error"]
         assert error["kind"] == "InternalError"
         assert error["detail"].startswith("RecursionError: maximum recursion depth")
+
+    def test_deep_nesting_is_input_too_large(self, capsys, tmp_path):
+        from jaccoord.qpoly import MAX_NESTING
+
+        f = tmp_path / "deep.txt"
+        f.write_text("(" * 3000 + "x" + ")" * 3000 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+        depth = MAX_NESTING
+        code, doc, _ = run_json(capsys, "check", "(" * depth + "y + x^3" + ")" * depth)
+        assert code == 0
+        assert doc["outcome"] == "coordinate"
 
     def test_degree_guard_is_input_too_large(self, capsys, monkeypatch):
         from jaccoord import coordinate

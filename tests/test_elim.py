@@ -21,8 +21,8 @@ from jaccoord.elim import (
     bipoly_to_sympy,
     has_common_torus_zero,
     rat_det,
+    rank_mod_p,
     rat_eliminate,
-    rat_rank,
     rational_roots,
     resultant,
     strip_rational_roots,
@@ -222,7 +222,7 @@ class TestLinearAlgebra:
             v = [rat(rng.randint(-3, 3)) for _ in range(4)]
             rows = [[a * b for b in v] for a in u]
             expected = 1 if any(u) and any(v) else 0
-            assert rat_rank(rows) == expected
+            assert rat_eliminate(rows)[0] == expected
 
     def test_det(self):
         rows = [[rat(1), rat(2)], [rat(3), rat(4)]]
@@ -319,6 +319,47 @@ class TestKernelOracle:
             assert det == rat(str(to_sympy(rows, n).det()))
             singular += det == 0
         assert 20 <= singular <= 60
+
+
+class TestRankModP:
+    def test_matches_gf_p_and_bounds_rational_rank(self):
+        from sympy.polys.matrices import DomainMatrix
+
+        rng = random.Random(37)
+        primes = [2, 3, 5, 1073741789]
+        drops = multiples = 0
+        for k in range(200):
+            p = primes[k % 4]
+            nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+
+            def entry():
+                kind = rng.random()
+                if kind < 0.3:
+                    return rat(0) if k % 2 else 0
+                if kind < 0.5:  # a multiple of p, or one off it
+                    return p * rng.randint(-10**6, 10**6) + rng.choice([0, 0, 1, -1])
+                if kind < 0.6:
+                    return rat(rng.randint(-10**20, 10**20))
+                return rng.randint(-9, 9)
+
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            if k % 3 == 0 and nrows > 1:
+                rows[rng.randrange(1, nrows)] = list(rows[0])
+            if k % 4 == 1:
+                rows[rng.randrange(nrows)] = [rat(0)] * ncols
+            if k % 7 == 0:  # a whole row of multiples of p
+                rows[rng.randrange(nrows)] = [p * rng.randint(-5, 5) for _ in range(ncols)]
+            before = copy.deepcopy(rows)
+            rank_p = rank_mod_p(rows, p)
+            assert rows == before
+            gf = DomainMatrix.from_list([[int(x) for x in r] for r in rows], sympy.GF(p))
+            assert rank_p == gf.rank()
+            rank_q = rat_eliminate(rows)[0]
+            assert rank_p <= rank_q
+            drops += rank_p < rank_q
+            multiples += any(x and int(x) % p == 0 for r in rows for x in r)
+        assert drops >= 30 and multiples >= 100
+        assert rank_mod_p([], 7) == 0
 
 
 class TestSympyBridge:

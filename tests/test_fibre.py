@@ -53,6 +53,39 @@ class TestAbsoluteFactorCount:
                 total += absolute_factor_count(f)
             assert absolute_factor_count(prod) == total
 
+    @pytest.mark.parametrize("prime", [2, 3])
+    def test_exact_path_answers_when_the_prime_divides(self, monkeypatch, prime):
+        # a small prime divides Ruppert minors, so count_p > count_Q occurs
+        # and only the exact elimination can give the counts asserted here
+        monkeypatch.setattr(fibre, "RUPPERT_PRIME", prime)
+        rank_p, rank_q = fibre.rank_mod_p, fibre.rat_eliminate
+        last, drops = [], []
+
+        def counted_rank_p(rows, p):
+            last.append(rank_p(rows, p))
+            return last[-1]
+
+        def counted_rank_q(rows):
+            out = rank_q(rows)
+            drops.append(out[0] > last[-1])
+            return out
+
+        monkeypatch.setattr(fibre, "rank_mod_p", counted_rank_p)
+        monkeypatch.setattr(fibre, "rat_eliminate", counted_rank_q)
+        self.test_fixed_triple()
+        self.test_univariate_inputs()
+        self.test_additivity_on_coprime_products()
+        assert any(drops)
+
+    def test_exact_elimination_only_above_one(self, monkeypatch):
+        calls = []
+        rank_q = fibre.rat_eliminate
+        monkeypatch.setattr(fibre, "rat_eliminate", lambda rows: calls.append(1) or rank_q(rows))
+        assert absolute_factor_count(parse_poly("y - x^2")) == 1
+        assert calls == []
+        assert absolute_factor_count(parse_poly("y^2 - x^2")) == 2
+        assert calls == [1]
+
     def test_linear_change_invariance(self):
         rng = random.Random(41)
         f = parse_poly("y^2 - x^2 + 1")
