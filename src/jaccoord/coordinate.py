@@ -63,9 +63,6 @@ class Linear:
             ia, ib, ic, id_, -(ia * self.e + ib * self.f), -(ic * self.e + id_ * self.f)
         )
 
-    def jac(self):
-        return self.det()
-
 
 @dataclass(frozen=True)
 class TriangularY:
@@ -79,9 +76,6 @@ class TriangularY:
     def inverse(self) -> "TriangularY":
         return TriangularY(-self.phi)
 
-    def jac(self):
-        return RAT_ONE
-
 
 @dataclass(frozen=True)
 class TriangularX:
@@ -94,9 +88,6 @@ class TriangularX:
 
     def inverse(self) -> "TriangularX":
         return TriangularX(-self.psi)
-
-    def jac(self):
-        return RAT_ONE
 
 
 ElementaryAuto = Union[Linear, TriangularY, TriangularX]

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 import sympy
 
 from ._ratback import RAT_ONE, RAT_ZERO, rat
-from .qpoly import BiPoly, UniPoly, ZeroPolynomialError
+from .qpoly import BiPoly, UniPoly, ZeroPolynomialError, _int_coeffs, _int_primitive
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def _subresultant_steps(a: List, b: List, R: Ring) -> Iterator[Tuple]:
         r = pseudo_rem(a, b, R)
         if not r:
             return
-        divisor = g * _ring_pow(h, delta, R)
+        divisor = g * h ** delta
         a, b = b, pexact_div_scalar(r, divisor, R)
         g = plc(a)
         h = _pow_quotient(h, g, delta, R)
@@ -133,20 +133,11 @@ def subresultant_prs(A: List, B: List, R: Ring) -> List[List]:
     return [list(A), list(B)] + [b for _, b, _ in _subresultant_steps(A, B, R)]
 
 
-def _ring_pow(a, n: int, R: Ring):
-    out = R.one
-    for _ in range(n):
-        out = out * a
-    return out
-
-
 def _pow_quotient(h, g, delta: int, R: Ring):
     """h^(1-delta) * g^delta, via exact division when delta > 1."""
     if delta == 0:
         return h
-    num = _ring_pow(g, delta, R)
-    den = _ring_pow(h, delta - 1, R)
-    return R.exact_div(num, den)
+    return R.exact_div(g ** delta, h ** (delta - 1))
 
 
 def resultant(A: List, B: List, R: Ring):
@@ -162,9 +153,9 @@ def resultant(A: List, B: List, R: Ring):
     if dA == 0 and dB == 0:
         return R.one
     if dA == 0:
-        return _ring_pow(A[0], dB, R)
+        return A[0] ** dB
     if dB == 0:
-        return _ring_pow(B[0], dA, R)
+        return B[0] ** dA
     if dA < dB:
         A, B = B, A
     last = None
@@ -175,7 +166,7 @@ def resultant(A: List, B: List, R: Ring):
     a, b, h = last
     da = pdeg(a)
     # s_0 = lc(b)^da / h^(da-1)
-    return R.exact_div(_ring_pow(b[0], da, R), _ring_pow(h, da - 1, R))
+    return R.exact_div(b[0] ** da, h ** (da - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +206,8 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     prs = subresultant_prs(fp, gp, UNIPOLY_RING)
     last = prs[-1]
     if pdeg(last) == 0:
-        # check it is truly a unit (no common factor in y)
-        if not last[0].is_zero():
-            return cont.to_bipoly("x")
-        last = prs[-2]
+        # a nonzero constant remainder: the primitive parts are coprime
+        return cont.to_bipoly("x")
     # primitive part of the last nonzero subresultant is the pp-gcd
     c = _unipoly_list_gcd(last)
     pp = [u.exact_div(c) for u in last]
@@ -276,10 +265,9 @@ def rat_eliminate(rows: List[List]) -> Elimination:
     """
     mat, num, den = [], [], []
     for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (lcm // x.denominator) for x in row]
-        h = math.gcd(*ints) or 1
-        mat.append([v // h for v in ints])
+        lcm, ints = _int_coeffs(row)
+        h, prim = _int_primitive(ints)
+        mat.append(prim)
         num.append(lcm)
         den.append(h)
     n = len(mat)

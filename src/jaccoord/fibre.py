@@ -315,21 +315,6 @@ class SpecialValues:
     irrational_witnesses: Tuple[UniPoly, ...]
 
 
-def _yrep_plain(P: BiPoly) -> List[BiPoly]:
-    """P as a polynomial in y whose coefficients live in Q[x, c]."""
-    rows: List[Dict] = [dict() for _ in range(P.degy + 1)]
-    for (i, j), coeff in P.items():
-        rows[j][(i, 0)] = coeff
-    return [BiPoly(r) for r in rows]
-
-
-def _yrep_minus_c(P: BiPoly) -> List[BiPoly]:
-    """P - c in the representation of _yrep_plain."""
-    out = _yrep_plain(P)
-    out[0] = out[0] + BiPoly({(0, 1): -RAT_ONE})
-    return out
-
-
 def _split_x_content(A: BiPoly) -> Tuple[UniPoly, BiPoly]:
     """A in Q[x, c] = cont(c) * pp; returns (content in c, primitive part)."""
     coeffs = A.x_coeffs()  # UniPoly in c per x power
@@ -384,36 +369,59 @@ def _ruppert_rank_drop_det(P: BiPoly) -> Optional[UniPoly]:
     return _lagrange_interp(pts)
 
 
+def _critical_factors(P: BiPoly) -> List[UniPoly]:
+    """Polynomials in c whose roots include the critical values of P.
+
+    x is eliminated last from the critical system {P - c, P_x, P_y}: the
+    resultants A = Res_y(P - c, P_y) and B = Res_y(P - c, P_x) over Q[x, c]
+    give their c-contents, then Res_x of their primitive parts, taken again
+    on the cofactors of bipoly_gcd when a shared factor makes it vanish.  The
+    path ends early on a zero resultant or on a primitive part free of x,
+    which is a unit (Gauss's lemma).  A y-free P is eliminated with x and y
+    swapped.
+    """
+    if P.degy == 0:
+        P = BiPoly.from_y_coeffs(P.x_coeffs())
+    minus_c = [u.to_bipoly("x") for u in P.y_coeffs()]
+    minus_c[0] = minus_c[0] - BiPoly.var_y()
+    factors: List[UniPoly] = []
+    pps = []
+    for D in (P.diff_y(), P.diff_x()):
+        R = resultant(minus_c, [u.to_bipoly("x") for u in D.y_coeffs()], BIPOLY_RING)
+        if R.is_zero():
+            return factors
+        cont, pp = _split_x_content(R)
+        factors.append(cont)
+        pps.append(pp)
+    ppA, ppB = pps
+    if ppA.degx == 0 or ppB.degx == 0:
+        return factors
+    R = resultant(ppA.x_coeffs(), ppB.x_coeffs(), UNIPOLY_RING)
+    if R.is_zero():
+        G = bipoly_gcd(ppA, ppB)
+        R = resultant(ppA.exact_div(G).x_coeffs(), ppB.exact_div(G).x_coeffs(), UNIPOLY_RING)
+    factors.append(R)
+    return factors
+
+
 def special_value_candidates(P: BiPoly) -> SpecialValues:
     """Superset heuristic for values c where the fibre P = c is special.
 
-    Union of (a) roots of the resultant-eliminated critical system
-    {P - c, P_x, P_y} with c-contents collected at each stage, and (b) roots
-    of the rank-drop determinant of the differential system of P - c.  May
-    contain non-special values; irrational roots are reported through their
-    squarefree minimal-polynomial cofactors.
+    Union of (a) roots of the critical-value polynomials of _critical_factors
+    and (b) roots of the rank-drop determinant of the differential system of
+    P - c, built on P as given.  May contain non-special values; irrational
+    roots are reported through their squarefree minimal-polynomial cofactors.
     """
     if P.is_constant():
         raise ConstantInputError("special_value_candidates needs a nonconstant P")
-    factors: List[UniPoly] = []
-    Px, Py = P.diff_x(), P.diff_y()
-    if P.degy >= 1:
-        A = resultant(_yrep_minus_c(P), _yrep_plain(Py), BIPOLY_RING)
-        _collect_xc(A, factors, Px, P)
-    else:
-        # P is univariate in x: critical values of a one-variable map
-        coeffs = [UniPoly.const(u[0]) for u in P.x_coeffs()]
-        coeffs[0] = coeffs[0] + UniPoly([RAT_ZERO, -RAT_ONE])
-        dcoeffs = [UniPoly.const(u[0]) for u in Px.x_coeffs()] if not Px.is_zero() else []
-        R = resultant(coeffs, dcoeffs, UNIPOLY_RING)
-        factors.append(R)
+    factors = _critical_factors(P)
     det = _ruppert_rank_drop_det(P)
     if det is not None:
         factors.append(det)
     cands = set()
     minpolys: List[UniPoly] = []
     for qpol in factors:
-        if qpol is None or qpol.is_zero() or qpol.is_constant():
+        if qpol.is_constant():
             continue
         sqf = squarefree_part(qpol)
         roots, rest = strip_rational_roots(sqf)
@@ -422,43 +430,3 @@ def special_value_candidates(P: BiPoly) -> SpecialValues:
             minpolys.append(rest)
     minpolys.sort(key=lambda u: (u.deg, u.coeffs))
     return SpecialValues(tuple(sorted(cands)), tuple(minpolys))
-
-
-def _collect_xc(A: BiPoly, factors: List[UniPoly], Px: BiPoly, P: BiPoly) -> None:
-    """Continue elimination of x from A(x,c) against Res_y(P - c, P_x)."""
-    if A.is_zero():
-        return
-    contA, ppA = _split_x_content(A)
-    factors.append(contA)
-    if Px.is_zero():
-        # no x dependence anywhere; ppA must be constant in x
-        if ppA.degx == 0:
-            factors.append(ppA.x_coeffs()[0])
-        return
-    B = resultant(_yrep_minus_c(P), _yrep_plain(Px), BIPOLY_RING)
-    if B.is_zero():
-        return
-    contB, ppB = _split_x_content(B)
-    factors.append(contB)
-    if ppA.degx == 0:
-        factors.append(ppA.x_coeffs()[0])
-        return
-    if ppB.degx == 0:
-        factors.append(ppB.x_coeffs()[0])
-        return
-    R = resultant(ppA.x_coeffs(), ppB.x_coeffs(), UNIPOLY_RING)
-    if R.is_zero():
-        # shared factor in (x, c); fold it out and retry once
-        G = bipoly_gcd(ppA, ppB)
-        factors.append(_split_x_content(G)[0])
-        ppA2 = ppA.exact_div(G)
-        ppB2 = ppB.exact_div(G)
-        if ppA2.degx == 0:
-            factors.append(ppA2.x_coeffs()[0])
-        elif ppB2.degx == 0:
-            factors.append(ppB2.x_coeffs()[0])
-        else:
-            R2 = resultant(ppA2.x_coeffs(), ppB2.x_coeffs(), UNIPOLY_RING)
-            factors.append(R2)
-        return
-    factors.append(R)

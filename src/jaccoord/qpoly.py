@@ -185,8 +185,9 @@ class UniPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:

@@ -239,3 +239,27 @@ class TestSpecialValues:
     def test_determinism(self):
         P = parse_poly("y^2 - x^3 - x")
         assert special_value_candidates(P) == special_value_candidates(P)
+
+    @pytest.mark.parametrize(
+        "text, rational, irrational",
+        [
+            # univariate in x: eliminated with x and y swapped
+            ("x^3 - 3*x", ["-2", "2"], []),
+            ("x^3 + x", [], ["c^2 + 4/27"]),
+            # P_x = 0: the critical path ends at Res_y(P - c, P_x) = 0
+            ("y^3 - 3*y", ["-2", "2"], []),
+            ("y^2 - 1", ["-1"], []),
+            # Res_x of the primitive parts vanishes: one gcd retry
+            ("x^2*y^2 + x + y + 1", [], ["c^3 - 3*c^2 + 3*c + 11/16"]),
+            # generic: Res_x of the two primitive parts
+            ("y^2 - x^3 - x", [], ["c^2 + 5/36", "c^2 + 4/27"]),
+            ("(y - x^2)*(y + x^3 + 1)", ["-961/2916", "-1/4", "0", "1"], ["c^2 - 7/4*c - 7/10"]),
+        ],
+    )
+    def test_exact_outputs(self, text, rational, irrational):
+        from jaccoord.cli import _j_special
+
+        assert _j_special(special_value_candidates(parse_poly(text))) == {
+            "rational_candidates": rational,
+            "irrational_witnesses": irrational,
+        }
