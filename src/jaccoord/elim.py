@@ -14,6 +14,10 @@ scaled to primitive integer rows, with plain integer arithmetic, and with
 the scale of each row tracked so that the rational pivots stay exact.  An
 integer matrix also has a rank modulo a prime, which is a lower bound on
 its rank over Q.
+
+sympy finds rational roots and decides whether a system has a common zero
+on the torus x*y != 0, by a Groebner basis.  That basis is computed only
+when a resultant certificate cannot already prove that there is none.
 """
 
 from __future__ import annotations
@@ -227,7 +231,9 @@ def bipoly_squarefree_part(f: BiPoly) -> Tuple[BiPoly, bool]:
     """(squarefree part, was_already_squarefree) over Q[x,y], char 0."""
     if f.is_zero():
         raise ZeroPolynomialError("squarefree part of zero polynomial")
-    g = bipoly_gcd(bipoly_gcd(f, f.diff_x()), f.diff_y())
+    g = bipoly_gcd(f, f.diff_x())
+    if not g.is_constant():  # else gcd(f, f_x, f_y) is constant too
+        g = bipoly_gcd(g, f.diff_y())
     if g.is_constant():
         return f, True
     return f.exact_div(g), False
@@ -350,7 +356,7 @@ def rat_det(rows: List[List]):
 
 
 # ---------------------------------------------------------------------------
-# rational roots and torus solvability (sympy-backed plumbing)
+# rational roots and torus solvability: sympy, behind a resultant pre-test
 
 _SX, _SY, _ST = sympy.symbols("x y t")
 
@@ -403,15 +409,40 @@ def strip_rational_roots(u: UniPoly) -> Tuple[List, UniPoly]:
     return roots, rest.monic()
 
 
+def _resultants_exclude_torus(polys: Sequence[BiPoly]) -> bool:
+    """True when gcd over Q[x] of Res_y(A, f), for one A with deg_y A >= 1
+    and every other f, is a nonzero c * x^k.
+
+    A common zero (x0, y0) makes x0 a root of every Res_y(A, f), so then no
+    common zero has x0 != 0.  The y-degree guard matters: the resultant of
+    two y-free polynomials is 1 even when they share a root.  False means
+    only that the pre-test cannot decide.
+    """
+    a = next((i for i, f in enumerate(polys) if f.degy >= 1), None)
+    if a is None or len(polys) < 2:
+        return False
+    ay = polys[a].y_coeffs()
+    G = UniPoly.zero()
+    for i, f in enumerate(polys):
+        if i != a:
+            G = G.gcd(resultant(ay, f.y_coeffs(), UNIPOLY_RING))
+    return sum(c != 0 for c in G.coeffs) == 1  # G = c * x^k with c != 0
+
+
 def has_common_torus_zero(polys: Sequence[BiPoly]) -> bool:
     """Whether the system has a common complex zero with x != 0 and y != 0.
 
-    Decided exactly by a Groebner basis of the system saturated by x*y; the
-    basis is [1] iff no such zero exists (Nullstellensatz).
+    A resultant certificate answers False first when it can (see
+    _resultants_exclude_torus); it never answers True.  Every other system
+    is decided exactly by a Groebner basis of the system saturated by x*y;
+    the basis is [1] iff no such zero exists (Nullstellensatz).
     """
-    exprs = [bipoly_to_sympy(f) for f in polys if not f.is_zero()]
-    if not exprs:
+    polys = [f for f in polys if not f.is_zero()]
+    if not polys:
         return True  # empty system: every torus point qualifies
+    if _resultants_exclude_torus(polys):
+        return False
+    exprs = [bipoly_to_sympy(f) for f in polys]
     exprs.append(_SX * _SY * _ST - 1)
     G = sympy.groebner(exprs, _SX, _SY, _ST, order="grevlex")
     return not (len(G.exprs) == 1 and G.exprs[0] == 1)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._ratback import RAT_ONE, RAT_ZERO, Rat, rat
+from ._ratback import RAT_ONE, Rat, rat
 from .qpoly import BiPoly, UniPoly, _int_form, squarefree_part, substitute
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
     BIPOLY_RING,
-    RAT_RING,
     UNIPOLY_RING,
     _unipoly_list_gcd,
     bipoly_gcd,
@@ -76,13 +75,13 @@ def _ruppert_unknowns(m: int, n: int) -> Tuple[List[Tuple[str, int, int]], int]:
     return unknowns, len(unknowns)
 
 
-def ruppert_rows(f_terms: Dict[Tuple[int, int], object], m: int, n: int, ring):
-    """Coefficient matrix of the differential system, rows sorted by monomial.
+def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
+    """Integer coefficient matrix of the differential system of the integer
+    term map f_terms, rows sorted by monomial, absent entries 0.
 
-    The coefficients may be integers (the integer form of f, for the factor
-    count), or polynomials in the fibre value c when hunting rank drops;
-    their own operators do the arithmetic, and the ring is used only for the
-    zero that fills absent entries.
+    The rows are those of the monomials reached from the keys of f_terms,
+    whatever their values, so two term maps with the same keys give matrices
+    whose rows line up.
     """
     unknowns, ncols = _ruppert_unknowns(m, n)
     columns: List[Dict[Tuple[int, int], object]] = []
@@ -112,7 +111,7 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], object], m: int, n: int, ring):
     monomials = sorted({e for col in columns for e in col})
     rows = []
     for e in monomials:
-        rows.append([col.get(e, ring.zero) for col in columns])
+        rows.append([col.get(e, 0) for col in columns])
     return rows, ncols
 
 
@@ -131,7 +130,13 @@ def absolute_factor_count(f: BiPoly) -> int:
         raise ConstantInputError("absolute_factor_count needs a nonconstant input")
     if not bipoly_squarefree_part(f)[1]:
         raise NotSquarefreeError("input must be squarefree")
-    rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1], f.degx, f.degy, RAT_RING)
+    return _factor_count(f)
+
+
+def _factor_count(f: BiPoly) -> int:
+    """absolute_factor_count of an f already known nonconstant and
+    squarefree."""
+    rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1], f.degx, f.degy)
     dim = ncols - rank_mod_p(rows, RUPPERT_PRIME)
     if dim > 1:
         dim = ncols - rat_eliminate(rows)[0]
@@ -219,7 +224,7 @@ def genus(f: BiPoly) -> MaybeInt:
         return Unknown("NotSquarefree")
     if not nondegenerate(g).ok:
         return Unknown("Degenerate")
-    if absolute_factor_count(g) != 1:
+    if _factor_count(g) != 1:
         return Unknown("Reducible")
     return _genus_tail(g)
 
@@ -286,7 +291,7 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
     if P.is_constant():
         raise ConstantInputError("fibre_report needs a nonconstant P")
     sq, reduced = bipoly_squarefree_part(P - BiPoly.const(c))
-    count = absolute_factor_count(sq)
+    count = _factor_count(sq)
     if count != 1:
         reducible = Unknown("Reducible")
         return FibreReport(c, count, reduced, nondegenerate(sq).ok, reducible, reducible)
@@ -341,31 +346,41 @@ def _lagrange_interp(pts: Sequence[Tuple]) -> UniPoly:
 
 def _ruppert_rank_drop_det(P: BiPoly) -> Optional[UniPoly]:
     """det(c) of a generically nonsingular maximal square submatrix of the
-    differential-system matrix of P - c; its roots flag factor-count jumps."""
-    terms: Dict[Tuple[int, int], UniPoly] = {}
-    for (i, j), coeff in P.items():
-        terms[(i, j)] = UniPoly.const(coeff)
-    base = terms.get((0, 0), UniPoly.zero())
-    terms[(0, 0)] = base + UniPoly([RAT_ZERO, -RAT_ONE])  # constant slot minus c
+    differential-system matrix of P - c; its roots flag factor-count jumps.
+
+    With den the lcm of P's denominators, the system of den * (P - c) is the
+    integer pencil a + c*b: a is built on the integer form of P, b on the
+    constant term -den alone, both over P's support plus the constant slot
+    so that their rows line up.  A probe p/q is evaluated as q*a + p*b, and
+    the point k as a + k*b.  Each is the rational matrix with every row
+    scaled by one nonzero constant, so the pivots chosen are the same and
+    det(c) changes only by a nonzero constant factor.
+    """
+    den, a_terms = _int_form(dict(P.items()))
+    a_terms.setdefault((0, 0), 0)
+    b_terms = dict.fromkeys(a_terms, 0)
+    b_terms[(0, 0)] = -den
     m, n = P.degx, P.degy
-    rows, ncols = ruppert_rows(terms, m, n, UNIPOLY_RING)
-    if not rows:
+    a, _ = ruppert_rows(a_terms, m, n)
+    b, _ = ruppert_rows(b_terms, m, n)
+    if not a:
         return None
     best = None
-    for probe in (rat(17, 3), rat(-19, 5), rat(23, 7)):
-        num_rows = [[u.eval(probe) for u in row] for row in rows]
-        rank, prow, pcol = rat_eliminate(num_rows)
+    for p, q in ((17, 3), (-19, 5), (23, 7)):
+        rank, prow, pcol = rat_eliminate(
+            [[q * x + p * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        )
         if best is None or rank > best[0]:
             best = (rank, prow, pcol)
     rank, prow, pcol = best
     if rank == 0:
         return None
-    sub = [[rows[i][j] for j in pcol] for i in prow]
-    degbound = sum(max((u.deg for u in r if not u.is_zero()), default=0) for r in sub)
+    sub = [([a[i][j] for j in pcol], [b[i][j] for j in pcol]) for i in prow]
+    degbound = sum(any(rb) for _, rb in sub)
     pts = []
     for k in range(degbound + 1):
-        ck = Rat(k)
-        pts.append((ck, rat_det([[u.eval(ck) for u in r] for r in sub])))
+        rows = [[x + k * y for x, y in zip(ra, rb)] for ra, rb in sub]
+        pts.append((Rat(k), rat_det(rows)))
     return _lagrange_interp(pts)
 
 

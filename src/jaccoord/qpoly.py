@@ -29,8 +29,9 @@ class ZeroPolynomialError(ValueError):
 
 
 class InputTooLarge(ValueError):
-    """The input exceeds a resource budget, such as MAX_NESTING while parsing
-    or the degree guard of the reduction; no verdict."""
+    """The input exceeds a resource budget, such as MAX_NESTING or
+    MAX_POWER_POINTS while parsing or the degree guard of the reduction; no
+    verdict."""
 
 
 class PolyParseError(SyntaxError):
@@ -626,6 +627,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
+# lattice points (n*degx + 1)*(n*degy + 1) of the expansion of base^n, for a
+# base of more than one term; (x + y + 1)^49 is at the bound
+MAX_POWER_POINTS = 2_500
 
 
 class _Parser:
@@ -680,7 +684,15 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             t = self.expect("int")
-            base = base ** int(t[1])
+            n = int(t[1])
+            if base.num_terms() > 1:
+                points = (n * base.degx + 1) * (n * base.degy + 1)
+                if points > MAX_POWER_POINTS:
+                    raise InputTooLarge(
+                        f"power with {points} lattice points, more than"
+                        f" {MAX_POWER_POINTS} (at position {t[2]})"
+                    )
+            base = base ** n
         return base
 
     def atom(self) -> BiPoly:

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON shape, determinism, corpus runner."""
 
 import json
+import time
 
 import pytest
 
@@ -71,6 +72,29 @@ class TestCheck:
         code, doc, _ = run_json(capsys, "check", "(" * depth + "y + x^3" + ")" * depth)
         assert code == 0
         assert doc["outcome"] == "coordinate"
+
+    def test_power_budget_is_input_too_large(self, capsys):
+        # refused before expansion; expanding it runs for minutes
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "(x+y+1)^400")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+        from jaccoord.qpoly import MAX_POWER_POINTS
+
+        assert (49 + 1) ** 2 == MAX_POWER_POINTS
+        code, doc, _ = run_json(capsys, "polygon", "(x+y+1)^49")
+        assert code == 0
+        assert doc["vertices"] == [[0, 0], [49, 0], [0, 49]]
+        code, out, err = run(capsys, "polygon", "(x+y+1)^50")
+        assert code == 1
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+
+    def test_monomial_powers_are_not_budgeted(self, capsys):
+        code, doc, _ = run_json(capsys, "polygon", "x^2000 + y^2000 + 1")
+        assert code == 0
+        assert doc["vertices"] == [[0, 0], [2000, 0], [0, 2000]]
 
     def test_degree_guard_is_input_too_large(self, capsys, monkeypatch):
         from jaccoord import coordinate

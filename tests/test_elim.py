@@ -383,3 +383,78 @@ class TestSympyBridge:
         f = parse_poly("y - x^2")
         polys = [f, f.diff_x(), f.diff_y()]
         assert not has_common_torus_zero(polys)
+
+
+def _plain_groebner_torus(polys):
+    """Reference: a sympy Groebner basis of the system saturated by x*y,
+    with the polynomials converted from their printed text."""
+    x, y, t = sympy.symbols("x y t")
+    exprs = [sympy.sympify(f.to_str().replace("^", "**")) for f in polys if not f.is_zero()]
+    if not exprs:
+        return True
+    G = sympy.groebner(exprs + [x * y * t - 1], x, y, t, order="grevlex")
+    return list(G.exprs) != [1]
+
+
+class TestTorusPretest:
+    @staticmethod
+    def _through(rng, point, k):
+        """k random polynomials of degree <= 2 that vanish at point."""
+        out = []
+        for _ in range(k):
+            f = BiPoly({(i, j): rat(rng.randint(-4, 4), rng.randint(1, 3))
+                        for i in range(3) for j in range(3 - i)})
+            out.append(f - BiPoly.const(f.eval(*point)))
+        return out
+
+    def test_matches_plain_groebner(self, monkeypatch):
+        from jaccoord import elim
+
+        decided = []
+        pretest = elim._resultants_exclude_torus
+        monkeypatch.setattr(
+            elim, "_resultants_exclude_torus", lambda ps: decided.append(pretest(ps)) or decided[-1]
+        )
+        rng = random.Random(90)
+        counts = dict.fromkeys(("decided", "x_strip", "y_zero", "torus", "y_free", "few"), 0)
+
+        def agree(polys, branch, answer, pre=None):
+            """Compare with the reference; count the system under branch
+            when the answer, and the pre-test's when given, are as named."""
+            decided.clear()
+            got = has_common_torus_zero(polys)
+            assert got == _plain_groebner_torus(polys), polys
+            if got == answer and (pre is None or (decided[:1] or [False])[0] == pre):
+                counts[branch] += 1
+
+        def conic():
+            return BiPoly({(i, j): rat(rng.randint(-4, 4), rng.randint(1, 3))
+                           for i in range(3) for j in range(3 - i)})
+
+        def through(x0, y0):
+            return [f - BiPoly.const(f.eval(x0, y0)) for f in (conic(), conic(), conic())]
+
+        nonzero = [rat(k, 2) for k in (-3, -2, -1, 1, 3)]
+        for _ in range(12):
+            # three random conics share no zero: the pre-test decides
+            agree([conic(), conic(), conic()], "decided", False, True)
+            # the only common zero is (0, y0): G = c*x^k with k >= 1
+            agree(through(rat(0), rng.choice(nonzero)), "x_strip", False, True)
+            # a common zero (x0, 0), x0 != 0: only the Groebner basis says False
+            agree(through(rng.choice(nonzero), rat(0)), "y_zero", False, False)
+            # a genuine torus zero
+            agree(through(rng.choice(nonzero), rng.choice(nonzero)), "torus", True, False)
+        # y-free systems: the resultant of two y-free polynomials is 1
+        agree([parse_poly("x - 1"), parse_poly("x - 1")], "y_free", True)
+        agree([parse_poly("x - 1"), parse_poly("x - 2")], "y_free", False)
+        agree([parse_poly("x^2 - 1"), parse_poly("x + 1"), parse_poly("y + 2")], "y_free", True)
+        agree([parse_poly("x"), parse_poly("y - 1")], "y_free", False)
+        # one polynomial, and none
+        agree([parse_poly("x*y - 1")], "few", True)
+        agree([parse_poly("x*y")], "few", False)
+        agree([parse_poly("3")], "few", False)
+        agree([], "few", True)
+        agree([BiPoly.zero(), BiPoly.zero()], "few", True)
+        agree([BiPoly.zero(), parse_poly("x - 1"), parse_poly("y^2 - x")], "few", True)
+        assert counts["y_free"] == 4 and counts["few"] == 6
+        assert min(counts[k] for k in ("decided", "x_strip", "y_zero", "torus")) >= 10, counts

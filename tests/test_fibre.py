@@ -186,9 +186,11 @@ class TestFibreReport:
         assert r.branches_at_infinity == 1
 
     def test_each_invariant_computed_once(self, monkeypatch):
-        # c = 1 reads genus and branches from one polynomial; c = 0 shifts
+        # c = 1 reads genus and branches from one polynomial; c = 0 shifts;
+        # the one squarefree test is the squarefree part itself
+        names = ("bipoly_squarefree_part", "_factor_count", "nondegenerate")
         for c in (rat(1), rat(0)):
-            calls = {"absolute_factor_count": 0, "nondegenerate": 0}
+            calls = dict.fromkeys(names, 0)
             for name in calls:
 
                 def counted(f, _orig=getattr(fibre, name), _name=name):
@@ -198,7 +200,7 @@ class TestFibreReport:
                 monkeypatch.setattr(fibre, name, counted)
             fibre_report(parse_poly("y^2 - x^3 - x"), c)
             monkeypatch.undo()
-            assert calls == {"absolute_factor_count": 1, "nondegenerate": 1}
+            assert calls == dict.fromkeys(names, 1)
 
 
 class TestSpecialValues:
@@ -263,3 +265,70 @@ class TestSpecialValues:
             "rational_candidates": rational,
             "irrational_witnesses": irrational,
         }
+
+
+def _rational_rank_drop_det(P, probes):
+    """Reference: the rank-drop determinant on the rational matrix of P - c,
+    entries in Q[c], evaluated at each point with rational arithmetic;
+    appends each probe's (rank, pivot_rows, pivot_cols) to probes."""
+    from jaccoord.elim import rat_det, rat_eliminate
+    from jaccoord.qpoly import UniPoly
+
+    terms = {e: UniPoly.const(c) for e, c in P.items()}
+    terms[(0, 0)] = terms.get((0, 0), UniPoly.zero()) + UniPoly([0, -1])
+    rows, _ = fibre.ruppert_rows(terms, P.degx, P.degy)
+    rows = [[u if isinstance(u, UniPoly) else UniPoly.zero() for u in r] for r in rows]
+    if not rows:
+        return None
+    for probe in (rat(17, 3), rat(-19, 5), rat(23, 7)):
+        probes.append(tuple(rat_eliminate([[u.eval(probe) for u in r] for r in rows])))
+    rank, prow, pcol = max(probes, key=lambda b: b[0])  # the first of maximal rank
+    if rank == 0:
+        return None
+    sub = [[rows[i][j] for j in pcol] for i in prow]
+    degbound = sum(max((u.deg for u in r if not u.is_zero()), default=0) for r in sub)
+    pts = [(rat(k), rat_det([[u.eval(rat(k)) for u in r] for r in sub])) for k in range(degbound + 1)]
+    return fibre._lagrange_interp(pts)
+
+
+class TestRankDropPencil:
+    INPUTS = [
+        "y^2 - x^3", "x*y", "x", "x + x^2*y", "y^2 - x^3 - x - 1", "y^2 - x^3 - x",
+        "x^3 - 3*x", "x^3 + x", "y^3 - 3*y", "y^2 - 1", "x^2*y^2 + x + y + 1",
+        "(y - x^2)*(y + x^3 + 1)",
+    ]
+
+    @staticmethod
+    def _random(rng):
+        """Degree <= 3, coefficients with mixed denominators, and a zero
+        constant term half of the time."""
+        terms = {(i, j): rat(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10]))
+                 for i in range(4) for j in range(4 - i) if rng.random() < 0.6}
+        if rng.random() < 0.5:
+            terms.pop((0, 0), None)
+        return BiPoly(terms)
+
+    def test_matches_rational_reference(self, monkeypatch):
+        rng = random.Random(91)
+        polys = [parse_poly(t) for t in self.INPUTS]
+        polys += [self._random(rng) for _ in range(40)]
+        seen = {"zero_constant": 0, "denominators": 0, "nonconstant_det": 0}
+        for P in polys:
+            if P.is_constant():
+                continue
+            want_probes, got_probes = [], []
+            want = _rational_rank_drop_det(P, want_probes)
+            elim_orig = fibre.rat_eliminate
+            monkeypatch.setattr(
+                fibre, "rat_eliminate", lambda rows: got_probes.append(tuple(elim_orig(rows))) or got_probes[-1]
+            )
+            got = fibre._ruppert_rank_drop_det(P)
+            monkeypatch.undo()
+            assert got_probes == want_probes, P
+            assert (got is None) == (want is None), P
+            if want is not None:
+                assert got.monic() == want.monic(), P
+                seen["nonconstant_det"] += not want.is_constant()
+            seen["zero_constant"] += P.constant_term() == 0
+            seen["denominators"] += len({c.denominator for _, c in P.items()}) > 1
+        assert min(seen.values()) >= 10, seen
