@@ -208,6 +208,109 @@ class TestGenCoordinate:
         assert code2 == 0
 
 
+class TestExactDocuments:
+    """Whole JSON documents, one per obstruction and violation kind: a key
+    added, dropped or renamed in any result encoding fails here."""
+
+    NOT_TRIANGLE = {"kind": "PolygonNotTriangle", "missing_vertex": [1, 0], "point": None}
+    CASES = [
+        (["check", "y + x^3"], 0,
+         {"jacobian": "-1", "outcome": "coordinate", "witness_steps": 2}),
+        (["witness", "y + x^3"], 0,
+         {"complement": "x", "jacobian": "-1", "outcome": "coordinate",
+          "steps": [{"kind": "TriangularY", "phi": "-x^3"},
+                    {"a": "0", "b": "1", "c": "1", "d": "0", "e": "0", "f": "0",
+                     "kind": "Linear"}]}),
+        (["check", "x^2 + y^2 + x^2*y^2"], 2,
+         {"at_stage": "x^2*y^2 + x^2 + y^2", "outcome": "not_coordinate",
+          "obstruction": {"kind": "PolygonNotTriangle", "missing_vertex": None,
+                          "point": [2, 2]}}),
+        (["check", "x*y"], 2,
+         {"at_stage": "x*y", "obstruction": NOT_TRIANGLE, "outcome": "not_coordinate"}),
+        (["check", "x^2 + x*y + y^2 + x"], 2,
+         {"at_stage": "x^2 + x*y + y^2 + x", "outcome": "not_coordinate",
+          "obstruction": {"k": 0, "kind": "FaceNotBinomialPower"}}),
+        (["check", "x^2 + y^3"], 2,
+         {"at_stage": "y^3 + x^2", "outcome": "not_coordinate",
+          "obstruction": {"kind": "FaceExponentsBothExceedOne", "p": 2, "q": 3}}),
+        (["check", "y^3 + 1"], 2,
+         {"at_stage": "y^3 + 1", "outcome": "not_coordinate",
+          "obstruction": {"deg": 3, "kind": "UnivariateNonlinear", "var": "y"}}),
+        (["check", "3"], 2,
+         {"at_stage": "3", "obstruction": {"kind": "ConstantPolynomial"},
+          "outcome": "not_coordinate"}),
+        (["fibre", "x*y", "--c=0"], 0,
+         {"abs_factor_count": 2, "branches_at_infinity": {"unknown": "Reducible"},
+          "c": "0", "genus": {"unknown": "Reducible"}, "multiplicity_reduced": True,
+          "nondegenerate": False}),
+        (["polygon", "y^2 - x^3"], 0,
+         {"boundary": 6, "dim": 2, "face": {"C": "1", "a": "1", "m": 1, "p": 3, "q": 2},
+          "interior": 1, "triangle": True, "twice_area": 6,
+          "vertices": [[0, 0], [3, 0], [0, 2]]}),
+        (["special-values", "x^3 + x"], 0,
+         {"irrational_witnesses": ["c^2 + 4/27"], "rational_candidates": []}),
+        (["scan", "x*y", "--samples", "1"], 0,
+         {"all_sampled_irreducible": False, "generic_branches": 2,
+          "generic_genus": {"unknown": "NoData"}, "genus_constant_on_known": True,
+          "h_source_c": "3/4", "relation_holds_on_known": True,
+          "samples": [
+              {"abs_factor_count": 2, "branches_at_infinity": {"unknown": "Reducible"},
+               "c": "0", "genus": {"unknown": "Reducible"},
+               "multiplicity_reduced": True, "nondegenerate": False},
+              {"abs_factor_count": 1, "branches_at_infinity": 2, "c": "3/4",
+               "genus": {"unknown": "SegmentPolygon"}, "multiplicity_reduced": True,
+               "nondegenerate": True}],
+          "special_values": {"irrational_witnesses": [], "rational_candidates": ["0"]},
+          "theorem_violation_suspected": False,
+          "verdict": {"at_stage": "x*y", "obstruction": NOT_TRIANGLE,
+                      "outcome": "not_coordinate"},
+          "violation": {"c": "0", "kind": "ReducibleFibre"}}),
+        (["scan", "x^2 + y^3", "--samples", "1"], 0,
+         {"all_sampled_irreducible": True, "generic_branches": 1, "generic_genus": 1,
+          "genus_constant_on_known": True, "h_source_c": "3/4",
+          "relation_holds_on_known": False,
+          "samples": [
+              {"abs_factor_count": 1, "branches_at_infinity": {"unknown": "ZeroConstantTerm"},
+               "c": "0", "genus": {"unknown": "Degenerate"},
+               "multiplicity_reduced": True, "nondegenerate": False},
+              {"abs_factor_count": 1, "branches_at_infinity": 1, "c": "3/4", "genus": 1,
+               "multiplicity_reduced": True, "nondegenerate": True}],
+          "special_values": {"irrational_witnesses": [], "rational_candidates": ["0"]},
+          "theorem_violation_suspected": False,
+          "verdict": {"at_stage": "y^3 + x^2", "outcome": "not_coordinate",
+                      "obstruction": {"kind": "FaceExponentsBothExceedOne", "p": 2, "q": 3}},
+          "violation": {"kind": "Inconclusive", "unknown_cs": ["0"]}}),
+    ]
+
+    @pytest.mark.parametrize("argv, code, doc", CASES)
+    def test_document(self, capsys, argv, code, doc):
+        assert run_json(capsys, *argv)[:2] == (code, doc)
+
+    def test_genus_jump(self, capsys, monkeypatch):
+        # no small input jumps genus between rational fibres, so one scan's
+        # violation is replaced before the CLI encodes it
+        import dataclasses
+
+        from jaccoord import cli
+        from jaccoord._ratback import rat
+        from jaccoord.audit import GenusJump
+
+        scan = cli.theorem3_scan
+        monkeypatch.setattr(
+            cli,
+            "theorem3_scan",
+            lambda *a, **kw: dataclasses.replace(
+                scan(*a, **kw),
+                violation=GenusJump(c1=rat(-1), c2=rat(3, 4)),
+                theorem_violation_suspected=True,
+            ),
+        )
+        code, doc, _ = run_json(capsys, "scan", "x*y", "--samples", "1")
+        assert code == 3
+        assert doc["violation"] == {"c1": "-1", "c2": "3/4", "kind": "GenusJump"}
+        assert doc["theorem_violation_suspected"] is True
+
+
 class TestDeterminism:
     CASES = [
         ("check", "y + x^3"),
