@@ -12,10 +12,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
+from dataclasses import fields, is_dataclass
 
-from ._ratback import rat, rat_str
-from .qpoly import BiPoly, InputTooLarge, PolyParseError, ZeroPolynomialError, parse_poly
+from ._ratback import Rat, rat, rat_str
+from .qpoly import BiPoly, InputTooLarge, PolyParseError, UniPoly, ZeroPolynomialError, parse_poly
 from .newton import (
     FaceForm,
     PolygonNotTriangle,
@@ -29,6 +29,7 @@ from .coordinate import (
     CoordinateVerdict,
     InternalVerificationFailure,
     Linear,
+    NotCoordinate,
     TriangularX,
     TriangularY,
     check,
@@ -36,14 +37,12 @@ from .coordinate import (
 )
 from .fibre import (
     ConstantInputError,
-    FibreReport,
     NotSquarefreeError,
-    SpecialValues,
     Unknown,
     fibre_report,
     special_value_candidates,
 )
-from .audit import ScanReport, theorem3_scan
+from .audit import theorem3_scan
 
 
 class UsageError(ValueError):
@@ -65,16 +64,6 @@ class _Parser(argparse.ArgumentParser):
 # JSON encoding of domain values
 
 
-def _j_maybe_int(v):
-    if isinstance(v, Unknown):
-        return {"unknown": v.reason}
-    return v
-
-
-def _j_point(p):
-    return None if p is None else [p[0], p[1]]
-
-
 def _j_step(step) -> dict:
     if isinstance(step, Linear):
         return {
@@ -91,17 +80,6 @@ def _j_step(step) -> dict:
     return {"kind": "TriangularX", "psi": step.psi.to_str("y")}
 
 
-def _j_obstruction(ob) -> dict:
-    out = {"kind": ob.kind}
-    for name in ("point", "missing_vertex"):
-        if hasattr(ob, name):
-            out[name] = _j_point(getattr(ob, name))
-    for name in ("k", "p", "q", "var", "deg"):
-        if hasattr(ob, name):
-            out[name] = getattr(ob, name)
-    return out
-
-
 def _j_verdict(v: CoordinateVerdict) -> dict:
     if isinstance(v, Coordinate):
         return {
@@ -111,7 +89,7 @@ def _j_verdict(v: CoordinateVerdict) -> dict:
         }
     return {
         "outcome": "not_coordinate",
-        "obstruction": _j_obstruction(v.obstruction),
+        "obstruction": _j(v.obstruction),
         "at_stage": v.at_stage.to_str(),
     }
 
@@ -127,52 +105,26 @@ def _j_witness(v: CoordinateVerdict) -> dict:
     }
 
 
-def _j_fibre(r: FibreReport) -> dict:
-    return {
-        "c": rat_str(r.c),
-        "abs_factor_count": r.abs_factor_count,
-        "multiplicity_reduced": r.multiplicity_reduced,
-        "nondegenerate": r.nondegenerate,
-        "genus": _j_maybe_int(r.genus),
-        "branches_at_infinity": _j_maybe_int(r.branches_at_infinity),
-    }
-
-
-def _j_special(sv: SpecialValues) -> dict:
-    return {
-        "rational_candidates": [rat_str(c) for c in sv.rational_candidates],
-        "irrational_witnesses": [m.to_str("c") for m in sv.irrational_witnesses],
-    }
-
-
-def _j_violation(v) -> Optional[dict]:
-    if v is None:
-        return None
-    out = {"kind": v.kind}
-    if hasattr(v, "c"):
-        out["c"] = rat_str(v.c)
-    if hasattr(v, "c1"):
-        out["c1"] = rat_str(v.c1)
-        out["c2"] = rat_str(v.c2)
-    if hasattr(v, "unknown_cs"):
-        out["unknown_cs"] = [rat_str(c) for c in v.unknown_cs]
-    return out
-
-
-def _j_scan(r: ScanReport) -> dict:
-    return {
-        "verdict": _j_verdict(r.verdict),
-        "samples": [_j_fibre(s) for s in r.samples],
-        "special_values": _j_special(r.special_values),
-        "generic_genus": _j_maybe_int(r.generic_genus),
-        "genus_constant_on_known": r.genus_constant_on_known,
-        "all_sampled_irreducible": r.all_sampled_irreducible,
-        "generic_branches": _j_maybe_int(r.generic_branches),
-        "h_source_c": None if r.h_source_c is None else rat_str(r.h_source_c),
-        "violation": _j_violation(r.violation),
-        "relation_holds_on_known": r.relation_holds_on_known,
-        "theorem_violation_suspected": r.theorem_violation_suspected,
-    }
+def _j(value):
+    """JSON of a result: any dataclass other than a verdict is written as its
+    fields, plus its kind when the class names one.  The only UniPoly values
+    in a result are minimal polynomials in c."""
+    if isinstance(value, Unknown):
+        return {"unknown": value.reason}
+    if isinstance(value, (Coordinate, NotCoordinate)):
+        return _j_verdict(value)
+    if is_dataclass(value):
+        out = {f.name: _j(getattr(value, f.name)) for f in fields(value)}
+        if hasattr(value, "kind"):
+            out["kind"] = value.kind
+        return out
+    if isinstance(value, (tuple, list)):
+        return [_j(v) for v in value]
+    if isinstance(value, UniPoly):
+        return value.to_str("c")
+    if isinstance(value, Rat):
+        return rat_str(value)
+    return value
 
 
 def _emit(doc, stream=None) -> None:
@@ -237,30 +189,24 @@ def _cmd_polygon(args) -> int:
             doc["triangle"] = True
             ff = face_binomial_power(tf)
             if isinstance(ff, FaceForm):
-                doc["face"] = {
-                    "C": rat_str(ff.C),
-                    "a": rat_str(ff.a),
-                    "p": ff.p,
-                    "q": ff.q,
-                    "m": ff.m,
-                }
+                doc["face"] = _j(ff)
     _emit(doc)
     return 0
 
 
 def _cmd_fibre(args) -> int:
-    _emit(_j_fibre(fibre_report(_load_input(args.input), _parse_rat(args.c))))
+    _emit(_j(fibre_report(_load_input(args.input), _parse_rat(args.c))))
     return 0
 
 
 def _cmd_special_values(args) -> int:
-    _emit(_j_special(special_value_candidates(_load_input(args.input))))
+    _emit(_j(special_value_candidates(_load_input(args.input))))
     return 0
 
 
 def _cmd_scan(args) -> int:
     r = theorem3_scan(_load_input(args.input), n_random=args.samples, seed=args.seed)
-    _emit(_j_scan(r))
+    _emit(_j(r))
     return 3 if r.theorem_violation_suspected else 0
 
 

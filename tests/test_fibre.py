@@ -259,9 +259,9 @@ class TestSpecialValues:
         ],
     )
     def test_exact_outputs(self, text, rational, irrational):
-        from jaccoord.cli import _j_special
+        from jaccoord.cli import _j
 
-        assert _j_special(special_value_candidates(parse_poly(text))) == {
+        assert _j(special_value_candidates(parse_poly(text))) == {
             "rational_candidates": rational,
             "irrational_witnesses": irrational,
         }
