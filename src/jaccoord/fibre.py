@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from math import factorial, gcd
+from typing import Dict, List, Optional, Tuple, Union
 
-from ._ratback import RAT_ONE, Rat, rat
+from ._ratback import RAT_ONE, RAT_ZERO, rat
 from .qpoly import BiPoly, UniPoly, _int_form, squarefree_part, substitute
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
@@ -328,22 +328,6 @@ def _split_x_content(A: BiPoly) -> Tuple[UniPoly, BiPoly]:
     return cont, pp
 
 
-def _lagrange_interp(pts: Sequence[Tuple]) -> UniPoly:
-    out = UniPoly.zero()
-    for k, (xk, yk) in enumerate(pts):
-        if yk == 0:
-            continue
-        num = UniPoly.const(1)
-        den = RAT_ONE
-        for j, (xj, _) in enumerate(pts):
-            if j == k:
-                continue
-            num = num * UniPoly([-xj, RAT_ONE])
-            den = den * (xk - xj)
-        out = out + num * (yk / den)
-    return out
-
-
 def _ruppert_rank_drop_det(P: BiPoly) -> Optional[UniPoly]:
     """det(c) of a generically nonsingular maximal square submatrix of the
     differential-system matrix of P - c; its roots flag factor-count jumps.
@@ -377,11 +361,21 @@ def _ruppert_rank_drop_det(P: BiPoly) -> Optional[UniPoly]:
         return None
     sub = [([a[i][j] for j in pcol], [b[i][j] for j in pcol]) for i in prow]
     degbound = sum(any(rb) for _, rb in sub)
-    pts = []
-    for k in range(degbound + 1):
-        rows = [[x + k * y for x, y in zip(ra, rb)] for ra, rb in sub]
-        pts.append((Rat(k), rat_det(rows)))
-    return _lagrange_interp(pts)
+    vals = [
+        rat_det([[x + k * y for x, y in zip(ra, rb)] for ra, rb in sub])
+        for k in range(degbound + 1)
+    ]
+    # Newton form on the points 0..degbound: the coefficient of
+    # c(c-1)...(c-j+1) is the j-th forward difference at 0 over j!
+    diffs = []
+    while vals:
+        diffs.append(vals[0])
+        vals = [b - a for a, b in zip(vals, vals[1:])]
+    coeffs = []
+    for j in reversed(range(len(diffs))):
+        coeffs = [a - j * b for a, b in zip([RAT_ZERO] + coeffs, coeffs + [RAT_ZERO])]
+        coeffs[0] += diffs[j] / factorial(j)
+    return UniPoly(coeffs)
 
 
 def _critical_factors(P: BiPoly) -> List[UniPoly]:

@@ -288,7 +288,26 @@ def _rational_rank_drop_det(P, probes):
     sub = [[rows[i][j] for j in pcol] for i in prow]
     degbound = sum(max((u.deg for u in r if not u.is_zero()), default=0) for r in sub)
     pts = [(rat(k), rat_det([[u.eval(rat(k)) for u in r] for r in sub])) for k in range(degbound + 1)]
-    return fibre._lagrange_interp(pts)
+    return _lagrange_interp(pts)
+
+
+def _lagrange_interp(pts):
+    """Reference: the interpolating polynomial through pts in Lagrange form."""
+    from jaccoord.qpoly import UniPoly
+
+    out = UniPoly.zero()
+    for k, (xk, yk) in enumerate(pts):
+        if yk == 0:
+            continue
+        num = UniPoly.const(1)
+        den = rat(1)
+        for j, (xj, _) in enumerate(pts):
+            if j == k:
+                continue
+            num = num * UniPoly([-xj, rat(1)])
+            den = den * (xk - xj)
+        out = out + num * (yk / den)
+    return out
 
 
 class TestRankDropPencil:
