@@ -92,6 +92,12 @@ def theorem3_scan(P: BiPoly, n_random: int = 8, seed: int = 0) -> ScanReport:
     rng = random.Random(seed)
     sv = special_value_candidates(P)
     cs = set(sv.rational_candidates)
+    fresh = {rat(a, b) for a in range(-9, 10) for b in range(1, 5)} - cs
+    if n_random > len(fresh):
+        raise ValueError(
+            f"n_random must be <= {len(fresh)}: the values a/b, |a| <= 9,"
+            " 1 <= b <= 4, that are not special value candidates"
+        )
     while len(cs) < len(sv.rational_candidates) + n_random:
         cs.add(rat(rng.randint(-9, 9), rng.randint(1, 4)))
     samples = tuple(fibre_report(P, c) for c in sorted(cs))

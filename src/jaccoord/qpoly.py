@@ -627,9 +627,19 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 
 MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
-# lattice points (n*degx + 1)*(n*degy + 1) of the expansion of base^n, for a
-# base of more than one term; (x + y + 1)^49 is at the bound
+# lattice points (degx + 1)*(degy + 1) of the degree box of base^n, for a base
+# of more than one term, and of a product of two such factors;
+# (x + y + 1)^49 is at the bound
 MAX_POWER_POINTS = 2_500
+
+
+def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
+    points = (degx + 1) * (degy + 1)
+    if points > MAX_POWER_POINTS:
+        raise InputTooLarge(
+            f"{what} with {points} lattice points, more than"
+            f" {MAX_POWER_POINTS} (at position {pos})"
+        )
 
 
 class _Parser:
@@ -675,8 +685,11 @@ class _Parser:
     def term(self) -> BiPoly:
         acc = self.factor()
         while self.peek()[0] == "*":
-            self.next()
-            acc = acc * self.factor()
+            pos = self.next()[2]
+            f = self.factor()
+            if acc.num_terms() > 1 and f.num_terms() > 1:
+                _check_points("product", acc.degx + f.degx, acc.degy + f.degy, pos)
+            acc = acc * f
         return acc
 
     def factor(self) -> BiPoly:
@@ -686,12 +699,7 @@ class _Parser:
             t = self.expect("int")
             n = int(t[1])
             if base.num_terms() > 1:
-                points = (n * base.degx + 1) * (n * base.degy + 1)
-                if points > MAX_POWER_POINTS:
-                    raise InputTooLarge(
-                        f"power with {points} lattice points, more than"
-                        f" {MAX_POWER_POINTS} (at position {t[2]})"
-                    )
+                _check_points("power", n * base.degx, n * base.degy, t[2])
             base = base ** n
         return base
 

@@ -91,6 +91,17 @@ class TestCheck:
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "InputTooLarge"
 
+    def test_product_budget_is_input_too_large(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "polygon", "(x+y+1)^49*(x+y+1)^49")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+        code, doc, _ = run_json(capsys, "polygon", "(x+y+1)^24*(x+y+1)^24")
+        assert code == 0
+        assert doc["vertices"] == [[0, 0], [48, 0], [0, 48]]
+
     def test_monomial_powers_are_not_budgeted(self, capsys):
         code, doc, _ = run_json(capsys, "polygon", "x^2000 + y^2000 + 1")
         assert code == 0
@@ -174,6 +185,19 @@ class TestScan:
         assert doc["violation"]["kind"] == "ReducibleFibre"
         assert doc["violation"]["c"] == "0"
         assert doc["theorem_violation_suspected"] is False
+
+    def test_samples_beyond_the_value_pool(self, capsys):
+        # x + y has no special values, so all 51 values a/b (|a| <= 9,
+        # 1 <= b <= 4) are free to draw, and no more
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", "x + y", "--samples", "60")
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "ValueError"
+        code, doc, _ = run_json(capsys, "scan", "x + y", "--samples", "51")
+        assert code == 0
+        assert len(doc["samples"]) == 51
 
     def test_scan_coordinate(self, capsys):
         code, doc, _ = run_json(capsys, "scan", "y + x^2", "--samples", "4")
