@@ -175,7 +175,7 @@ def _cmd_polygon(args) -> int:
     N = newton_polygon(P)
     interior, boundary, a2 = lattice_counts(N)
     doc = {
-        "vertices": [list(p) for p in N.vertices],
+        "vertices": _j(N.vertices),
         "dim": N.dim,
         "interior": interior,
         "boundary": boundary,
