@@ -13,16 +13,23 @@ irreducibility, and only count_p > 1 runs the exact elimination over Q.
 Genus is the interior lattice point count of the Newton polygon, reported
 only under full nondegeneracy and irreducibility; everything outside those
 hypotheses is an explicit Unknown, never a guess.
+
+Special value candidates are a superset of the bifurcation set: the
+critical values, from resultants of P - c against P_y and P_x, plus the
+values atypical at infinity.  The latter lie among the limits of P along the
+polar branches at infinity, read off Res_y(Q - c, Q_y) for Q = P(x + t*y, y),
+where t is the first of 0, 1, -1, 2, -2, ... with degy Q = deg P, the exact
+condition that makes every fibre of Q finite over the x-line.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
-from ._ratback import RAT_ONE, RAT_ZERO, rat
+from ._ratback import RAT_ONE, rat
 from .qpoly import BiPoly, UniPoly, _int_form, squarefree_part, substitute
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
@@ -33,7 +40,6 @@ from .elim import (
     bipoly_gcd,
     bipoly_squarefree_part,
     has_common_torus_zero,
-    rat_det,
     rat_eliminate,
     rank_mod_p,
     resultant,
@@ -77,12 +83,7 @@ def _ruppert_unknowns(m: int, n: int) -> Tuple[List[Tuple[str, int, int]], int]:
 
 def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
     """Integer coefficient matrix of the differential system of the integer
-    term map f_terms, rows sorted by monomial, absent entries 0.
-
-    The rows are those of the monomials reached from the keys of f_terms,
-    whatever their values, so two term maps with the same keys give matrices
-    whose rows line up.
-    """
+    term map f_terms, rows sorted by monomial, absent entries 0."""
     unknowns, ncols = _ruppert_unknowns(m, n)
     columns: List[Dict[Tuple[int, int], object]] = []
     for kind, u, v in unknowns:
@@ -328,54 +329,11 @@ def _split_x_content(A: BiPoly) -> Tuple[UniPoly, BiPoly]:
     return cont, pp
 
 
-def _ruppert_rank_drop_det(P: BiPoly) -> Optional[UniPoly]:
-    """det(c) of a generically nonsingular maximal square submatrix of the
-    differential-system matrix of P - c; its roots flag factor-count jumps.
-
-    With den the lcm of P's denominators, the system of den * (P - c) is the
-    integer pencil a + c*b: a is built on the integer form of P, b on the
-    constant term -den alone, both over P's support plus the constant slot
-    so that their rows line up.  A probe p/q is evaluated as q*a + p*b, and
-    the point k as a + k*b.  Each is the rational matrix with every row
-    scaled by one nonzero constant, so the pivots chosen are the same and
-    det(c) changes only by a nonzero constant factor.
-    """
-    den, a_terms = _int_form(dict(P.items()))
-    a_terms.setdefault((0, 0), 0)
-    b_terms = dict.fromkeys(a_terms, 0)
-    b_terms[(0, 0)] = -den
-    m, n = P.degx, P.degy
-    a, _ = ruppert_rows(a_terms, m, n)
-    b, _ = ruppert_rows(b_terms, m, n)
-    if not a:
-        return None
-    best = None
-    for p, q in ((17, 3), (-19, 5), (23, 7)):
-        rank, prow, pcol = rat_eliminate(
-            [[q * x + p * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        )
-        if best is None or rank > best[0]:
-            best = (rank, prow, pcol)
-    rank, prow, pcol = best
-    if rank == 0:
-        return None
-    sub = [([a[i][j] for j in pcol], [b[i][j] for j in pcol]) for i in prow]
-    degbound = sum(any(rb) for _, rb in sub)
-    vals = [
-        rat_det([[x + k * y for x, y in zip(ra, rb)] for ra, rb in sub])
-        for k in range(degbound + 1)
-    ]
-    # Newton form on the points 0..degbound: the coefficient of
-    # c(c-1)...(c-j+1) is the j-th forward difference at 0 over j!
-    diffs = []
-    while vals:
-        diffs.append(vals[0])
-        vals = [b - a for a, b in zip(vals, vals[1:])]
-    coeffs = []
-    for j in reversed(range(len(diffs))):
-        coeffs = [a - j * b for a, b in zip([RAT_ZERO] + coeffs, coeffs + [RAT_ZERO])]
-        coeffs[0] += diffs[j] / factorial(j)
-    return UniPoly(coeffs)
+def _res_y_minus_c(P: BiPoly, D: BiPoly) -> BiPoly:
+    """Res_y(P - c, D) over Q[x, c], c in the y slot."""
+    minus_c = [u.to_bipoly("x") for u in P.y_coeffs()]
+    minus_c[0] = minus_c[0] - BiPoly.var_y()
+    return resultant(minus_c, [u.to_bipoly("x") for u in D.y_coeffs()], BIPOLY_RING)
 
 
 def _critical_factors(P: BiPoly) -> List[UniPoly]:
@@ -391,12 +349,10 @@ def _critical_factors(P: BiPoly) -> List[UniPoly]:
     """
     if P.degy == 0:
         P = BiPoly.from_y_coeffs(P.x_coeffs())
-    minus_c = [u.to_bipoly("x") for u in P.y_coeffs()]
-    minus_c[0] = minus_c[0] - BiPoly.var_y()
     factors: List[UniPoly] = []
     pps = []
     for D in (P.diff_y(), P.diff_x()):
-        R = resultant(minus_c, [u.to_bipoly("x") for u in D.y_coeffs()], BIPOLY_RING)
+        R = _res_y_minus_c(P, D)
         if R.is_zero():
             return factors
         cont, pp = _split_x_content(R)
@@ -413,20 +369,39 @@ def _critical_factors(P: BiPoly) -> List[UniPoly]:
     return factors
 
 
-def special_value_candidates(P: BiPoly) -> SpecialValues:
-    """Superset heuristic for values c where the fibre P = c is special.
+def _polar_limits(P: BiPoly) -> UniPoly:
+    """A polynomial in c whose roots include the finite limits of P along
+    the branches at infinity of its polar curve, and so B-infinity.
 
-    Union of (a) roots of the critical-value polynomials of _critical_factors
-    and (b) roots of the rank-drop determinant of the differential system of
-    P - c, built on P as given.  May contain non-special values; irrational
-    roots are reported through their squarefree minimal-polynomial cofactors.
+    Q = P(x + t*y, y) for the first t in 0, 1, -1, 2, -2, ... with degy Q
+    equal to n = deg P: the y^n coefficient of Q is the top form of P at
+    (t, 1), a nonzero constant for all but at most n values of t.  Every
+    fibre Q = c is then finite over the x-line, branched over the x-roots of
+    A(x, c) = Res_y(Q - c, Q_y), which is nonzero since Q - c is irreducible.
+    Where the x-leading coefficient of A is nonzero, no branch point escapes
+    to infinity as c moves, so P is locally trivial at infinity there.
+    """
+    n = P.total_degree()
+    t = 0
+    while True:
+        Q = substitute(P, BiPoly({(1, 0): RAT_ONE, (0, 1): rat(t)}), BiPoly.var_y())
+        if Q.degy == n:
+            return _res_y_minus_c(Q, Q.diff_y()).x_coeffs()[-1]
+        t = -t if t > 0 else 1 - t
+
+
+def special_value_candidates(P: BiPoly) -> SpecialValues:
+    """A superset of the values c where the fibre P = c is special.
+
+    A special fibre lies over the bifurcation set: the critical values, which
+    are roots of _critical_factors(P), plus the values atypical at infinity
+    (Ha Huy Vui & Le Dung Trang, 1984), which are roots of _polar_limits(P)
+    (Ha Huy Vui, 1990).  May contain non-special values; irrational roots
+    are reported through their squarefree minimal-polynomial cofactors.
     """
     if P.is_constant():
         raise ConstantInputError("special_value_candidates needs a nonconstant P")
-    factors = _critical_factors(P)
-    det = _ruppert_rank_drop_det(P)
-    if det is not None:
-        factors.append(det)
+    factors = _critical_factors(P) + [_polar_limits(P)]
     cands = set()
     minpolys: List[UniPoly] = []
     for qpol in factors:
