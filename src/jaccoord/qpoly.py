@@ -628,8 +628,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int]]:
 
 MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
 # lattice points (degx + 1)*(degy + 1) of the degree box of base^n, for a base
-# of more than one term, and of a product of two such factors;
-# (x + y + 1)^49 is at the bound
+# of more than one term; a product of two such factors is refused only when
+# both its box and the product of their term counts pass it, so its work stays
+# bounded; (x + y + 1)^49 is at the bound
 MAX_POWER_POINTS = 2_500
 
 
@@ -687,7 +688,8 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.next()[2]
             f = self.factor()
-            if acc.num_terms() > 1 and f.num_terms() > 1:
+            a, b = acc.num_terms(), f.num_terms()
+            if min(a, b) > 1 and a * b > MAX_POWER_POINTS:
                 _check_points("product", acc.degx + f.degx, acc.degy + f.degy, pos)
             acc = acc * f
         return acc

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from jaccoord import parse_poly
 from jaccoord.cli import main
 
 
@@ -101,6 +102,14 @@ class TestCheck:
         code, doc, _ = run_json(capsys, "polygon", "(x+y+1)^24*(x+y+1)^24")
         assert code == 0
         assert doc["vertices"] == [[0, 0], [48, 0], [0, 48]]
+
+    def test_sparse_product_is_not_budgeted(self, capsys):
+        # a box of 4,002 lattice points, but only 2*2 term products
+        text = "(x^2000 + 1)*(y + 1)"
+        assert parse_poly(text) == parse_poly("x^2000*y + x^2000 + y + 1")
+        code, doc, _ = run_json(capsys, "polygon", text)
+        assert code == 0
+        assert doc["vertices"] == [[0, 0], [2000, 0], [2000, 1], [0, 1]]
 
     def test_monomial_powers_are_not_budgeted(self, capsys):
         code, doc, _ = run_json(capsys, "polygon", "x^2000 + y^2000 + 1")
