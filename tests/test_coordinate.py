@@ -19,6 +19,7 @@ from jaccoord import (
     apply_witness,
     apply_witness_to,
     check,
+    fibre_report,
     gen_random_coordinate,
     invert,
     jacobian_det,
@@ -239,3 +240,22 @@ class TestMetamorphic:
     def test_verdict_invariant_under_automorphism(self, text, sigma):
         P = parse_poly(text)
         assert check(P).outcome == check(substitute(P, *sigma)).outcome
+
+    # products whose fibre at c = 0 has a known number of absolutely
+    # irreducible components
+    PRODUCTS = [
+        ("x*y", 2),
+        ("y^2 - x^3", 1),
+        ("x^2 + y^2", 2),
+        ("(y - x^2)*(y + x^3 + 1)", 2),
+        ("x*(x*y - 1)*(x*y - 2)", 3),
+        ("(x + y)*(x - y)*(x + 2*y - 1)", 3),
+    ]
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(product=st.sampled_from(PRODUCTS), sigma=automorphisms())
+    def test_factor_count_invariant_under_automorphism(self, product, sigma):
+        text, k = product
+        P = parse_poly(text)
+        assert fibre_report(P, rat(0)).abs_factor_count == k
+        assert fibre_report(substitute(P, *sigma), rat(0)).abs_factor_count == k

@@ -4,12 +4,14 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from jaccoord import (
     BiPoly,
     PolyParseError,
     Rat,
     UniPoly,
+    gen_random_coordinate,
     jacobian_det,
     parse_poly,
     rat,
@@ -24,6 +26,19 @@ def rand_bipoly(rng, max_deg=3, bound=5, terms=6):
         i, j = rng.randint(0, max_deg), rng.randint(0, max_deg)
         t[(i, j)] = rat(rng.randint(-bound, bound), rng.randint(1, bound))
     return BiPoly(t)
+
+
+big_rats = st.builds(
+    rat, st.integers(-(10**25) + 1, 10**25 - 1), st.integers(1, 10**25 - 1)
+)
+sparse_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 60), st.integers(0, 60)), big_rats, max_size=8
+).map(BiPoly)
+coordinates = st.builds(
+    lambda seed, steps: gen_random_coordinate(seed, steps, 3, 5)[0],
+    st.integers(0, 10**6),
+    st.integers(1, 2),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +124,11 @@ class TestParse:
         for _ in range(50):
             P = rand_bipoly(rng)
             assert parse_poly(P.to_str()) == P
+
+    @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+    @given(P=st.one_of(sparse_bipolys, coordinates))
+    def test_round_trip_property(self, P):
+        assert parse_poly(P.to_str()) == P
 
     def test_canonical_order(self):
         # terms sorted by (total degree, x degree) descending
