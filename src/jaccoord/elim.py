@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import sympy
 
@@ -81,11 +81,6 @@ def psub(p: Sequence, q: Sequence, R: Ring) -> List:
     return pstrip(out, R)
 
 
-def pshift_mul(p: Sequence, k: int, c, R: Ring) -> List:
-    """x^k * c * p."""
-    return [R.zero] * k + [a * c for a in p]
-
-
 def pseudo_rem(A: Sequence, B: Sequence, R: Ring) -> List:
     """prem(A, B): lc(B)^(degA-degB+1) * A mod B."""
     dA, dB = pdeg(A), pdeg(B)
@@ -97,7 +92,7 @@ def pseudo_rem(A: Sequence, B: Sequence, R: Ring) -> List:
     while pdeg(rem) >= dB:
         d = pdeg(rem)
         lead = plc(rem)
-        rem = psub(pscale(rem, lcB, R), pshift_mul(B, d - dB, lead, R), R)
+        rem = psub(pscale(rem, lcB, R), [R.zero] * (d - dB) + [a * lead for a in B], R)
         e -= 1
         if pdeg(rem) >= d:  # defensive; cannot happen
             raise RuntimeError("pseudo-division failed to reduce degree")
@@ -106,35 +101,35 @@ def pseudo_rem(A: Sequence, B: Sequence, R: Ring) -> List:
     return rem
 
 
-def pexact_div_scalar(p: Sequence, c, R: Ring) -> List:
-    return [R.exact_div(a, c) for a in p]
+def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
+    """The subresultant PRS of A and B, deg A >= deg B, as pairs (p, h).
 
-
-def _subresultant_steps(a: List, b: List, R: Ring) -> Iterator[Tuple]:
-    """Yield (a, b, h) for each new subresultant remainder b; the chain ends
-    after a constant remainder, or silently when the next one is zero."""
-    g = R.one
-    h = R.one
-    while True:
+    The first pair is (A, lc A), then come B and every nonzero remainder.
+    For deg A > deg B, h is the principal subresultant coefficient s_j of
+    degree j = deg p, and the subresultant S_j is p * h / lc p; every s_j
+    of a degree the chain skips is zero.  The chain ends on a constant p,
+    whose h is Res(A, B), or on a nonconstant p, a gcd of A and B up to a
+    factor in R.
+    """
+    if pdeg(A) < pdeg(B):
+        raise ValueError(f"subresultant_chain needs deg A >= deg B, got {pdeg(A)} < {pdeg(B)}")
+    chain = [(list(A), plc(A))]
+    a, b, g, h = A, list(B), R.one, R.one
+    while b:
         delta = pdeg(a) - pdeg(b)
-        r = pseudo_rem(a, b, R)
-        if not r:
-            return
+        r = pseudo_rem(a, b, R) if pdeg(b) > 0 else []
         divisor = g * h ** delta
-        a, b = b, pexact_div_scalar(r, divisor, R)
+        a, b = b, [R.exact_div(c, divisor) for c in r]
         g = plc(a)
         h = _pow_quotient(h, g, delta, R)
-        yield a, b, h
-        if pdeg(b) == 0:
-            return
+        chain.append((a, h))
+    return chain
 
 
 def subresultant_prs(A: List, B: List, R: Ring) -> List[List]:
     """The subresultant polynomial remainder sequence, first entries included;
     needs deg A >= deg B."""
-    if pdeg(A) < pdeg(B):
-        raise ValueError(f"subresultant_prs needs deg A >= deg B, got {pdeg(A)} < {pdeg(B)}")
-    return [list(A), list(B)] + [b for _, b, _ in _subresultant_steps(A, B, R)]
+    return [p for p, _ in subresultant_chain(A, B, R)]
 
 
 def _pow_quotient(h, g, delta: int, R: Ring):
@@ -145,32 +140,26 @@ def _pow_quotient(h, g, delta: int, R: Ring):
 
 
 def resultant(A: List, B: List, R: Ring):
-    """Resultant of A and B (in the list variable) over the ring R.
-
-    Computed through the subresultant chain; exact up to sign conventions,
-    which is all the root-hunting callers need.
+    """Resultant of A and B (in the list variable) over the ring R, exact:
+    the subresultant chain gives it up to the sign that Collins's algorithm
+    tracks, one factor -1 for each step between two odd degrees (Cohen, A
+    Course in Computational Algebraic Number Theory, Algorithm 3.3.7).
     """
     A, B = pstrip(list(A), R), pstrip(list(B), R)
     if not A or not B:
         return R.zero
     dA, dB = pdeg(A), pdeg(B)
-    if dA == 0 and dB == 0:
-        return R.one
-    if dA == 0:
-        return A[0] ** dB
-    if dB == 0:
-        return B[0] ** dA
+    if dA == 0 or dB == 0:
+        return A[0] ** dB * B[0] ** dA
+    odd = 0
     if dA < dB:
-        A, B = B, A
-    last = None
-    for last in _subresultant_steps(A, B, R):
-        pass
-    if last is None or pdeg(last[1]) > 0:
-        return R.zero  # the chain ended on a zero remainder: common factor
-    a, b, h = last
-    da = pdeg(a)
-    # s_0 = lc(b)^da / h^(da-1)
-    return R.exact_div(b[0] ** da, h ** (da - 1))
+        A, B, odd = B, A, dA * dB
+    chain = subresultant_chain(A, B, R)
+    last, h = chain[-1]
+    if pdeg(last) > 0:
+        return R.zero  # a common factor
+    odd += sum(pdeg(p) * pdeg(q) for (p, _), (q, _) in zip(chain, chain[1:]))
+    return -h if odd % 2 else h
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +173,6 @@ def _unipoly_list_gcd(us: Sequence[UniPoly]) -> UniPoly:
     return g
 
 
-def bipoly_content_y(f: BiPoly) -> UniPoly:
-    """gcd in Q[x] of the y-coefficients (monic)."""
-    return _unipoly_list_gcd(f.y_coeffs())
-
-
 def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """gcd in Q[x,y], normalized so the lex-leading coefficient is 1."""
     if f.is_zero():
@@ -198,7 +182,7 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     if f.degy == 0 and g.degy == 0:
         u = _unipoly_list_gcd([f.y_coeffs()[0], g.y_coeffs()[0]])
         return u.to_bipoly("x")
-    cf, cg = bipoly_content_y(f), bipoly_content_y(g)
+    cf, cg = _unipoly_list_gcd(f.y_coeffs()), _unipoly_list_gcd(g.y_coeffs())
     cont = cf.gcd(cg)
     fp = [u.exact_div(cf) for u in f.y_coeffs()]
     gp = [u.exact_div(cg) for u in g.y_coeffs()]
@@ -207,8 +191,7 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     if pdeg(gp) == 0:
         # primitive parts are coprime in y; gcd is the content only
         return cont.to_bipoly("x")
-    prs = subresultant_prs(fp, gp, UNIPOLY_RING)
-    last = prs[-1]
+    last = subresultant_chain(fp, gp, UNIPOLY_RING)[-1][0]
     if pdeg(last) == 0:
         # a nonzero constant remainder: the primitive parts are coprime
         return cont.to_bipoly("x")

@@ -27,23 +27,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._ratback import RAT_ONE, rat
-from .qpoly import BiPoly, UniPoly, _int_form, squarefree_part, substitute
+from ._ratback import RAT_ONE, RAT_ZERO, rat
+from .qpoly import BiPoly, InputTooLarge, UniPoly, _int_form, squarefree_part, substitute
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
-    BIPOLY_RING,
     UNIPOLY_RING,
     _unipoly_list_gcd,
-    bipoly_gcd,
     bipoly_squarefree_part,
     has_common_torus_zero,
-    rat_eliminate,
+    pdeg,
+    pseudo_rem,
+    pstrip,
     rank_mod_p,
+    rat_eliminate,
     resultant,
     strip_rational_roots,
+    subresultant_chain,
 )
 
 
@@ -321,73 +323,145 @@ class SpecialValues:
     irrational_witnesses: Tuple[UniPoly, ...]
 
 
-def _split_x_content(A: BiPoly) -> Tuple[UniPoly, BiPoly]:
-    """A in Q[x, c] = cont(c) * pp; returns (content in c, primitive part)."""
-    coeffs = A.x_coeffs()  # UniPoly in c per x power
-    cont = _unipoly_list_gcd(coeffs)
-    pp = BiPoly.from_x_coeffs([u.exact_div(cont) for u in coeffs])
-    return cont, pp
+# Budgets of special_value_candidates.  On a dense P with small integer
+# coefficients, _polar_limits takes about 4 s at degree 12, and the
+# critical values about 2 s for 25 isolated critical points.
+MAX_SPECIAL_DEGREE = 12
+MAX_CRITICAL_POINTS = 25
 
 
-def _res_y_minus_c(P: BiPoly, D: BiPoly) -> BiPoly:
-    """Res_y(P - c, D) over Q[x, c], c in the y slot."""
-    minus_c = [u.to_bipoly("x") for u in P.y_coeffs()]
-    minus_c[0] = minus_c[0] - BiPoly.var_y()
-    return resultant(minus_c, [u.to_bipoly("x") for u in D.y_coeffs()], BIPOLY_RING)
-
-
-def _critical_factors(P: BiPoly) -> List[UniPoly]:
-    """Polynomials in c whose roots include the critical values of P.
-
-    x is eliminated last from the critical system {P - c, P_x, P_y}: the
-    resultants A = Res_y(P - c, P_y) and B = Res_y(P - c, P_x) over Q[x, c]
-    give their c-contents, then Res_x of their primitive parts, taken again
-    on the cofactors of bipoly_gcd when a shared factor makes it vanish.  The
-    path ends early on a zero resultant or on a primitive part free of x,
-    which is a unit (Gauss's lemma).  A y-free P is eliminated with x and y
-    swapped.
-    """
-    if P.degy == 0:
-        P = BiPoly.from_y_coeffs(P.x_coeffs())
-    factors: List[UniPoly] = []
-    pps = []
-    for D in (P.diff_y(), P.diff_x()):
-        R = _res_y_minus_c(P, D)
-        if R.is_zero():
-            return factors
-        cont, pp = _split_x_content(R)
-        factors.append(cont)
-        pps.append(pp)
-    ppA, ppB = pps
-    if ppA.degx == 0 or ppB.degx == 0:
-        return factors
-    R = resultant(ppA.x_coeffs(), ppB.x_coeffs(), UNIPOLY_RING)
-    if R.is_zero():
-        G = bipoly_gcd(ppA, ppB)
-        R = resultant(ppA.exact_div(G).x_coeffs(), ppB.exact_div(G).x_coeffs(), UNIPOLY_RING)
-    factors.append(R)
-    return factors
-
-
-def _polar_limits(P: BiPoly) -> UniPoly:
-    """A polynomial in c whose roots include the finite limits of P along
-    the branches at infinity of its polar curve, and so B-infinity.
-
-    Q = P(x + t*y, y) for the first t in 0, 1, -1, 2, -2, ... with degy Q
+def _shear(P: BiPoly) -> BiPoly:
+    """Q = P(x + t*y, y) for the first t in 0, 1, -1, 2, -2, ... with degy Q
     equal to n = deg P: the y^n coefficient of Q is the top form of P at
     (t, 1), a nonzero constant for all but at most n values of t.  Every
-    fibre Q = c is then finite over the x-line, branched over the x-roots of
-    A(x, c) = Res_y(Q - c, Q_y), which is nonzero since Q - c is irreducible.
-    Where the x-leading coefficient of A is nonzero, no branch point escapes
-    to infinity as c moves, so P is locally trivial at infinity there.
-    """
+    fibre of Q, and its critical set, is then finite over the x-line."""
     n = P.total_degree()
     t = 0
     while True:
         Q = substitute(P, BiPoly({(1, 0): RAT_ONE, (0, 1): rat(t)}), BiPoly.var_y())
         if Q.degy == n:
-            return _res_y_minus_c(Q, Q.diff_y()).x_coeffs()[-1]
+            return Q
         t = -t if t > 0 else 1 - t
+
+
+def _chain(A: BiPoly, B: BiPoly) -> List[Tuple[List[UniPoly], UniPoly]]:
+    """subresultant_chain in y over Q[x] of A, whose y-leading coefficient
+    is a nonzero constant, and B reduced modulo A."""
+    a, b = A.y_coeffs(), pstrip(B.y_coeffs(), UNIPOLY_RING)
+    return subresultant_chain(a, pseudo_rem(b, a, UNIPOLY_RING), UNIPOLY_RING)
+
+
+def _inverse_mod(a: UniPoly, T: UniPoly) -> UniPoly:
+    """a^-1 modulo T, for a coprime to T (extended Euclidean algorithm)."""
+    r0, r1, s0, s1 = T, a.divmod(T)[1], UniPoly.zero(), UniPoly.const(1)
+    while r1.deg > 0:
+        q, r = r0.divmod(r1)
+        r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+    return (s1 * (1 / r1[0])).divmod(T)[1]
+
+
+def _power_sums(t: Sequence, count: int, reduce=lambda u: u) -> List:
+    """Power sums p_0, ..., p_(count-1), count <= m, of the roots of a monic
+    t of degree m: p_i = -(i t_(m-i) + sum_(0<j<i) t_(m-j) p_(i-j))."""
+    m = len(t) - 1
+    p = [t[m] * m]
+    for i in range(1, count):
+        acc = t[m - i] * i
+        for j in range(1, i):
+            acc = acc + t[m - j] * p[i - j]
+        p.append(reduce(-acc))
+    return p
+
+
+def _values_over(T: UniPoly, S: List[UniPoly], Q: BiPoly) -> UniPoly:
+    """The monic polynomial in c whose roots are the values of Q, with
+    multiplicity, at the points with T(x) = 0 = S(x, y), for a monic
+    squarefree T and an S whose y-leading coefficient is a unit modulo T.
+
+    It is the characteristic polynomial of Q on A = K[y]/(S), K = Q[x]/(T),
+    read off the traces Tr_A = Tr_K o Tr_(A/K) of its powers, each a sum
+    over power sums of roots (Newton's identities).  For deg_y S = 1, Q
+    reduces to Q(x, -s0/s1) in K: the shape position of a rational
+    univariate representation (Rouillier, 1999).
+    """
+    def mod(u):
+        return u.divmod(T)[1]
+
+    def reduce(U):
+        return [mod(u) for u in pseudo_rem(U, S, UNIPOLY_RING)]
+
+    inv = _inverse_mod(S[-1], T)
+    S = [mod(u * inv) for u in S]  # monic in y
+    sigma, tau = _power_sums(S, len(S) - 1, mod), _power_sums(T.coeffs, T.deg)
+    q = reduce(Q.y_coeffs())
+    power, sums, coeffs = q, [], [RAT_ONE]  # coeffs[i] is that of c^(N - i)
+    for i in range(1, T.deg * (len(S) - 1) + 1):
+        tr = mod(sum((u * s for u, s in zip(power, sigma)), UniPoly.zero()))
+        sums.append(sum((a * b for a, b in zip(tr.coeffs, tau)), RAT_ZERO))
+        coeffs.append(-sum((coeffs[j] * sums[i - j - 1] for j in range(i)), RAT_ZERO) / i)
+        product = [UniPoly.zero()] * (len(power) + len(q))
+        for j, u in enumerate(power):
+            for k, v in enumerate(q):
+                product[j + k] = product[j + k] + u * v
+        power = reduce(product)
+    return UniPoly(coeffs[::-1])
+
+
+def _critical_factors(Q: BiPoly) -> List[UniPoly]:
+    """Polynomials in c whose roots are exactly the critical values of Q.
+
+    One subresultant chain in y of Q_y and Q_x, which specialises at every
+    x0 because lc_y Q_y is a nonzero constant.  A nonconstant last element
+    gives G = gcd(Q_x, Q_y), a curve of critical points on each component
+    of which Q is constant, so the values over x = 0 are all of them; the
+    chain is then taken of the cofactors.  Their common zeros lie over the
+    roots of T, the squarefree part of their resultant s_0.  Where s_j = 0
+    for 0 < j < k and s_k != 0, their gcd is the subresultant S_k, of
+    degree k in y, so T splits along the principal subresultant
+    coefficients into pieces T_k (Gonzalez-Vega & El Kahoui, 1996).
+    """
+    Qy, Qx = Q.diff_y(), Q.diff_x()
+    chain, pieces = _chain(Qy, Qx), []
+    G = chain[-1][0]
+    if pdeg(G) > 0:
+        content = _unipoly_list_gcd(G)
+        G = [u.exact_div(content) for u in G]
+        pieces.append((UniPoly([0, 1]), G))
+        G = BiPoly.from_y_coeffs(G)
+        chain = _chain(Qy.exact_div(G), Qx.exact_div(G))
+    T = squarefree_part(chain[-1][1])
+    for p, h in reversed(chain[:-1]):  # rising degree, up to (Q_y / G, const)
+        g = T.gcd(h)
+        Tk, T = T.exact_div(g), g
+        if Tk.deg >= 1:
+            pieces.append((Tk, [(u * h).exact_div(p[-1]) for u in p]))
+    points = sum(T.deg * (len(S) - 1) for T, S in pieces)
+    if points > MAX_CRITICAL_POINTS:
+        raise InputTooLarge(f"{points} critical points to evaluate, more than {MAX_CRITICAL_POINTS}")
+    return [_values_over(T, S, Q) for T, S in pieces]
+
+
+def _polar_limits(Q: BiPoly) -> UniPoly:
+    """A polynomial in c whose roots include the finite limits of Q along
+    the branches at infinity of its polar curve, and so B-infinity.
+
+    Q is a _shear, so each fibre Q = c is branched over the x-roots of
+    A(x, c) = Res_y(Q - c, Q_y).  Where the x-leading coefficient of A is
+    nonzero, no branch point escapes to infinity as c moves, so Q is
+    locally trivial at infinity there.  A has degree at most n - 1 = deg_y
+    Q_y in c, so its values at c = 0, ..., n - 1 give that coefficient, in
+    Newton form.
+    """
+    ys, ds = Q.y_coeffs(), Q.diff_y().y_coeffs()
+    values = [resultant([ys[0] - UniPoly.const(c)] + ys[1:], ds, UNIPOLY_RING) for c in range(len(ds))]
+    dd = [a[max(a.deg for a in values)] for a in values]
+    for k in range(1, len(dd)):
+        for i in range(len(dd) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / k
+    out = UniPoly.zero()
+    for i in reversed(range(len(dd))):
+        out = out * UniPoly([-i, 1]) + UniPoly.const(dd[i])
+    return out
 
 
 def special_value_candidates(P: BiPoly) -> SpecialValues:
@@ -401,7 +475,10 @@ def special_value_candidates(P: BiPoly) -> SpecialValues:
     """
     if P.is_constant():
         raise ConstantInputError("special_value_candidates needs a nonconstant P")
-    factors = _critical_factors(P) + [_polar_limits(P)]
+    if P.total_degree() > MAX_SPECIAL_DEGREE:
+        raise InputTooLarge(f"special values need deg P <= {MAX_SPECIAL_DEGREE}, got {P.total_degree()}")
+    Q = _shear(P)
+    factors = _critical_factors(Q) + [_polar_limits(Q)]
     cands = set()
     minpolys: List[UniPoly] = []
     for qpol in factors:

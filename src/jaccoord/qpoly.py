@@ -192,24 +192,20 @@ class UniPoly:
         return out
 
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
+        """(quotient, remainder), from the integer pseudo-division
+        lb^e * a = q * b + r of the integer forms, e = deg a - deg b + 1."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = [RAT_ZERO] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = other.deg
-        lc = other.lc()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for t in range(d + 1):
-                rem[k + t] -= f * other.coeffs[t]
-            rem.pop()
-        return UniPoly(q), UniPoly(rem)
+        da, rem = _int_coeffs(self.coeffs)
+        db, b = _int_coeffs(other.coeffs)
+        lb, q = b[-1], [0] * max(len(rem) - len(b) + 1, 0)
+        for k in reversed(range(len(q))):
+            lead = rem.pop()
+            q = [lb * x for x in q]
+            q[k] = lead
+            rem = [lb * r for r in rem[:k]] + [lb * r - lead * y for r, y in zip(rem[k:], b)]
+        den = da * lb ** len(q)
+        return UniPoly([Rat(n * db, den) for n in q]), UniPoly([Rat(n, den) for n in rem])
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         """self / other; ValueError when other does not divide self.
@@ -513,15 +509,6 @@ class BiPoly:
         t = {}
         for j, u in enumerate(coeffs):
             for i, c in enumerate(u.coeffs):
-                if c != 0:
-                    t[(i, j)] = c
-        return cls(t, _trusted=True)
-
-    @classmethod
-    def from_x_coeffs(cls, coeffs: Sequence[UniPoly]) -> "BiPoly":
-        t = {}
-        for i, u in enumerate(coeffs):
-            for j, c in enumerate(u.coeffs):
                 if c != 0:
                     t[(i, j)] = c
         return cls(t, _trusted=True)

@@ -226,6 +226,18 @@ class TestSpecialValues:
         assert doc["rational_candidates"] == []
         assert all("c" in w for w in doc["irrational_witnesses"])
 
+    @pytest.mark.parametrize("command", ["special-values", "scan"])
+    def test_degree_budget_is_input_too_large(self, capsys, command):
+        from jaccoord import gen_random_coordinate
+
+        P, _ = gen_random_coordinate(14, 3, 3, 3)  # degree 27
+        code, out, err = run(capsys, command, P.to_str())
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": {"kind": "InputTooLarge", "detail": "special values need deg P <= 12, got 27"}
+        }
+
 
 class TestGenCoordinate:
     def test_shape(self, capsys):

@@ -26,6 +26,7 @@ from jaccoord.elim import (
     rational_roots,
     resultant,
     strip_rational_roots,
+    subresultant_chain,
     subresultant_prs,
     unipoly_to_sympy,
 )
@@ -144,6 +145,63 @@ class TestResultant:
         for R, wrap in rings:
             with pytest.raises(ValueError, match="deg A >= deg B"):
                 subresultant_prs(wrap(A), wrap(B), R)
+
+
+def _det_subresultant(a, b, j):
+    """S_j(A, B) from its definition, deg A = m >= deg B = n > j or
+    m > n = j: the rows are x^i B for i < m - j and x^i A for i < n - j,
+    the columns the powers x^(m+n-j-1), ..., x^(j+1) and then x^i for the
+    coefficient of x^i, i <= j.  Coefficient lists run from degree 0 up."""
+    m, n = len(a) - 1, len(b) - 1
+    width = m + n - j
+    rows = [[0] * i + b + [0] * (width - n - 1 - i) for i in range(m - j)]
+    rows += [[0] * i + a + [0] * (width - m - 1 - i) for i in range(n - j)]
+    lead = [row[j + 1:][::-1] for row in rows]
+    return [
+        sympy.Matrix([head + [row[i]] for head, row in zip(lead, rows)]).det()
+        for i in range(j + 1)
+    ]
+
+
+class TestSubresultantChain:
+    def test_resultant_is_the_sylvester_determinant(self):
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        # exact, sign included: polar limits interpolate resultants taken
+        # at several c, whose chains may take different degree sequences
+        rng = random.Random(8)
+        for _ in range(150):
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))] + [rng.randint(1, 5)]
+            b = [rng.randint(-5, 5) * (rng.random() < 0.6) for _ in range(rng.randint(1, 7))]
+            b.append(rng.randint(1, 5))
+            t = sympy.Symbol("t")
+            A, B = sympy.Poly(a[::-1], t).as_expr(), sympy.Poly(b[::-1], t).as_expr()
+            expected = sylvester(A, B, t).det()
+            assert resultant([rat(v) for v in a], [rat(v) for v in b], RAT_RING) == expected
+
+    def test_chain_gives_principal_subresultants(self):
+        # each (p, h) gives S_j = p * h / lc p and s_j = h, j = deg p, up to
+        # sign; every s_j of a degree the chain skips is zero
+        rng = random.Random(9)
+        skipped = 0
+        for k in range(120):
+            m = rng.randint(2, 7)
+            a = [rng.randint(-5, 5) for _ in range(m)] + [rng.randint(1, 5)]
+            b = [rng.randint(-5, 5) * (rng.random() < 0.6) for _ in range(rng.randint(1, m - 1))]
+            b.append(rng.randint(1, 5))
+            if k % 5 == 0:  # a common factor y - 1
+                a = [u - v for u, v in zip([0] + a, a + [0])]
+                b = [u - v for u, v in zip([0] + b, b + [0])]
+            chain = subresultant_chain([rat(v) for v in a], [rat(v) for v in b], RAT_RING)
+            degrees = {len(p) - 1 for p, _ in chain[1:]}
+            for p, h in chain[1:]:
+                S = _det_subresultant(a, b, len(p) - 1)
+                got = [c * h / p[-1] for c in p]
+                assert S in (got, [-c for c in got]), (a, b, len(p) - 1)
+            for j in set(range(len(b) - 1)) - degrees:
+                skipped += 1
+                assert _det_subresultant(a, b, j)[j] == 0, (a, b, j)
+        assert skipped >= 20, skipped
 
 
 class TestBivariateGcd:

@@ -19,6 +19,15 @@ from jaccoord import (
 from jaccoord import fibre, gen_random_coordinate
 from jaccoord.coordinate import _rand_linear
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
+from jaccoord.qpoly import InputTooLarge
+
+# an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
+FERMAT5_IMAGE = substitute(
+    parse_poly("x^5 + y^5 + 1"), parse_poly("x + 2*y - 1"), parse_poly("x - y + 1/2")
+)
+FERMAT4_IMAGE = substitute(
+    parse_poly("x^4 + y^4 + 1"), parse_poly("2*x - y + 1/3"), parse_poly("x + y - 2")
+)
 
 
 class TestAbsoluteFactorCount:
@@ -225,10 +234,8 @@ class TestSpecialValues:
 
     def test_fermat_quintic_critical_value(self):
         # x^5 + y^5 + 1 has one critical point, (0, 0), so c = 1 is its only
-        # critical value, and an affine image keeps it; about 1.5 s
-        F = parse_poly("x^5 + y^5 + 1")
-        P = substitute(F, parse_poly("x + 2*y - 1"), parse_poly("x - y + 1/2"))
-        assert rat(1) in special_value_candidates(P).rational_candidates
+        # critical value, and an affine image keeps it; about 0.02 s
+        assert special_value_candidates(FERMAT5_IMAGE).rational_candidates == (rat(1),)
 
     def test_irrational_witnesses_reported(self):
         sv = special_value_candidates(parse_poly("y^2 - x^3 - x - 1"))
@@ -246,15 +253,16 @@ class TestSpecialValues:
     @pytest.mark.parametrize(
         "text, rational, irrational",
         [
-            # univariate in x: eliminated with x and y swapped
+            # critical lines: the chain ends on G = gcd(Q_x, Q_y) = Q_y (the
+            # first three are sheared with t = 1), and the values are those
+            # of Q on G over x = 0
             ("x^3 - 3*x", ["-2", "2"], []),
             ("x^3 + x", [], ["c^2 + 4/27"]),
-            # P_x = 0: the critical path ends at Res_y(P - c, P_x) = 0
             ("y^3 - 3*y", ["-2", "2"], []),
             ("y^2 - 1", ["-1"], []),
-            # Res_x of the primitive parts vanishes: one gcd retry
+            # one piece with k = 3: three critical points over one x0
             ("x^2*y^2 + x + y + 1", [], ["c^3 - 3*c^2 + 3*c + 11/16"]),
-            # generic: Res_x of the two primitive parts
+            # shape position, k = 1 only
             ("y^2 - x^3 - x", [], ["c^2 + 4/27"]),
             ("(y - x^2)*(y + x^3 + 1)", ["-961/2916", "-1/4", "0"], []),
         ],
@@ -266,6 +274,59 @@ class TestSpecialValues:
             "rational_candidates": rational,
             "irrational_witnesses": irrational,
         }
+
+    @staticmethod
+    def _routes(P, monkeypatch):
+        """(deg G, [(deg T_k, k) for each piece]) of the critical values."""
+        calls = []
+        values_over = fibre._values_over
+
+        def counted(T, S, Q):
+            calls.append((T.deg, len(S) - 1))
+            return values_over(T, S, Q)
+
+        monkeypatch.setattr(fibre, "_values_over", counted)
+        special_value_candidates(P)
+        Q = fibre._shear(P)
+        return len(fibre._chain(Q.diff_y(), Q.diff_x())[-1][0]) - 1, calls
+
+    def test_shape_position_route(self, monkeypatch):
+        # one piece, k = 1: both critical points have their own x
+        assert self._routes(parse_poly("y^2 - x^3 - x"), monkeypatch) == (0, [(2, 1)])
+
+    @pytest.mark.parametrize(
+        "P, piece",
+        [(FERMAT5_IMAGE, (1, 4)), (parse_poly("x^2*y^2 + x + y + 1"), (1, 3))],
+    )
+    def test_split_piece_route(self, P, piece, monkeypatch):
+        # the gcd over one x0 has degree k >= 2: at the Fermat point for
+        # every shear, since the point is degenerate, not two points on a line
+        assert self._routes(P, monkeypatch) == (0, [piece])
+
+    @pytest.mark.parametrize(
+        "text, deg_g", [("y^2 - 1", 1), ("x^3 - 3*x", 2), ("(x + y)^2", 1), ("x^2*y^2", 2)]
+    )
+    def test_non_isolated_route(self, text, deg_g, monkeypatch):
+        # Q_x and Q_y share G; its values are read over x = 0, the first
+        # piece; x^2*y^2 also has an isolated critical point
+        g, calls = self._routes(parse_poly(text), monkeypatch)
+        assert g == deg_g and calls[0] == (1, deg_g)
+
+    def test_degree_budget(self):
+        import time
+
+        P, _ = gen_random_coordinate(14, 3, 3, 3)
+        assert P.total_degree() > fibre.MAX_SPECIAL_DEGREE
+        start = time.perf_counter()
+        with pytest.raises(InputTooLarge, match="deg P"):
+            special_value_candidates(P)
+        assert time.perf_counter() - start < 1
+
+    def test_critical_point_budget(self):
+        # 36 isolated critical points, (7 - 1)^2, refused after the chain
+        P = parse_poly("x^7 + y^7 + x^3*y^2 - 2*x*y + x + 3*y")
+        with pytest.raises(InputTooLarge, match="critical points"):
+            special_value_candidates(P)
 
 
 def _rational_rank_drop_det(P):
@@ -334,10 +395,8 @@ class TestPolarLimits:
     @pytest.mark.parametrize(
         "text", ["x + x^2*y", "x*(x*y - 1)*(x*y - 2)", "y + x^2*y^2", "x*y^2 + y"]
     )
-    def test_names_zero_at_infinity(self, text, monkeypatch):
-        # the critical path names 0 here too, through its spurious
-        # elimination, so it is switched off to test the polar route alone
-        monkeypatch.setattr(fibre, "_critical_factors", lambda P: [])
+    def test_names_zero_at_infinity(self, text):
+        # none of these has a critical point, so 0 comes from the polar route
         sv = special_value_candidates(parse_poly(text))
         assert sv.rational_candidates == (rat(0),)
 
@@ -345,7 +404,7 @@ class TestPolarLimits:
         # a coordinate is a trivial fibration, so B-infinity is empty
         for seed in range(20):
             P, _ = gen_random_coordinate(seed, 2, 3, 3)
-            limits = fibre._polar_limits(P)
+            limits = fibre._polar_limits(fibre._shear(P))
             assert limits.is_constant() and not limits.is_zero(), seed
 
     def test_reference_rank_drop_roots_are_generic(self):
@@ -382,3 +441,127 @@ class TestPolarLimits:
                 else:
                     assert rep.branches_at_infinity == generic.branches_at_infinity, (P, c)
         assert dropped >= 10
+
+
+def _elimination_critical_factors(P):
+    """Reference: the critical factors by elimination, y twice and then x.
+
+    Res_y(P - c, P_y) and Res_y(P - c, P_x) over Q[x, c] give their
+    c-contents, then Res_x of their primitive parts, taken again on the
+    cofactors of their gcd when it vanishes; a y-free P is eliminated with x
+    and y swapped.  Every critical value is a root, and some more."""
+    from jaccoord.elim import BIPOLY_RING, UNIPOLY_RING, _unipoly_list_gcd, bipoly_gcd, resultant
+
+    def res_y_minus_c(P, D):
+        minus_c = [u.to_bipoly("x") for u in P.y_coeffs()]
+        minus_c[0] = minus_c[0] - BiPoly.var_y()
+        return resultant(minus_c, [u.to_bipoly("x") for u in D.y_coeffs()], BIPOLY_RING)
+
+    def split_x_content(A):
+        coeffs = A.x_coeffs()
+        cont = _unipoly_list_gcd(coeffs)
+        pp = {(i, j): c for i, u in enumerate(coeffs) for j, c in enumerate(u.exact_div(cont).coeffs)}
+        return cont, BiPoly({e: c for e, c in pp.items() if c})
+
+    if P.degy == 0:
+        P = BiPoly.from_y_coeffs(P.x_coeffs())
+    factors, pps = [], []
+    for D in (P.diff_y(), P.diff_x()):
+        R = res_y_minus_c(P, D)
+        if R.is_zero():
+            return factors
+        cont, pp = split_x_content(R)
+        factors.append(cont)
+        pps.append(pp)
+    ppA, ppB = pps
+    if ppA.degx == 0 or ppB.degx == 0:
+        return factors
+    R = resultant(ppA.x_coeffs(), ppB.x_coeffs(), UNIPOLY_RING)
+    if R.is_zero():
+        G = bipoly_gcd(ppA, ppB)
+        R = resultant(ppA.exact_div(G).x_coeffs(), ppB.exact_div(G).x_coeffs(), UNIPOLY_RING)
+    factors.append(R)
+    return factors
+
+
+def _product(factors):
+    from jaccoord.qpoly import UniPoly
+
+    out = UniPoly.const(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+def _critical_product(P):
+    """The squarefree part of the product of the critical factors of P."""
+    from jaccoord.qpoly import squarefree_part
+
+    return squarefree_part(_product(fibre._critical_factors(fibre._shear(P))))
+
+
+class TestCriticalValues:
+    """The subresultant route against two routes that share no code with
+    it: the elimination it replaced, and a lex Groebner basis."""
+
+    def test_roots_lie_among_the_reference_roots(self):
+        """Every root of the critical factors is a root of the reference,
+        and each rational root of the reference that the candidates leave
+        out has the generic fibre report."""
+        from jaccoord.elim import rational_roots
+
+        rng = random.Random(57)
+        polys = [parse_poly(t) for t in TestPolarLimits.INPUTS]
+        polys += [TestPolarLimits._random(rng) for _ in range(40)]
+        polys += [FERMAT4_IMAGE, FERMAT5_IMAGE]
+        from jaccoord.qpoly import squarefree_part
+
+        dropped = tighter = 0
+        for P in polys:
+            if P.is_constant():
+                continue
+            reference = _elimination_critical_factors(P)
+            exact, superset = _critical_product(P), squarefree_part(_product(reference))
+            assert superset.divmod(exact)[1].is_zero(), P
+            tighter += superset.deg > exact.deg
+            named = special_value_candidates(P).rational_candidates
+            roots = sorted({c for f in reference if not f.is_constant() for c in rational_roots(f)})
+            generic_c = next(
+                c for c in (rat(k, 7919) for k in range(1, 20))
+                if c not in roots and c not in named and c != P.constant_term()
+            )
+            generic = fibre_report(P, generic_c)
+            for c in roots:
+                if c in named:
+                    continue
+                dropped += 1
+                rep = fibre_report(P, c)
+                assert (rep.abs_factor_count, rep.multiplicity_reduced, rep.genus) == (
+                    generic.abs_factor_count, generic.multiplicity_reduced, generic.genus
+                ), (P, c)
+                if c == P.constant_term():
+                    assert rep.branches_at_infinity == Unknown("ZeroConstantTerm"), (P, c)
+                else:
+                    assert rep.branches_at_infinity == generic.branches_at_infinity, (P, c)
+        assert dropped >= 1 and tighter >= 20, (dropped, tighter)
+
+    def test_groebner_oracle(self):
+        """The c-generator of the lex Groebner basis of {P - c, P_x, P_y}
+        has the critical values as roots: its squarefree part is the
+        squarefree product of the critical factors, up to a scalar."""
+        import sympy
+        from jaccoord.elim import bipoly_to_sympy, unipoly_to_sympy
+
+        x, y, c = sympy.symbols("x y c")
+        rng = random.Random(23)
+        polys = [parse_poly(t) for t in TestPolarLimits.INPUTS if parse_poly(t).total_degree() <= 4]
+        polys += [TestPolarLimits._random(rng) for _ in range(30)]
+        for P in polys:
+            if P.is_constant():
+                continue
+            f = bipoly_to_sympy(P)
+            basis = sympy.groebner([f - c, f.diff(x), f.diff(y)], x, y, c, order="lex")
+            (gen,) = [g for g in basis.exprs if g.free_symbols <= {c}]
+            expected = sympy.Poly(sympy.sqf_part(sympy.Poly(gen, c)), c)
+            got = unipoly_to_sympy(_critical_product(P), c)
+            assert got.monic() == expected.monic(), P
