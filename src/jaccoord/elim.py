@@ -118,7 +118,7 @@ def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
     while b:
         delta = pdeg(a) - pdeg(b)
         r = pseudo_rem(a, b, R) if pdeg(b) > 0 else []
-        divisor = g * h ** delta
+        divisor = g * h ** delta if r else None
         a, b = b, [R.exact_div(c, divisor) for c in r]
         g = plc(a)
         h = _pow_quotient(h, g, delta, R)

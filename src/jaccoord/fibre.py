@@ -14,12 +14,12 @@ Genus is the interior lattice point count of the Newton polygon, reported
 only under full nondegeneracy and irreducibility; everything outside those
 hypotheses is an explicit Unknown, never a guess.
 
-Special value candidates are a superset of the bifurcation set: the
-critical values, from resultants of P - c against P_y and P_x, plus the
-values atypical at infinity.  The latter lie among the limits of P along the
-polar branches at infinity, read off Res_y(Q - c, Q_y) for Q = P(x + t*y, y),
-where t is the first of 0, 1, -1, 2, -2, ... with degy Q = deg P, the exact
-condition that makes every fibre of Q finite over the x-line.
+Special value candidates are a superset of the bifurcation set: exactly
+the critical values, from one subresultant chain of Q_y and Q_x, plus the
+values atypical at infinity, among the limits of Q along the polar branches
+at infinity, read off Res_y(Q - c, Q_y).  Q = P(x + t*y, y), where t is the
+first of 0, 1, -1, 2, -2, ... with degy Q = deg P, the exact condition that
+makes every fibre of Q finite over the x-line.
 """
 
 from __future__ import annotations
@@ -467,11 +467,12 @@ def _polar_limits(Q: BiPoly) -> UniPoly:
 def special_value_candidates(P: BiPoly) -> SpecialValues:
     """A superset of the values c where the fibre P = c is special.
 
-    A special fibre lies over the bifurcation set: the critical values, which
-    are roots of _critical_factors(P), plus the values atypical at infinity
-    (Ha Huy Vui & Le Dung Trang, 1984), which are roots of _polar_limits(P)
-    (Ha Huy Vui, 1990).  May contain non-special values; irrational roots
-    are reported through their squarefree minimal-polynomial cofactors.
+    A special fibre lies over the bifurcation set: the critical values, the
+    roots of _critical_factors(Q), plus the values atypical at infinity (Ha
+    Huy Vui & Le Dung Trang, 1984), among the roots of _polar_limits(Q) (Ha
+    Huy Vui, 1990), Q = _shear(P).  May contain non-special values; irrational
+    roots are reported through their squarefree minimal-polynomial cofactors.
+    InputTooLarge past MAX_SPECIAL_DEGREE or MAX_CRITICAL_POINTS.
     """
     if P.is_constant():
         raise ConstantInputError("special_value_candidates needs a nonconstant P")
