@@ -448,12 +448,13 @@ def _polar_limits(Q: BiPoly) -> UniPoly:
     Q is a _shear, so each fibre Q = c is branched over the x-roots of
     A(x, c) = Res_y(Q - c, Q_y).  Where the x-leading coefficient of A is
     nonzero, no branch point escapes to infinity as c moves, so Q is
-    locally trivial at infinity there.  A has degree at most n - 1 = deg_y
-    Q_y in c, so its values at c = 0, ..., n - 1 give that coefficient, in
-    Newton form.
+    locally trivial at infinity there.  A is of degree n - 1 = deg_y Q_y in
+    c; its values at c = 0, ..., n - 1 give that coefficient in Newton form.
     """
-    ys, ds = Q.y_coeffs(), Q.diff_y().y_coeffs()
-    values = [resultant([ys[0] - UniPoly.const(c)] + ys[1:], ds, UNIPOLY_RING) for c in range(len(ds))]
+    ys, ds, s = Q.y_coeffs(), Q.diff_y().y_coeffs(), UniPoly.const(1)
+    if len(ds) > 1:  # A = Res_y(Q_y, s (Q mod Q_y) - s c), s = lc(Q_y)^2, up to a factor
+        ys, s = pseudo_rem(ys, ds, UNIPOLY_RING) or [UniPoly.zero()], ds[-1] ** 2
+    values = [resultant(ds, [ys[0] - s * c] + ys[1:], UNIPOLY_RING) for c in range(len(ds))]
     dd = [a[max(a.deg for a in values)] for a in values]
     for k in range(1, len(dd)):
         for i in range(len(dd) - 1, k - 1, -1):
