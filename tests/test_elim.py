@@ -164,21 +164,6 @@ def _det_subresultant(a, b, j):
 
 
 class TestSubresultantChain:
-    def test_resultant_is_the_sylvester_determinant(self):
-        from sympy.polys.subresultants_qq_zz import sylvester
-
-        # exact, sign included: polar limits interpolate resultants taken
-        # at several c, whose chains may take different degree sequences
-        rng = random.Random(8)
-        for _ in range(150):
-            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, 7))] + [rng.randint(1, 5)]
-            b = [rng.randint(-5, 5) * (rng.random() < 0.6) for _ in range(rng.randint(1, 7))]
-            b.append(rng.randint(1, 5))
-            t = sympy.Symbol("t")
-            A, B = sympy.Poly(a[::-1], t).as_expr(), sympy.Poly(b[::-1], t).as_expr()
-            expected = sylvester(A, B, t).det()
-            assert resultant([rat(v) for v in a], [rat(v) for v in b], RAT_RING) == expected
-
     def test_chain_gives_principal_subresultants(self):
         # each (p, h) gives S_j = p * h / lc p and s_j = h, j = deg p, up to
         # sign; every s_j of a degree the chain skips is zero
