@@ -126,12 +126,6 @@ def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
     return chain
 
 
-def subresultant_prs(A: List, B: List, R: Ring) -> List[List]:
-    """The subresultant polynomial remainder sequence, first entries included;
-    needs deg A >= deg B."""
-    return [p for p, _ in subresultant_chain(A, B, R)]
-
-
 def _pow_quotient(h, g, delta: int, R: Ring):
     """h^(1-delta) * g^delta, via exact division when delta > 1."""
     if delta == 0:

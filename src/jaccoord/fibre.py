@@ -394,17 +394,13 @@ def _values_over(T: UniPoly, S: List[UniPoly], Q: BiPoly) -> UniPoly:
     inv = _inverse_mod(S[-1], T)
     S = [mod(u * inv) for u in S]  # monic in y
     sigma, tau = _power_sums(S, len(S) - 1, mod), _power_sums(T.coeffs, T.deg)
-    q = reduce(Q.y_coeffs())
+    q = BiPoly.from_y_coeffs(reduce(Q.y_coeffs()))
     power, sums, coeffs = q, [], [RAT_ONE]  # coeffs[i] is that of c^(N - i)
     for i in range(1, T.deg * (len(S) - 1) + 1):
-        tr = mod(sum((u * s for u, s in zip(power, sigma)), UniPoly.zero()))
+        tr = mod(sum((u * s for u, s in zip(power.y_coeffs(), sigma)), UniPoly.zero()))
         sums.append(sum((a * b for a, b in zip(tr.coeffs, tau)), RAT_ZERO))
         coeffs.append(-sum((coeffs[j] * sums[i - j - 1] for j in range(i)), RAT_ZERO) / i)
-        product = [UniPoly.zero()] * (len(power) + len(q))
-        for j, u in enumerate(power):
-            for k, v in enumerate(q):
-                product[j + k] = product[j + k] + u * v
-        power = reduce(product)
+        power = BiPoly.from_y_coeffs(reduce((power * q).y_coeffs()))
     return UniPoly(coeffs[::-1])
 
 
@@ -436,10 +432,10 @@ def _critical_factors(Q: BiPoly) -> List[UniPoly]:
         Tk, T = T.exact_div(g), g
         if Tk.deg >= 1:
             pieces.append((Tk, [(u * h).exact_div(p[-1]) for u in p]))
-    points = sum(T.deg * (len(S) - 1) for T, S in pieces)
+    points = sum(Tk.deg * (len(Sk) - 1) for Tk, Sk in pieces)
     if points > MAX_CRITICAL_POINTS:
         raise InputTooLarge(f"{points} critical points to evaluate, more than {MAX_CRITICAL_POINTS}")
-    return [_values_over(T, S, Q) for T, S in pieces]
+    return [_values_over(Tk, Sk, Q) for Tk, Sk in pieces]
 
 
 def _polar_limits(Q: BiPoly) -> UniPoly:
