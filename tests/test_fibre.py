@@ -254,8 +254,8 @@ class TestSpecialValues:
         "text, rational, irrational",
         [
             # critical lines: the chain ends on G = gcd(Q_x, Q_y) = Q_y (the
-            # first three are sheared with t = 1), and the values are those
-            # of Q on G over x = 0
+            # first two are sheared with t = 1), and the values are those of
+            # Q on G over x = 0
             ("x^3 - 3*x", ["-2", "2"], []),
             ("x^3 + x", [], ["c^2 + 4/27"]),
             ("y^3 - 3*y", ["-2", "2"], []),
