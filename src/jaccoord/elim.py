@@ -105,11 +105,11 @@ def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
     """The subresultant PRS of A and B, deg A >= deg B, as pairs (p, h).
 
     The first pair is (A, lc A), then come B and every nonzero remainder.
-    For deg A > deg B, h is the principal subresultant coefficient s_j of
-    degree j = deg p, and the subresultant S_j is p * h / lc p; every s_j
-    of a degree the chain skips is zero.  The chain ends on a constant p,
-    whose h is Res(A, B), or on a nonconstant p, a gcd of A and B up to a
-    factor in R.
+    For deg A > deg B, up to sign, h is the principal subresultant
+    coefficient s_j of degree j = deg p and p * h / lc p is the subresultant
+    S_j; every s_j of a degree the chain skips is zero.  The chain ends on a
+    constant p, whose h is Res(A, B), or on a nonconstant p, a gcd of A and
+    B up to a factor in R.
     """
     if pdeg(A) < pdeg(B):
         raise ValueError(f"subresultant_chain needs deg A >= deg B, got {pdeg(A)} < {pdeg(B)}")

@@ -501,21 +501,20 @@ def _critical_product(P):
 
 
 class TestCriticalValues:
-    """The subresultant route against two routes that share no code with
-    it: the elimination it replaced, and a lex Groebner basis."""
+    """The subresultant route against the elimination it replaced, and
+    against a lex Groebner basis, which shares no code with either."""
 
     def test_roots_lie_among_the_reference_roots(self):
         """Every root of the critical factors is a root of the reference,
         and each rational root of the reference that the candidates leave
         out has the generic fibre report."""
         from jaccoord.elim import rational_roots
+        from jaccoord.qpoly import squarefree_part
 
         rng = random.Random(57)
         polys = [parse_poly(t) for t in TestPolarLimits.INPUTS]
         polys += [TestPolarLimits._random(rng) for _ in range(40)]
         polys += [FERMAT4_IMAGE, FERMAT5_IMAGE]
-        from jaccoord.qpoly import squarefree_part
-
         dropped = tighter = 0
         for P in polys:
             if P.is_constant():
