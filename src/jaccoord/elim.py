@@ -142,10 +142,7 @@ def resultant(A: List, B: List, R: Ring):
     A, B = pstrip(list(A), R), pstrip(list(B), R)
     if not A or not B:
         return R.zero
-    dA, dB = pdeg(A), pdeg(B)
-    if dA == 0 or dB == 0:
-        return A[0] ** dB * B[0] ** dA
-    if dA < dB:
+    if pdeg(A) < pdeg(B):
         A, B = B, A
     last, h = subresultant_chain(A, B, R)[-1]
     return h if pdeg(last) == 0 else R.zero  # else a common factor
@@ -168,23 +165,15 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
         return _lex_normalize(g)
     if g.is_zero():
         return _lex_normalize(f)
-    if f.degy == 0 and g.degy == 0:
-        u = _unipoly_list_gcd([f.y_coeffs()[0], g.y_coeffs()[0]])
-        return u.to_bipoly("x")
     cf, cg = _unipoly_list_gcd(f.y_coeffs()), _unipoly_list_gcd(g.y_coeffs())
     cont = cf.gcd(cg)
     fp = [u.exact_div(cf) for u in f.y_coeffs()]
     gp = [u.exact_div(cg) for u in g.y_coeffs()]
     if pdeg(fp) < pdeg(gp):
         fp, gp = gp, fp
-    if pdeg(gp) == 0:
-        # primitive parts are coprime in y; gcd is the content only
-        return cont.to_bipoly("x")
+    # the primitive part of the last subresultant is gcd(fp, gp), a
+    # constant when the chain ends on one
     last = subresultant_chain(fp, gp, UNIPOLY_RING)[-1][0]
-    if pdeg(last) == 0:
-        # a nonzero constant remainder: the primitive parts are coprime
-        return cont.to_bipoly("x")
-    # primitive part of the last nonzero subresultant is the pp-gcd
     c = _unipoly_list_gcd(last)
     pp = [u.exact_div(c) for u in last]
     out = BiPoly.from_y_coeffs([u * cont for u in pp])

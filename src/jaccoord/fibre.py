@@ -324,9 +324,8 @@ class SpecialValues:
     irrational_witnesses: Tuple[UniPoly, ...]
 
 
-# Budgets of special_value_candidates, checked before the work they bound:
-# _polar_limits takes about 1.5 s on a degree-12 generator coordinate, and
-# the critical values of a dense sextic, 25 points, about 2 s.
+# Budgets of special_value_candidates, checked before the work they bound: _polar_limits
+# takes about 1.5 s on a degree-12 coordinate, the 25 critical points of a dense sextic 2 s.
 MAX_SPECIAL_DEGREE = 12
 MAX_CRITICAL_POINTS = 25
 
@@ -336,8 +335,7 @@ def _shear(P: BiPoly) -> BiPoly:
     equal to n = deg P: the y^n coefficient of Q is the top form of P at
     (t, 1), a nonzero constant for all but at most n values of t.  Every
     fibre of Q, and its critical set, is then finite over the x-line."""
-    n = P.total_degree()
-    t = 0
+    n, t = P.total_degree(), 0
     while True:
         Q = substitute(P, BiPoly({(1, 0): RAT_ONE, (0, 1): rat(t)}), BiPoly.var_y())
         if Q.degy == n:
@@ -364,13 +362,9 @@ def _inverse_mod(a: UniPoly, T: UniPoly) -> UniPoly:
 def _power_sums(t: Sequence, count: int, reduce=lambda u: u) -> List:
     """Power sums p_0, ..., p_(count-1), count <= m, of the roots of a monic
     t of degree m: p_i = -(i t_(m-i) + sum_(0<j<i) t_(m-j) p_(i-j))."""
-    m = len(t) - 1
-    p = [t[m] * m]
+    m, p = len(t) - 1, [t[-1] * (len(t) - 1)]
     for i in range(1, count):
-        acc = t[m - i] * i
-        for j in range(1, i):
-            acc = acc + t[m - j] * p[i - j]
-        p.append(reduce(-acc))
+        p.append(reduce(-sum((t[m - j] * p[i - j] for j in range(1, i)), t[m - i] * i)))
     return p
 
 
@@ -378,26 +372,22 @@ def _values_over(T: UniPoly, S: List[UniPoly], Q: BiPoly) -> UniPoly:
     """The monic polynomial in c whose roots are the values of Q, with
     multiplicity, at the points with T(x) = 0 = S(x, y), for a monic
     squarefree T and an S whose y-leading coefficient is a unit modulo T.
-
     It is the characteristic polynomial of Q on A = K[y]/(S), K = Q[x]/(T),
-    read off the traces Tr_A = Tr_K o Tr_(A/K) of its powers, each a sum
-    over power sums of roots (Newton's identities).  For deg_y S = 1, Q
-    reduces to Q(x, -s0/s1) in K: the shape position of a rational
-    univariate representation (Rouillier, 1999).
+    from the traces Tr_K(Tr_(A/K)(Q^i)) and Newton's identities.  For
+    deg_y S = 1, Q reduces to Q(x, -s0/s1) in K: the shape position of a
+    rational univariate representation (Rouillier, 1999).
     """
-    def mod(u):
-        return u.divmod(T)[1]
-
     def reduce(U):
-        return [mod(u) for u in pseudo_rem(U, S, UNIPOLY_RING)]
+        return [u.divmod(T)[1] for u in pseudo_rem(U, S, UNIPOLY_RING)]
 
     inv = _inverse_mod(S[-1], T)
-    S = [mod(u * inv) for u in S]  # monic in y
-    sigma, tau = _power_sums(S, len(S) - 1, mod), _power_sums(T.coeffs, T.deg)
+    S = [(u * inv).divmod(T)[1] for u in S]  # monic in y
+    sigma = _power_sums(S, len(S) - 1, lambda u: u.divmod(T)[1])
+    tau = _power_sums(T.coeffs, T.deg)
     q = BiPoly.from_y_coeffs(reduce(Q.y_coeffs()))
     power, sums, coeffs = q, [], [RAT_ONE]  # coeffs[i] is that of c^(N - i)
     for i in range(1, T.deg * (len(S) - 1) + 1):
-        tr = mod(sum((u * s for u, s in zip(power.y_coeffs(), sigma)), UniPoly.zero()))
+        tr = sum((u * s for u, s in zip(power.y_coeffs(), sigma)), UniPoly.zero()).divmod(T)[1]
         sums.append(sum((a * b for a, b in zip(tr.coeffs, tau)), RAT_ZERO))
         coeffs.append(-sum((coeffs[j] * sums[i - j - 1] for j in range(i)), RAT_ZERO) / i)
         power = BiPoly.from_y_coeffs(reduce((power * q).y_coeffs()))
@@ -412,19 +402,17 @@ def _critical_factors(Q: BiPoly) -> List[UniPoly]:
     gives G = gcd(Q_x, Q_y), a curve of critical points on each component
     of which Q is constant, so the values over x = 0 are all of them; the
     chain is then taken of the cofactors.  Their common zeros lie over the
-    roots of T, the squarefree part of their resultant s_0.  Where s_j = 0
-    for 0 < j < k and s_k != 0, their gcd is the subresultant S_k, of
-    degree k in y, so T splits along the principal subresultant
-    coefficients into pieces T_k (Gonzalez-Vega & El Kahoui, 1996).
+    roots of T, the squarefree part of their resultant.  Over a root where
+    the principal subresultant coefficients s_j vanish for 0 < j < k and s_k
+    does not, their gcd is the subresultant S_k, of degree k in y, so T
+    splits into pieces T_k (Gonzalez-Vega & El Kahoui, 1996).
     """
     Qy, Qx = Q.diff_y(), Q.diff_x()
     chain, pieces = _chain(Qy, Qx), []
     G = chain[-1][0]
     if pdeg(G) > 0:
-        content = _unipoly_list_gcd(G)
-        G = [u.exact_div(content) for u in G]
-        pieces.append((UniPoly([0, 1]), G))
-        G = BiPoly.from_y_coeffs(G)
+        G = BiPoly.from_y_coeffs(G).exact_div(_unipoly_list_gcd(G).to_bipoly("x"))
+        pieces.append((UniPoly([0, 1]), G.y_coeffs()))
         chain = _chain(Qy.exact_div(G), Qx.exact_div(G))
     T = squarefree_part(chain[-1][1])
     for p, h in reversed(chain[:-1]):  # rising degree, up to (Q_y / G, const)
@@ -470,13 +458,9 @@ def special_value_candidates(P: BiPoly) -> SpecialValues:
         raise InputTooLarge(f"special values need deg P <= {MAX_SPECIAL_DEGREE}, got {P.total_degree()}")
     Q = _shear(P)
     factors = _critical_factors(Q) + [_polar_limits(Q)]
-    cands = set()
-    minpolys: List[UniPoly] = []
-    for qpol in factors:
-        if qpol.is_constant():
-            continue
-        sqf = squarefree_part(qpol)
-        roots, rest = strip_rational_roots(sqf)
+    cands, minpolys = set(), []
+    for qpol in (f for f in factors if not f.is_constant()):
+        roots, rest = strip_rational_roots(squarefree_part(qpol))
         cands.update(roots)
         if rest.deg >= 1 and rest not in minpolys:
             minpolys.append(rest)
