@@ -171,9 +171,10 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     gp = [u.exact_div(cg) for u in g.y_coeffs()]
     if pdeg(fp) < pdeg(gp):
         fp, gp = gp, fp
-    # the primitive part of the last subresultant is gcd(fp, gp), a
-    # constant when the chain ends on one
     last = subresultant_chain(fp, gp, UNIPOLY_RING)[-1][0]
+    if pdeg(last) == 0:  # coprime primitive parts: the gcd is the content
+        return cont.to_bipoly("x")
+    # primitive part of the last nonzero subresultant is the pp-gcd
     c = _unipoly_list_gcd(last)
     pp = [u.exact_div(c) for u in last]
     out = BiPoly.from_y_coeffs([u * cont for u in pp])

@@ -382,8 +382,7 @@ def _values_over(T: UniPoly, S: List[UniPoly], Q: BiPoly) -> UniPoly:
 
     inv = _inverse_mod(S[-1], T)
     S = [(u * inv).divmod(T)[1] for u in S]  # monic in y
-    sigma = _power_sums(S, len(S) - 1, lambda u: u.divmod(T)[1])
-    tau = _power_sums(T.coeffs, T.deg)
+    sigma, tau = _power_sums(S, len(S) - 1, lambda u: u.divmod(T)[1]), _power_sums(T.coeffs, T.deg)
     q = BiPoly.from_y_coeffs(reduce(Q.y_coeffs()))
     power, sums, coeffs = q, [], [RAT_ONE]  # coeffs[i] is that of c^(N - i)
     for i in range(1, T.deg * (len(S) - 1) + 1):
