@@ -87,6 +87,16 @@ class TestResultant:
         r = resultant(list(f.coeffs), list(g.coeffs), RAT_RING)
         assert abs(r) == abs(g.eval(rat(6)) * g.eval(rat(-1)))
 
+    def test_constant_operand(self):
+        # Res(c, B) = c^deg B and Res(c, d) = 1, over Q and over Q[x]
+        t2 = list(upoly(-2, 0, 1).coeffs)  # t^2 - 2
+        assert resultant([rat(3)], t2, RAT_RING) == rat(9)
+        assert resultant(t2, [rat(3)], RAT_RING) == rat(9)
+        assert resultant([rat(5)], [rat(7)], RAT_RING) == rat(1)
+        c = parse_poly("x + 1").y_coeffs()
+        r = resultant(parse_poly("y^2 - x").y_coeffs(), c, UNIPOLY_RING)
+        assert r == parse_poly("x^2 + 2*x + 1").y_coeffs()[0]
+
     def test_unipoly_coefficients(self):
         # Res_y(y^2 - x^3 - x - 1, 2y) = 4(x^3 + x + 1) up to sign
         P = parse_poly("y^2 - x^3 - x - 1")
@@ -206,6 +216,10 @@ class TestBivariateGcd:
         g = parse_poly("x^2 - 1") * parse_poly("y - 3")
         d = bipoly_gcd(f, g)
         assert d.degx == 2 and d.degy == 0
+        # y-free operands, on one side or both
+        assert bipoly_gcd(parse_poly("x^2 - 1"), parse_poly("x^2 + x")) == parse_poly("x + 1")
+        assert bipoly_gcd(f, parse_poly("x^2 + x")) == parse_poly("x + 1")
+        assert bipoly_gcd(parse_poly("3*x - 3"), f) == parse_poly("x - 1")
 
     def test_random_products(self):
         rng = random.Random(31)
