@@ -7,6 +7,10 @@ sample data against the coordinate verdict: a non-coordinate whose sampled
 fibres all look irreducible of constant genus, with nothing left unknown and
 no irrational special values in play, is flagged loudly as a suspected
 implementation bug rather than swallowed.
+
+A scan computes the special values, the verdict and one Ruppert pencil once
+per P.  A sample that is not a candidate skips the squarefree and torus
+tests, for the reason fibre_report gives, and reads its count off the pencil.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ from .fibre import (
     FibreReport,
     SpecialValues,
     Unknown,
+    _faces_nondegenerate,
+    _fibre_tail,
+    _ruppert_pencil,
     fibre_report,
     special_value_candidates,
 )
@@ -100,7 +107,12 @@ def theorem3_scan(P: BiPoly, n_random: int = 8, seed: int = 0) -> ScanReport:
         )
     while len(cs) < len(sv.rational_candidates) + n_random:
         cs.add(rat(rng.randint(-9, 9), rng.randint(1, 4)))
-    samples = tuple(fibre_report(P, c) for c in sorted(cs))
+    count_p = _ruppert_pencil(P)
+    samples = tuple(
+        fibre_report(P, c) if c in sv.rational_candidates
+        else _fibre_tail(c, P - BiPoly.const(c), True, count_p(c), _faces_nondegenerate)
+        for c in sorted(cs)
+    )
     verdict = check(P)
 
     known_genus = [(s.genus, s.c) for s in samples if not isinstance(s.genus, Unknown)]
@@ -128,35 +140,20 @@ def theorem3_scan(P: BiPoly, n_random: int = 8, seed: int = 0) -> ScanReport:
         c1 = min(c for v, c in known_genus if v == vals[0])
         c2 = min(c for v, c in known_genus if v == vals[1])
         violation = GenusJump(c1=c1, c2=c2)
-    elif isinstance(verdict, Coordinate):
-        violation = None
-    elif unknown_cs or sv.irrational_witnesses:
+    elif not isinstance(verdict, Coordinate) and (unknown_cs or sv.irrational_witnesses):
         # rational sampling cannot rule out special behaviour at the named
         # unknowns or at irrational special values
         violation = Inconclusive(unknown_cs=unknown_cs)
 
-    relation_ok = True
-    for s in samples:
-        if isinstance(s.genus, Unknown) or isinstance(s.branches_at_infinity, Unknown):
-            continue
-        if not relation_check(s.genus, s.branches_at_infinity):
-            relation_ok = False
-
-    suspected = False
+    relation_ok = all(
+        relation_check(s.genus, s.branches_at_infinity) for s in samples if s.c not in unknown_cs
+    )
+    # a coordinate's known fibre data must be rational (g=0, h=1), the
+    # theorem's forward direction; a non-coordinate must show a violation
     if isinstance(verdict, Coordinate):
-        # the theorem's forward direction: a coordinate's known fibre data
-        # must be rational (g=0, h=1)
-        if not relation_ok or violation is not None:
-            suspected = True
+        suspected = not relation_ok or violation is not None
     else:
-        if (
-            violation is None
-            and all_irreducible
-            and genus_constant
-            and not unknown_cs
-            and not sv.irrational_witnesses
-        ):
-            suspected = True
+        suspected = violation is None
 
     return ScanReport(
         verdict=verdict,

@@ -119,6 +119,26 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
     return rows, ncols
 
 
+def _ruppert_pencil(P: BiPoly):
+    """c -> the factor count of P - c modulo RUPPERT_PRIME, None where the
+    prime divides the denominator of c.  The rows are linear in f: those of
+    den*(P - c) are the rows of P without its constant term plus
+    den*(P(0, 0) - c) times the rows of 1, on one row set (zero entries count)."""
+    den, nums = _int_form(dict(P.items()))
+    k0, p = nums.pop((0, 0), 0), RUPPERT_PRIME
+    base, ncols = ruppert_rows({**nums, (0, 0): 0}, P.degx, P.degy)
+    unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1}, P.degx, P.degy)[0]
+    pairs = [([b % p for b in rb], [e % p for e in re]) for rb, re in zip(base, unit)]
+
+    def count(c) -> Optional[int]:
+        if c.denominator % p == 0:
+            return None
+        k = (k0 * c.denominator - den * c.numerator) * pow(c.denominator, -1, p) % p
+        return ncols - rank_mod_p([[b + k * e for b, e in zip(rb, re)] for rb, re in pairs], p)
+
+    return count
+
+
 def absolute_factor_count(f: BiPoly) -> int:
     """Number of absolutely irreducible factors of a squarefree polynomial.
 
@@ -170,6 +190,14 @@ def nondegenerate(f: BiPoly) -> Nondegeneracy:
     present, and f, f_x, f_y share no zero with both coordinates nonzero."""
     if f.is_constant():
         raise ConstantInputError("nondegenerate needs a nonconstant input")
+    faces = _faces_nondegenerate(f)
+    if faces.ok and has_common_torus_zero([f, f.diff_x(), f.diff_y()]):
+        return Nondegeneracy(False, "TorusSingular", None)
+    return faces
+
+
+def _faces_nondegenerate(f: BiPoly) -> Nondegeneracy:
+    """The edge-face half of nondegenerate: all of it for a smooth f = 0."""
     N = newton_polygon(f)
     for face in edge_faces(f, N):
         e: UniPoly = face["e"]
@@ -181,8 +209,6 @@ def nondegenerate(f: BiPoly) -> Nondegeneracy:
             return Nondegeneracy(
                 False, "FaceNotSquarefree", f"edge {face['v0']}-{face['v1']}"
             )
-    if has_common_torus_zero([f, f.diff_x(), f.diff_y()]):
-        return Nondegeneracy(False, "TorusSingular", None)
     return Nondegeneracy(True)
 
 
@@ -290,22 +316,29 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
     Each invariant is computed once: a translation keeps squarefreeness and
     the factor count, so nondegeneracy is the only test made on the
     polynomial the genus is read from (shifted only for a zero constant
-    term, where the branches are refused).
+    term, where the branches are refused).  theorem3_scan skips the
+    squarefree and torus tests where c is not a critical value, as a
+    repeated factor or a singular point of P - c, or of a translate of it,
+    would be a critical point of value c.
     """
     if P.is_constant():
         raise ConstantInputError("fibre_report needs a nonconstant P")
     sq, reduced = bipoly_squarefree_part(P - BiPoly.const(c))
-    count = _factor_count(sq)
+    return _fibre_tail(c, sq, reduced, None, nondegenerate)
+
+
+def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) -> FibreReport:
+    """fibre_report from the squarefree part sq, given a factor count modulo
+    RUPPERT_PRIME if known (final when 1) and a nondegeneracy test."""
+    count = 1 if count_p == 1 else _factor_count(sq)
     if count != 1:
         reducible = Unknown("Reducible")
-        return FibreReport(c, count, reduced, nondegenerate(sq).ok, reducible, reducible)
+        return FibreReport(c, count, reduced, nondeg(sq).ok, reducible, reducible)
     shifted = sq.constant_term() == 0
     g = _shift_to_nonzero_constant(sq) if shifted else sq
     if g is None:
-        return FibreReport(
-            c, count, reduced, False, Unknown("ShiftFailed"), Unknown("ZeroConstantTerm")
-        )
-    nd = nondegenerate(g).ok
+        return FibreReport(c, count, reduced, False, Unknown("ShiftFailed"), Unknown("ZeroConstantTerm"))
+    nd = nondeg(g).ok
     g_val = _genus_tail(g) if nd else Unknown("Degenerate")
     if shifted:
         b_val = Unknown("ZeroConstantTerm")

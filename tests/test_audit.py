@@ -1,18 +1,42 @@
 """Theorem audits: the 2g = 1 - h relation and the fibre scanner."""
 
+import random
+
 import pytest
 
 from jaccoord import (
+    BiPoly,
     Coordinate,
     NotCoordinate,
+    fibre,
+    fibre_report,
     gen_random_coordinate,
     parse_poly,
     rat,
     relation_check,
+    special_value_candidates,
+    substitute,
     theorem3_scan,
 )
 from jaccoord.audit import GenusJump, Inconclusive, ReducibleFibre
+from jaccoord.elim import bipoly_squarefree_part, has_common_torus_zero
 from jaccoord.fibre import ConstantInputError, Unknown
+
+# non-coordinates: genus 1, genus 3, two top forms that are not powers of a
+# linear form, and a product whose fibre at 0 has two components
+NAMED = [
+    "y^2 - x^3 - x",
+    "y^3 + x^4 + x*y + 1",
+    "x^2*y^2 + x + y + 1",
+    "(y - x^2)*(y + x^3 + 1)",
+    "x^4 + x^2*y^2 - y^4 - y^2 + x - y - 1",
+]
+FERMAT5_IMAGE = substitute(
+    parse_poly("x^5 + y^5 + 1"), parse_poly("x + 2*y - 1"), parse_poly("x - y + 1/2")
+)
+# (x^2 + y)^2 + (x^2 + y) = u*(u + 1): two components over every
+# non-critical value
+COMPOSITE = "(x^2 + y)^2 + (x^2 + y)"
 
 
 class TestRelationCheck:
@@ -109,3 +133,86 @@ class TestScanMechanics:
         a = theorem3_scan(P, 6, 0)
         b = theorem3_scan(P, 6, 1)
         assert {s.c for s in a.samples} != {s.c for s in b.samples}
+
+
+class TestScanSharedWork:
+    """theorem3_scan decides non-candidate samples from the critical values
+    and one Ruppert pencil; its samples must be fibre_report's."""
+
+    @staticmethod
+    def _assert_samples_are_reports(P, n_random, seed):
+        r = theorem3_scan(P, n_random, seed)
+        assert r.samples == tuple(fibre_report(P, s.c) for s in r.samples)
+        return r
+
+    def test_generator_coordinates(self):
+        for seed in range(20):
+            P, _ = gen_random_coordinate(seed, 1 + seed % 3, 2, 3)
+            self._assert_samples_are_reports(P, 4, seed)
+
+    @pytest.mark.parametrize(
+        "text",
+        NAMED + ["x*y", "x + x^2*y", "y^2 - x^3", pytest.param(FERMAT5_IMAGE.to_str(), id="fermat5")],
+    )
+    def test_named(self, text):
+        self._assert_samples_are_reports(parse_poly(text), 6, 11)
+
+    def test_composite_takes_exact_fallback(self):
+        r = self._assert_samples_are_reports(parse_poly(COMPOSITE), 6, 11)
+        cands = r.special_values.rational_candidates
+        assert all(s.abs_factor_count == 2 for s in r.samples if s.c not in cands)
+
+    def test_small_prime_falls_back_to_exact_counts(self, monkeypatch):
+        # modulo 3 the pencil refuses c = a/3 and overcounts some fibres
+        monkeypatch.setattr(fibre, "RUPPERT_PRIME", 3)
+        for text in ["y^2 - x^3 - x", "x + x^2*y", COMPOSITE]:
+            self._assert_samples_are_reports(parse_poly(text), 8, 12)
+
+    def test_constant_term_sample_is_shifted(self):
+        # seed 3 draws c = P(0, 0) = 1/2, not a candidate, so P - c is shifted
+        P = parse_poly("y^2 - x^3 - x + 1/2")
+        r = self._assert_samples_are_reports(P, 4, 3)
+        assert P.constant_term() not in r.special_values.rational_candidates
+        (s,) = [s for s in r.samples if s.c == P.constant_term()]
+        assert s.genus == 1 and s.branches_at_infinity == Unknown("ZeroConstantTerm")
+
+
+def _random_poly(rng, deg, terms):
+    mons = [(i, j) for i in range(deg + 1) for j in range(deg + 1 - i)]
+    return BiPoly({e: rat(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for e in rng.sample(mons, terms)})
+
+
+class TestNonCandidateFibresAreSmooth:
+    """A rational c outside the special value candidates is not a critical
+    value, so P - c is squarefree and P - c, P_x, P_y share no zero."""
+
+    def _polys(self):
+        rng = random.Random(5)
+        polys = [_random_poly(rng, 2 + i % 4, rng.randint(3, 6)) for i in range(8)]
+        return polys + [parse_poly(t) for t in NAMED + ["x*y", "y^2 - x^3", COMPOSITE]]
+
+    def test_lemma(self):
+        rng = random.Random(6)
+        for P in self._polys():
+            cands = special_value_candidates(P).rational_candidates
+            cs = {rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)} - set(cands)
+            for c in sorted(cs) + ([P.constant_term()] if P.constant_term() not in cands else []):
+                f = P - BiPoly.const(c)
+                assert bipoly_squarefree_part(f)[1], (P.to_str(), c)
+                assert not has_common_torus_zero([f, P.diff_x(), P.diff_y()]), (P.to_str(), c)
+
+    @pytest.mark.parametrize("text", ["y^2 - x^3", "x*y"])
+    def test_control_singular_at_candidate(self, text):
+        # the fibre at the candidate 0 is singular at the origin
+        P = parse_poly(text)
+        assert rat(0) in special_value_candidates(P).rational_candidates
+        assert all(g.eval(rat(0), rat(0)) == 0 for g in (P, P.diff_x(), P.diff_y()))
+
+    @pytest.mark.parametrize("text", ["(y - 1)^2 - (x - 1)^3", "x*(y - 1)^2"])
+    def test_control_tests_fire(self, text):
+        # both tests see the singular point (1, 1) on the torus; the second
+        # fibre also has a repeated factor
+        P = parse_poly(text)
+        assert rat(0) in special_value_candidates(P).rational_candidates
+        assert has_common_torus_zero([P, P.diff_x(), P.diff_y()])
+        assert bipoly_squarefree_part(P)[1] == (text == "(y - 1)^2 - (x - 1)^3")

@@ -19,7 +19,7 @@ from jaccoord import (
 from jaccoord import fibre, gen_random_coordinate
 from jaccoord.coordinate import _rand_linear
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
-from jaccoord.qpoly import InputTooLarge
+from jaccoord.qpoly import InputTooLarge, _int_form
 
 # an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
 FERMAT5_IMAGE = substitute(
@@ -94,6 +94,28 @@ class TestAbsoluteFactorCount:
         assert calls == []
         assert absolute_factor_count(parse_poly("y^2 - x^2")) == 2
         assert calls == [1]
+
+    def test_pencil_matches_rows_of_each_fibre(self):
+        # the pencil's count at c is that of the Ruppert rows of P - c, for
+        # constant terms zero and nonzero, c = P(0, 0) and denominators 1-4
+        rng = random.Random(42)
+        polys = [gen_random_coordinate(s, 1 + s % 2, 2, 3)[0] for s in range(4)]
+        polys += [parse_poly("x^2*y^2 + x + y"), parse_poly("(x^2 + y)^2 + (x^2 + y)")]
+        polys += [FERMAT5_IMAGE]
+        assert {P.constant_term() == 0 for P in polys} == {True, False}
+        for P in polys:
+            pencil = fibre._ruppert_pencil(P)
+            cs = [rat(rng.randint(-9, 9), b) for b in (1, 2, 3, 4)] + [P.constant_term()]
+            for c in cs:
+                f = P - BiPoly.const(c)
+                rows, ncols = fibre.ruppert_rows(_int_form(dict(f.items()))[1], P.degx, P.degy)
+                assert pencil(c) == ncols - fibre.rank_mod_p(rows, fibre.RUPPERT_PRIME)
+
+    def test_pencil_refuses_denominators_divisible_by_the_prime(self, monkeypatch):
+        monkeypatch.setattr(fibre, "RUPPERT_PRIME", 3)
+        pencil = fibre._ruppert_pencil(parse_poly("y - x^2 + 1/2"))
+        assert pencil(rat(1, 3)) is None
+        assert pencil(rat(1, 2)) == 1
 
     def test_linear_change_invariance(self):
         rng = random.Random(41)
