@@ -119,6 +119,35 @@ class TestParse:
             with pytest.raises((PolyParseError, ZeroDivisionError)):
                 parse_poly(bad)
 
+    # an error names the first offending token and its offset, never a
+    # longer run of text such as a whole monomial
+    PINNED_ERRORS = [
+        ("x 2*y", "unexpected '2' (at position 2)"),
+        ("x y", "unexpected 'y' (at position 2)"),
+        ("x*y 3/4*x", "unexpected '3' (at position 4)"),
+        ("2/0*x", "zero denominator (at position 2)"),
+        ("x^2^3", "unexpected '^' (at position 3)"),
+        ("2*x^2^3", "unexpected '^' (at position 5)"),
+    ]
+
+    @pytest.mark.parametrize("text, message", PINNED_ERRORS)
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", PINNED_ERRORS)
+    def test_parse_error_documents(self, capsys, text, message):
+        from jaccoord.cli import main
+
+        assert main(["check", text]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{\n  "error": {\n    "detail": "' + message + '",\n'
+            '    "kind": "ParseError"\n  }\n}\n'
+        )
+
     def test_round_trip(self):
         rng = random.Random(2)
         for _ in range(50):
