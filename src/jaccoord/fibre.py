@@ -157,11 +157,11 @@ def absolute_factor_count(f: BiPoly) -> int:
     return _factor_count(f)
 
 
-def _factor_count(f: BiPoly) -> int:
+def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
     """absolute_factor_count of an f already known nonconstant and
-    squarefree."""
+    squarefree, given its count modulo RUPPERT_PRIME if known."""
     rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1], f.degx, f.degy)
-    dim = ncols - rank_mod_p(rows, RUPPERT_PRIME)
+    dim = ncols - rank_mod_p(rows, RUPPERT_PRIME) if count_p is None else count_p
     if dim > 1:
         dim = ncols - rat_eliminate(rows)[0]
     if dim < 1:
@@ -330,7 +330,7 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
 def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) -> FibreReport:
     """fibre_report from the squarefree part sq, given a factor count modulo
     RUPPERT_PRIME if known (final when 1) and a nondegeneracy test."""
-    count = 1 if count_p == 1 else _factor_count(sq)
+    count = 1 if count_p == 1 else _factor_count(sq, count_p)
     if count != 1:
         reducible = Unknown("Reducible")
         return FibreReport(c, count, reduced, nondeg(sq).ok, reducible, reducible)

@@ -287,11 +287,13 @@ def _from_int_form(den: int, nums: Dict[Term, int]) -> "BiPoly":
     return BiPoly({e: Rat(n, den) for e, n in nums.items() if n}, _trusted=True)
 
 
-def _int_mul(a: Dict[Term, int], b: Dict[Term, int]) -> Dict[Term, int]:
-    """Sparse product of two integer term maps; cancelled terms stay as 0."""
+def _int_mul(a: Dict[Term, int], b: Dict[Term, int], out=None) -> Dict[Term, int]:
+    """Sparse product of two integer term maps, added into out if given;
+    cancelled terms stay as 0."""
     if len(a) < len(b):
         a, b = b, a
-    out: Dict[Term, int] = {}
+    if out is None:
+        out = {}
     get = out.get
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
@@ -583,33 +585,75 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
 
 
 def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """P_x Q_y - P_y Q_x, exactly; both products run on integer numerators."""
-    return P.diff_x() * Q.diff_y() - P.diff_y() * Q.diff_x()
+    """P_x Q_y - P_y Q_x, exactly, on integer numerators: with P = p / dp and
+    Q = q / dq, p_x q_y - p_y q_x is summed in one integer map and divided by
+    dp dq once."""
+    dp, p = _int_form(P._t)
+    dq, q = _int_form(Q._t)
+    acc = _int_mul(
+        {(i - 1, j): c * i for (i, j), c in p.items() if i},
+        {(i, j - 1): c * j for (i, j), c in q.items() if j},
+    )
+    _int_mul(
+        {(i, j - 1): -c * j for (i, j), c in p.items() if j},
+        {(i - 1, j): c * i for (i, j), c in q.items() if i},
+        acc,
+    )
+    return _from_int_form(dp * dq, acc)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[xy()+\-*/^])")
+# A canonical monomial [n[/d]*](x[^i][*y[^j]] | y[^j]), as BiPoly.to_str
+# writes it, is one token; every other number, variable or operator is a
+# token of its own.  A monomial is never followed by a digit or by ^, so
+# x^2^3 and x^23 lex as they would without it, and its digits are ASCII.
+_TOKEN_RE = re.compile(
+    r"\s*(?:((?:([0-9]+)(?:/([0-9]+))?\*)?"
+    r"(?:x(?:\^([0-9]+))?(?:\*(y)(?:\^([0-9]+))?)?|(y)(?:\^([0-9]+))?))(?!\d|\s*\^)"
+    r"|(\d+|[xy()+\-*/^]))"
+)
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+def _tokenize(text: str) -> List[Tuple[str, str, int, object]]:
+    """Tokens (kind, text, pos, value) in one finditer pass.
+
+    A canonical monomial is one token of kind "mono", with the text and
+    offset of its first number or variable, so that an error names what a
+    lexer of single numbers and variables would name, and value (n, d, i, j):
+    the digit strings of its coefficient (None where absent) and exponents.
+    Its coefficient is lexed as separate tokens after ^ or /, where the
+    grammar wants a lone integer, and when d is zero, for the parser to
+    report.  Other tokens have value None.
+    """
     # unicode minus is accepted as a convenience alias
     text = text.replace("−", "-")
-    toks = []
+    toks: List[Tuple[str, str, int, object]] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            bad = len(text) - len(text[pos:].lstrip())
-            raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
-        tok = m.group(1)
-        kind = "int" if tok[0].isdigit() else tok
-        toks.append((kind, tok, m.start(1)))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         pos = m.end()
-    toks.append(("end", "", len(text)))
+        n, d, xi, xy, xj, yo, yj, tok = m.groups()[1:]
+        if tok is not None:
+            toks.append(("int" if tok[0].isdigit() else tok, tok, m.start(9), None))
+            continue
+        i, j = ("0", yj or "1") if yo else (xi or "1", (xj or "1") if xy else "0")
+        at = m.start(1)
+        if n is not None and (toks and toks[-1][0] in ("^", "/") or d and not d.strip("0")):
+            toks.append(("int", n, at, None))
+            at += len(n)
+            if d is not None:
+                toks += [("/", "/", at, None), ("int", d, at + 1, None)]
+                at += 1 + len(d)
+            toks.append(("*", "*", at, None))
+            n, d, at = None, None, at + 1
+        toks.append(("mono", n or ("y" if yo else "x"), at, (n, d, i, j)))
+    if text[pos:].strip():
+        bad = len(text) - len(text[pos:].lstrip())
+        raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
+    toks.append(("end", "", len(text), None))
     return toks
 
 
@@ -693,7 +737,11 @@ class _Parser:
         return base
 
     def atom(self) -> BiPoly:
-        kind, tok, pos = self.next()
+        kind, tok, pos, val = self.next()
+        if kind == "mono":
+            n, d, i, j = val
+            c = RAT_ONE if n is None else Rat(int(n)) if d is None else rat(int(n), int(d))
+            return BiPoly({(int(i), int(j)): c}, _trusted=True) if c else BiPoly()
         if kind == "int":
             num = int(tok)
             if self.peek()[0] == "/":

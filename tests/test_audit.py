@@ -162,6 +162,23 @@ class TestScanSharedWork:
         cands = r.special_values.rational_candidates
         assert all(s.abs_factor_count == 2 for s in r.samples if s.c not in cands)
 
+    def test_exact_count_starts_from_the_pencil(self, monkeypatch):
+        # a pencil count above 1 goes straight to the exact elimination,
+        # without a second rank of the same rows modulo the prime
+        P = parse_poly(COMPOSITE)
+        c = rat(7, 3)
+        assert c not in special_value_candidates(P).rational_candidates
+        calls = []
+        for name in ("rank_mod_p", "rat_eliminate"):
+            real = getattr(fibre, name)
+            monkeypatch.setattr(
+                fibre, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+            )
+        pencil = fibre._ruppert_pencil(P)
+        s = fibre._fibre_tail(c, P - BiPoly.const(c), True, pencil(c), fibre._faces_nondegenerate)
+        assert calls == ["rank_mod_p", "rat_eliminate"]
+        assert s == fibre_report(P, c) and s.abs_factor_count == 2
+
     def test_small_prime_falls_back_to_exact_counts(self, monkeypatch):
         # modulo 3 the pencil refuses c = a/3 and overcounts some fibres
         monkeypatch.setattr(fibre, "RUPPERT_PRIME", 3)

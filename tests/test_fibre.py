@@ -224,9 +224,9 @@ class TestFibreReport:
             calls = dict.fromkeys(names, 0)
             for name in calls:
 
-                def counted(f, _orig=getattr(fibre, name), _name=name):
+                def counted(f, *rest, _orig=getattr(fibre, name), _name=name):
                     calls[_name] += 1
-                    return _orig(f)
+                    return _orig(f, *rest)
 
                 monkeypatch.setattr(fibre, name, counted)
             fibre_report(parse_poly("y^2 - x^3 - x"), c)

@@ -1,16 +1,19 @@
 """Polynomial core: parsing, printing, arithmetic, substitution, Jacobian."""
 
 import random
+import re
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jaccoord import (
     BiPoly,
+    InputTooLarge,
     PolyParseError,
     Rat,
     UniPoly,
+    check,
     gen_random_coordinate,
     jacobian_det,
     parse_poly,
@@ -18,6 +21,7 @@ from jaccoord import (
     squarefree_part,
     substitute,
 )
+from jaccoord import qpoly
 
 
 def rand_bipoly(rng, max_deg=3, bound=5, terms=6):
@@ -87,11 +91,153 @@ def ref_jacobian(P, Q):
     return ref_mul(P.diff_x(), Q.diff_y()) - ref_mul(P.diff_y(), Q.diff_x())
 
 
+def diff_jacobian(P, Q):
+    """The Jacobian from the rational derivatives, as before the integer kernel."""
+    return P.diff_x() * Q.diff_y() - P.diff_y() * Q.diff_x()
+
+
 def ref_gcd(a, b):
     """Euclid's algorithm over Q, the univariate gcd before the primitive PRS."""
     while not b.is_zero():
         a, b = b, a.divmod(b)[1]
     return a.monic()
+
+
+# the lexer and parser before canonical monomials were lexed whole: one
+# regex match per position and one token per number, variable or operator
+
+_REF_TOKEN_RE = re.compile(r"\s*(\d+|[xy()+\-*/^])")
+
+
+def _ref_tokenize(text):
+    text = text.replace("−", "-")
+    toks = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN_RE.match(text, pos)
+        if not m:
+            if text[pos:].strip() == "":
+                break
+            bad = len(text) - len(text[pos:].lstrip())
+            raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
+        tok = m.group(1)
+        kind = "int" if tok[0].isdigit() else tok
+        toks.append((kind, tok, m.start(1)))
+        pos = m.end()
+    toks.append(("end", "", len(text)))
+    return toks
+
+
+class _RefParser:
+    def __init__(self, text):
+        self.toks = _ref_tokenize(text)
+        self.k = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.toks[self.k]
+
+    def next(self):
+        t = self.toks[self.k]
+        self.k += 1
+        return t
+
+    def expect(self, kind):
+        t = self.next()
+        if t[0] != kind:
+            raise PolyParseError(f"expected {kind!r}, got {t[1]!r}", t[2])
+        return t
+
+    def parse(self):
+        p = self.expr()
+        t = self.peek()
+        if t[0] != "end":
+            raise PolyParseError(f"unexpected {t[1]!r}", t[2])
+        return p
+
+    def expr(self):
+        sign = 1
+        if self.peek()[0] in "+-":
+            sign = -1 if self.next()[0] == "-" else 1
+        acc = self.term() * sign
+        while self.peek()[0] in "+-":
+            op = self.next()[0]
+            t = self.term()
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+    def term(self):
+        acc = self.factor()
+        while self.peek()[0] == "*":
+            pos = self.next()[2]
+            f = self.factor()
+            a, b = acc.num_terms(), f.num_terms()
+            if min(a, b) > 1 and a * b > qpoly.MAX_POWER_POINTS:
+                qpoly._check_points("product", acc.degx + f.degx, acc.degy + f.degy, pos)
+            acc = acc * f
+        return acc
+
+    def factor(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.next()
+            t = self.expect("int")
+            n = int(t[1])
+            if base.num_terms() > 1:
+                qpoly._check_points("power", n * base.degx, n * base.degy, t[2])
+            base = base ** n
+        return base
+
+    def atom(self):
+        kind, tok, pos = self.next()
+        if kind == "int":
+            num = int(tok)
+            if self.peek()[0] == "/":
+                self.next()
+                dt = self.expect("int")
+                den = int(dt[1])
+                if den == 0:
+                    raise PolyParseError("zero denominator", dt[2])
+                return BiPoly.const(rat(num, den))
+            return BiPoly.const(num)
+        if kind == "x":
+            return BiPoly.var_x()
+        if kind == "y":
+            return BiPoly.var_y()
+        if kind == "(":
+            self.depth += 1
+            if self.depth > qpoly.MAX_NESTING:
+                raise InputTooLarge(
+                    f"parentheses nested deeper than {qpoly.MAX_NESTING} (at position {pos})"
+                )
+            p = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return p
+        raise PolyParseError(f"unexpected {tok!r}", pos)
+
+
+def ref_parse(text):
+    return _RefParser(text).parse()
+
+
+def parse_outcome(parse, text):
+    """The terms of parse(text), or the type, message and offset of its error."""
+    try:
+        return "ok", parse(text)._t
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return "error", type(exc), str(exc), getattr(exc, "pos", None)
+
+
+# texts over the lexer's alphabet; digit runs stay short, so that no power
+# such as 3^99999999 is drawn
+parse_texts = st.lists(
+    st.sampled_from(
+        ["0", "1", "2", "3", "007", "10", "/", "*", "^", "(", ")", "x", "y", " ",
+         "+", "-", "−", "x^2", "*y", "3/4*", "2*x", "^2"]
+    ),
+    max_size=14,
+).map("".join).filter(lambda t: not re.search(r"\d{5}", t))
 
 
 class TestParse:
@@ -129,6 +275,25 @@ class TestParse:
         ("x^2^3", "unexpected '^' (at position 3)"),
         ("2*x^2^3", "unexpected '^' (at position 5)"),
     ]
+
+    @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
+    @given(text=parse_texts)
+    @example(text="(x+y)^2*x^2*y")
+    @example(text="x ^ 2*x")
+    @example(text="x^2^3")
+    @example(text="2*x^2^3")
+    @example(text="2*3*x")
+    @example(text="0*x")
+    @example(text="x^0")
+    @example(text="2/3^2")
+    @example(text="2/0*x")
+    @example(text="y*x")
+    @example(text="x*y*y")
+    @example(text="1/2/3*x")
+    @example(text="x^23^4")
+    @example(text="2*x ^2")
+    def test_matches_reference_parser(self, text):
+        assert parse_outcome(parse_poly, text) == parse_outcome(ref_parse, text)
 
     @pytest.mark.parametrize("text, message", PINNED_ERRORS)
     def test_parse_error_messages(self, text, message):
@@ -250,10 +415,20 @@ class TestKernelOracle:
                 (A ** 3, ref_mul(ref_mul(A, A), A)),
                 (substitute(A, sx, sy), ref_substitute(A, sx, sy)),
                 (jacobian_det(A, B), ref_jacobian(A, B)),
+                (jacobian_det(A, B), diff_jacobian(A, B)),
             ):
                 assert got == want
                 assert_rat_coefficients(got)
         assert min(seen.values()) >= 10, seen
+
+    def test_jacobian_of_coordinate_pairs(self):
+        # P and its complement from the witness of check, degrees up to 25
+        for seed in range(12):
+            P, _ = gen_random_coordinate(seed, 1 + seed % 2, 5, 5)
+            Q = check(P).complement
+            J = jacobian_det(P, Q)
+            assert J == diff_jacobian(P, Q) and J.is_constant() and not J.is_zero()
+            assert_rat_coefficients(J)
 
     def test_cancellation(self):
         third, two_sevenths = rat(1, 3), rat(2, 7)
