@@ -605,10 +605,11 @@ def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 # parsing
 
-# A canonical monomial [n[/d]*](x[^i][*y[^j]] | y[^j]), as BiPoly.to_str
-# writes it, is one token; every other number, variable or operator is a
-# token of its own.  A monomial is never followed by a digit or by ^, so
-# x^2^3 and x^23 lex as they would without it, and its digits are ASCII.
+# The grammar reads numbers, x, y and the operators; for speed, a canonical
+# monomial [n[/d]*](x[^i][*y[^j]] | y[^j]), as BiPoly.to_str writes it, is
+# lexed whole, without inner spaces and with ASCII digits.  It is never
+# followed by a digit or by ^, so x^2^3 and x^23 lex as they would without
+# it; any other form, such as 2 * x ^ 3, is lexed token by token.
 _TOKEN_RE = re.compile(
     r"\s*(?:((?:([0-9]+)(?:/([0-9]+))?\*)?"
     r"(?:x(?:\^([0-9]+))?(?:\*(y)(?:\^([0-9]+))?)?|(y)(?:\^([0-9]+))?))(?!\d|\s*\^)"
@@ -675,7 +676,10 @@ def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
 
 
 class _Parser:
-    """Recursive descent over: + - * ^ parentheses, x, y, integer and p/q."""
+    """Recursive descent over: + - * ^ parentheses, x, y, integer and p/q.
+
+    A monomial token is an atom: it is the product n/d * x^i * y^j that the
+    grammar would build from its parts, as one term."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
