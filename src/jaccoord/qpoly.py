@@ -608,8 +608,8 @@ def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
 # The grammar reads numbers, x, y and the operators; for speed, a canonical
 # monomial [n[/d]*](x[^i][*y[^j]] | y[^j]), as BiPoly.to_str writes it, is
 # lexed whole, without inner spaces and with ASCII digits.  It is never
-# followed by a digit or by ^, so x^2^3 and x^23 lex as they would without
-# it; any other form, such as 2 * x ^ 3, is lexed token by token.
+# followed by a digit or by ^, so x^2^3 and x^23^4 still fail at their
+# second ^; any other form, such as 2 * x ^ 3, is lexed token by token.
 _TOKEN_RE = re.compile(
     r"\s*(?:((?:([0-9]+)(?:/([0-9]+))?\*)?"
     r"(?:x(?:\^([0-9]+))?(?:\*(y)(?:\^([0-9]+))?)?|(y)(?:\^([0-9]+))?))(?!\d|\s*\^)"
@@ -633,7 +633,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int, object]]:
     toks: List[Tuple[str, str, int, object]] = []
     pos = 0
     for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
+        if m.start() != pos:  # skipped an unexpected character
             break
         pos = m.end()
         n, d, xi, xy, xj, yo, yj, tok = m.groups()[1:]
