@@ -276,6 +276,24 @@ class TestParse:
         ("2*x^2^3", "unexpected '^' (at position 5)"),
     ]
 
+    @pytest.mark.parametrize("text, message", PINNED_ERRORS)
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", PINNED_ERRORS)
+    def test_parse_error_documents(self, capsys, text, message):
+        from jaccoord.cli import main
+
+        assert main(["check", text]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            '{\n  "error": {\n    "detail": "' + message + '",\n'
+            '    "kind": "ParseError"\n  }\n}\n'
+        )
+
     @settings(derandomize=True, max_examples=1500, deadline=None, database=None)
     @given(text=parse_texts)
     @example(text="(x+y)^2*x^2*y")
@@ -294,24 +312,6 @@ class TestParse:
     @example(text="2*x ^2")
     def test_matches_reference_parser(self, text):
         assert parse_outcome(parse_poly, text) == parse_outcome(ref_parse, text)
-
-    @pytest.mark.parametrize("text, message", PINNED_ERRORS)
-    def test_parse_error_messages(self, text, message):
-        with pytest.raises(PolyParseError) as info:
-            parse_poly(text)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("text, message", PINNED_ERRORS)
-    def test_parse_error_documents(self, capsys, text, message):
-        from jaccoord.cli import main
-
-        assert main(["check", text]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (
-            '{\n  "error": {\n    "detail": "' + message + '",\n'
-            '    "kind": "ParseError"\n  }\n}\n'
-        )
 
     def test_round_trip(self):
         rng = random.Random(2)
