@@ -708,15 +708,22 @@ class _Parser:
         return p
 
     def expr(self) -> BiPoly:
-        sign = 1
-        if self.peek()[0] in "+-":
-            sign = -1 if self.next()[0] == "-" else 1
-        acc = self.term() * sign
-        while self.peek()[0] in "+-":
+        """The signed terms, summed into one term map."""
+        acc: Dict[Term, object] = {}
+        op = self.next()[0] if self.peek()[0] in "+-" else "+"
+        while True:
+            for e, c in self.term()._t.items():
+                c = -c if op == "-" else c
+                s = acc.get(e)
+                if s is not None:
+                    c = s + c
+                    if c == 0:
+                        del acc[e]
+                        continue
+                acc[e] = c
+            if self.peek()[0] not in "+-":
+                return BiPoly(acc, _trusted=True)
             op = self.next()[0]
-            t = self.term()
-            acc = acc + t if op == "+" else acc - t
-        return acc
 
     def term(self) -> BiPoly:
         acc = self.factor()
