@@ -6,9 +6,12 @@ solution space of a first-order differential system (Ruppert/Gao): for
 squarefree f, pairs (g, h) with g_y f - g f_y = h_x f - h f_x under the
 degree bounds degx g <= degx f - 1, degy g <= degy f, degx h <= degx f,
 degy h <= degy f - 1.  The bounds are validated against a constructive
-oracle in the test suite.  The system is built with integer coefficients
-and its rank is taken modulo RUPPERT_PRIME first: rank_p <= rank_Q gives
-count_p >= count_Q >= 1, so count_p == 1 certifies absolute
+oracle in the test suite.  Each column is g_y f - g f_y or h f_x - h_x f
+for one monomial g or h, and the matrix is in graded order, rows by
+descending total degree and columns by their first row, so that it is
+nearly triangular before elimination.  The system is built with integer
+coefficients and its rank is taken modulo RUPPERT_PRIME first: rank_p <=
+rank_Q gives count_p >= count_Q >= 1, so count_p == 1 certifies absolute
 irreducibility, and only count_p > 1 runs the exact elimination over Q.
 Genus is the interior lattice point count of the Newton polygon, reported
 only under full nondegeneracy and irreducibility; everything outside those
@@ -78,52 +81,36 @@ MaybeInt = Union[int, Unknown]
 RUPPERT_PRIME = 1073741789
 
 
-def _ruppert_unknowns(m: int, n: int) -> Tuple[List[Tuple[str, int, int]], int]:
-    unknowns = [("g", u, v) for u in range(m) for v in range(n + 1)]
-    unknowns += [("h", u, v) for u in range(m + 1) for v in range(n)]
-    return unknowns, len(unknowns)
-
-
 def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
     """Integer coefficient matrix of the differential system of the integer
-    term map f_terms, rows sorted by monomial, absent entries 0."""
-    unknowns, ncols = _ruppert_unknowns(m, n)
-    columns: List[Dict[Tuple[int, int], object]] = []
-    for kind, u, v in unknowns:
-        col: Dict[Tuple[int, int], object] = {}
+    term map f_terms, and its column count; absent entries are 0.
 
-        def acc(i, j, coeff):
-            if i < 0 or j < 0:
-                return
-            cur = col.get((i, j))
-            col[(i, j)] = coeff if cur is None else cur + coeff
-
-        for (i, j), c in sorted(f_terms.items()):
-            if kind == "g":
-                # g_y * f  -  g * f_y
-                if v > 0:
-                    acc(i + u, j + v - 1, c * v)
-                if j > 0:
-                    acc(i + u, j - 1 + v, c * -j)
-            else:
-                # -(h_x * f - h * f_x) = -h_x f + h f_x
-                if u > 0:
-                    acc(i + u - 1, j + v, c * -u)
-                if i > 0:
-                    acc(i - 1 + u, j + v, c * i)
-        columns.append(col)
-    monomials = sorted({e for col in columns for e in col})
-    rows = []
-    for e in monomials:
-        rows.append([col.get(e, 0) for col in columns])
-    return rows, ncols
+    Column g = x^u y^v (u < m, v <= n) is g_y f - g f_y, with entry
+    c (v - j) at row x^(i+u) y^(j+v-1) for each term c x^i y^j, and column
+    h = x^u y^v (u <= m, v < n) is h f_x - h_x f, entry c (i - u) at row
+    x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.  Rows are in
+    descending total degree, then x-degree, and columns in the order of
+    their first row, as in a Macaulay matrix, which elimination barely fills
+    in.  Both orders follow from the support of f_terms alone (zero values
+    count), so maps on one support share one row set and column order."""
+    columns = [
+        {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
+        for u in range(m) for v in range(n + 1)
+    ] + [
+        {(i + u - 1, j + v): c * (i - u) for (i, j), c in f_terms.items() if u or i}
+        for u in range(m + 1) for v in range(n)
+    ]
+    monomials = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
+    index = {e: k for k, e in enumerate(monomials)}
+    columns.sort(key=lambda col: min(map(index.__getitem__, col), default=len(index)))
+    return [[col.get(e, 0) for col in columns] for e in monomials], len(columns)
 
 
 def _ruppert_pencil(P: BiPoly):
     """c -> the factor count of P - c modulo RUPPERT_PRIME, None where the
     prime divides the denominator of c.  The rows are linear in f: those of
     den*(P - c) are the rows of P without its constant term plus
-    den*(P(0, 0) - c) times the rows of 1, on one row set (zero entries count)."""
+    den*(P(0, 0) - c) times the rows of 1, on one row set and column order."""
     den, nums = _int_form(dict(P.items()))
     k0, p = nums.pop((0, 0), 0), RUPPERT_PRIME
     base, ncols = ruppert_rows({**nums, (0, 0): 0}, P.degx, P.degy)

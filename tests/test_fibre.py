@@ -1,6 +1,7 @@
 """Fibre invariants: factor counts, nondegeneracy, genus, branches."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,170 @@ FERMAT4_IMAGE = substitute(
     parse_poly("x^4 + y^4 + 1"), parse_poly("2*x - y + 1/3"), parse_poly("x + y - 2")
 )
 
+
+
+# ---------------------------------------------------------------------------
+# the Ruppert matrix as it was built before the graded order: one column per
+# unknown, g then h, accumulated term by term, and rows in ascending lex
+# order of their monomials
+
+
+def _ref_ruppert_columns(f_terms, m, n):
+    unknowns = [("g", u, v) for u in range(m) for v in range(n + 1)]
+    unknowns += [("h", u, v) for u in range(m + 1) for v in range(n)]
+    columns = []
+    for kind, u, v in unknowns:
+        col = {}
+
+        def acc(i, j, coeff):
+            if i < 0 or j < 0:
+                return
+            cur = col.get((i, j))
+            col[(i, j)] = coeff if cur is None else cur + coeff
+
+        for (i, j), c in sorted(f_terms.items()):
+            if kind == "g":
+                # g_y * f  -  g * f_y
+                if v > 0:
+                    acc(i + u, j + v - 1, c * v)
+                if j > 0:
+                    acc(i + u, j - 1 + v, c * -j)
+            else:
+                # -(h_x * f - h * f_x) = -h_x f + h f_x
+                if u > 0:
+                    acc(i + u - 1, j + v, c * -u)
+                if i > 0:
+                    acc(i - 1 + u, j + v, c * i)
+        columns.append(col)
+    return columns
+
+
+def ref_ruppert_rows(f_terms, m, n):
+    columns = _ref_ruppert_columns(f_terms, m, n)
+    monomials = sorted({e for col in columns for e in col})
+    return [[col.get(e, 0) for col in columns] for e in monomials], len(columns)
+
+
+def _int_system(P):
+    """The arguments of ruppert_rows for the integer form of P."""
+    return _int_form(dict(P.items()))[1], P.degx, P.degy
+
+
+def _mod_p_updates(rows, p):
+    """(rank, updates) of the elimination that rank_mod_p runs, counting one
+    update per entry of a pivot row's tail and per row below it with a
+    nonzero entry in the pivot column."""
+    mat = [[int(x) % p for x in row] for row in rows]
+    n, rank, updates = len(mat), 0, 0
+    for col in range(len(mat[0]) if mat else 0):
+        sel = next((i for i in range(rank, n) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        prow = mat[rank]
+        inv = pow(prow[col], -1, p)
+        ptail = [(k, x * inv % p) for k, x in enumerate(prow[col + 1:], col + 1) if x]
+        for ri in mat[rank + 1:]:
+            c = ri[col]
+            if c:
+                updates += len(ptail)
+                for k, x in ptail:
+                    ri[k] = (ri[k] - c * x) % p
+        rank += 1
+    return rank, updates
+
+
+# fibre-workload families at small size: y^m - h(x), products of lines and
+# of coordinates, and small univariate and monomial cases
+RUPPERT_TEXTS = [
+    "y^2 - x^5 + 3*x^2 - x - 2", "y^3 - 2*x^4 - x^3 + x - 1",
+    "y^2 - x^7 - x^3 + 2*x - 5", "y^3 - x^5 - 4*x + 1",
+    "(x + 2*y - 1)*(3*x - y + 2)", "(x + 2*y - 1)*(3*x - y + 2)*(x - y + 1/2)",
+    "(x + 2*y - 1)*(3*x - y + 2)*(x - y + 1/2)*(2*x + 5*y - 3)",
+    "(y - x^2 + 1)*(x + y^3 + 2*y - 1)", "(x + 2*y)*(y - x^2 + 1)*(x - y^2 + 3)",
+    "x^3 - x", "x*y", "y - x^2", "x^2*y^2 + x + y + 1",
+]
+
+
+def _small_generator_coordinates():
+    """The first four generator coordinates with degree 3 or 4 in x or y."""
+    out = []
+    for s in range(100):
+        P = gen_random_coordinate(s, 2, 3, 3)[0]
+        if max(P.degx, P.degy) in (3, 4):
+            out.append(P)
+        if len(out) == 4:
+            return out
+    raise AssertionError("too few small generator coordinates")
+
+
+class TestRuppertOrder:
+    """ruppert_rows is the matrix of ref_ruppert_rows with its rows in graded
+    order and its columns permuted, and elimination fills it in less."""
+
+    @staticmethod
+    def _corpus():
+        polys = _small_generator_coordinates() + [FERMAT5_IMAGE]
+        polys += [parse_poly(t) for t in RUPPERT_TEXTS]
+        systems = [_int_system(P) for P in polys]
+        rng = random.Random(15)
+        for _ in range(40):
+            a, b = rng.randint(0, 4), rng.randint(0, 4)
+            terms = {(i, j): rng.choice([-9, -2, -1, 0, 1, 3, 8])
+                     for i in range(a + 1) for j in range(b + 1) if rng.random() < 0.4}
+            if terms:
+                systems.append((terms, max(i for i, _ in terms), max(j for _, j in terms)))
+        return systems
+
+    @staticmethod
+    def _assert_permuted(f_terms, m, n):
+        rows, ncols = fibre.ruppert_rows(f_terms, m, n)
+        columns = _ref_ruppert_columns(f_terms, m, n)
+        assert ncols == ref_ruppert_rows(f_terms, m, n)[1] == len(columns)
+        graded = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
+        assert len(rows) == len(graded)
+        want = Counter(tuple(col.get(e, 0) for e in graded) for col in columns)
+        assert Counter(tuple(r[k] for r in rows) for k in range(ncols)) == want
+        return rows
+
+    def test_same_matrix_and_ranks(self):
+        p = fibre.RUPPERT_PRIME
+        for f_terms, m, n in self._corpus():
+            rows = self._assert_permuted(f_terms, m, n)
+            ref = ref_ruppert_rows(f_terms, m, n)[0]
+            assert fibre.rank_mod_p(rows, p) == fibre.rank_mod_p(ref, p), (f_terms, m, n)
+            assert fibre.rat_eliminate(rows)[0] == fibre.rat_eliminate(ref)[0], (f_terms, m, n)
+
+    def test_unipoly_terms(self):
+        # the entries in Q[c] of P - c, as _rational_rank_drop_det builds them
+        from jaccoord.qpoly import UniPoly
+
+        probe = rat(17, 3)
+        for text in TestPolarLimits.INPUTS:
+            P = parse_poly(text)
+            terms = {e: UniPoly.const(c) for e, c in P.items()}
+            terms[(0, 0)] = terms.get((0, 0), UniPoly.zero()) + UniPoly([0, -1])
+            rows = self._assert_permuted(terms, P.degx, P.degy)
+            ref = ref_ruppert_rows(terms, P.degx, P.degy)[0]
+            at = [[[u.eval(probe) if isinstance(u, UniPoly) else u for u in r] for r in mat]
+                  for mat in (rows, ref)]
+            assert fibre.rat_eliminate(at[0])[0] == fibre.rat_eliminate(at[1])[0], text
+
+    def test_fill_in_at_most_half(self):
+        # the mod-p elimination of the graded matrices needs at most half the
+        # inner updates of the lex-ordered ones on the fibre families
+        polys = _small_generator_coordinates() + [FERMAT4_IMAGE, FERMAT5_IMAGE]
+        polys += [parse_poly(t) for t in RUPPERT_TEXTS]
+        p = fibre.RUPPERT_PRIME
+        graded = reference = 0
+        for P in polys:
+            system = _int_system(P)
+            rank, updates = _mod_p_updates(fibre.ruppert_rows(*system)[0], p)
+            ref_rank, ref_updates = _mod_p_updates(ref_ruppert_rows(*system)[0], p)
+            assert rank == ref_rank == fibre.rank_mod_p(ref_ruppert_rows(*system)[0], p)
+            graded, reference = graded + updates, reference + ref_updates
+        assert reference > 10_000
+        assert 2 * graded <= reference, (graded, reference)
 
 class TestAbsoluteFactorCount:
     def test_fixed_triple(self):
@@ -355,13 +520,15 @@ def _rational_rank_drop_det(P):
     """Reference: the rank-drop determinant on the rational matrix of P - c,
     entries in Q[c], evaluated at each point with rational arithmetic: det(c)
     of a maximal square submatrix that is nonsingular at one of three probes.
-    Its roots flag factor-count jumps, and some more."""
+    Its roots flag factor-count jumps, and some more.  Which submatrix comes
+    first depends on the order of the matrix, and so do the spurious roots,
+    so this builds the lex-ordered matrix of ref_ruppert_rows."""
     from jaccoord.elim import rat_det, rat_eliminate
     from jaccoord.qpoly import UniPoly
 
     terms = {e: UniPoly.const(c) for e, c in P.items()}
     terms[(0, 0)] = terms.get((0, 0), UniPoly.zero()) + UniPoly([0, -1])
-    rows, _ = fibre.ruppert_rows(terms, P.degx, P.degy)
+    rows, _ = ref_ruppert_rows(terms, P.degx, P.degy)
     rows = [[u if isinstance(u, UniPoly) else UniPoly.zero() for u in r] for r in rows]
     if not rows:
         return None
