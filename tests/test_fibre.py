@@ -146,21 +146,24 @@ class TestRuppertOrder:
         return systems
 
     @staticmethod
-    def _assert_permuted(f_terms, m, n):
+    def _permuted_pair(f_terms, m, n):
+        """The matrices of ruppert_rows and ref_ruppert_rows, once the first
+        is checked to be the second with its rows in graded order and its
+        columns permuted."""
         rows, ncols = fibre.ruppert_rows(f_terms, m, n)
+        ref, ref_ncols = ref_ruppert_rows(f_terms, m, n)
         columns = _ref_ruppert_columns(f_terms, m, n)
-        assert ncols == ref_ruppert_rows(f_terms, m, n)[1] == len(columns)
+        assert ncols == ref_ncols
         graded = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
-        assert len(rows) == len(graded)
+        assert len(rows) == len(ref) == len(graded)
         want = Counter(tuple(col.get(e, 0) for e in graded) for col in columns)
         assert Counter(tuple(r[k] for r in rows) for k in range(ncols)) == want
-        return rows
+        return rows, ref
 
     def test_same_matrix_and_ranks(self):
         p = fibre.RUPPERT_PRIME
         for f_terms, m, n in self._corpus():
-            rows = self._assert_permuted(f_terms, m, n)
-            ref = ref_ruppert_rows(f_terms, m, n)[0]
+            rows, ref = self._permuted_pair(f_terms, m, n)
             assert fibre.rank_mod_p(rows, p) == fibre.rank_mod_p(ref, p), (f_terms, m, n)
             assert fibre.rat_eliminate(rows)[0] == fibre.rat_eliminate(ref)[0], (f_terms, m, n)
 
@@ -173,8 +176,7 @@ class TestRuppertOrder:
             P = parse_poly(text)
             terms = {e: UniPoly.const(c) for e, c in P.items()}
             terms[(0, 0)] = terms.get((0, 0), UniPoly.zero()) + UniPoly([0, -1])
-            rows = self._assert_permuted(terms, P.degx, P.degy)
-            ref = ref_ruppert_rows(terms, P.degx, P.degy)[0]
+            rows, ref = self._permuted_pair(terms, P.degx, P.degy)
             at = [[[u.eval(probe) if isinstance(u, UniPoly) else u for u in r] for r in mat]
                   for mat in (rows, ref)]
             assert fibre.rat_eliminate(at[0])[0] == fibre.rat_eliminate(at[1])[0], text
@@ -188,12 +190,14 @@ class TestRuppertOrder:
         graded = reference = 0
         for P in polys:
             system = _int_system(P)
+            ref = ref_ruppert_rows(*system)[0]
             rank, updates = _mod_p_updates(fibre.ruppert_rows(*system)[0], p)
-            ref_rank, ref_updates = _mod_p_updates(ref_ruppert_rows(*system)[0], p)
-            assert rank == ref_rank == fibre.rank_mod_p(ref_ruppert_rows(*system)[0], p)
+            ref_rank, ref_updates = _mod_p_updates(ref, p)
+            assert rank == ref_rank == fibre.rank_mod_p(ref, p)
             graded, reference = graded + updates, reference + ref_updates
         assert reference > 10_000
         assert 2 * graded <= reference, (graded, reference)
+
 
 class TestAbsoluteFactorCount:
     def test_fixed_triple(self):
