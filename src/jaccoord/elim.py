@@ -1,6 +1,6 @@
 """Exact elimination machinery: subresultant chains, resultants, bivariate
-gcd, exact Gaussian elimination of rational matrices, and rational root
-extraction.
+gcd and squarefree part, exact Gaussian elimination of rational matrices,
+and rational root extraction.
 
 Polynomials in the elimination variable are dense coefficient lists over
 Q, Q[x] or Q[x,c].  The coefficient types' own operators do the ring
@@ -8,6 +8,10 @@ arithmetic; a small adapter carries only what differs between them (zero,
 one and exact division), so the same pseudo-remainder code serves all
 three.  All divisions performed by the subresultant chain are exact by
 theory; an inexact division raises, it is never silently rounded.
+
+A bivariate squarefree part is proved to be the input itself modulo
+MODULAR_PRIME when it can be, by one univariate slice per variable; any
+other input runs the exact gcds with its partial derivatives.
 
 A rational matrix is eliminated fraction-free: on a copy whose rows are
 scaled to primitive integer rows, with plain integer arithmetic, and with
@@ -29,7 +33,16 @@ from typing import Callable, List, Sequence, Tuple
 import sympy
 
 from ._ratback import RAT_ONE, RAT_ZERO, rat
-from .qpoly import BiPoly, UniPoly, ZeroPolynomialError, _int_coeffs, _int_primitive
+from .qpoly import (
+    MODULAR_PRIME,
+    BiPoly,
+    UniPoly,
+    ZeroPolynomialError,
+    _gcd_mod_p,
+    _int_coeffs,
+    _int_form,
+    _int_primitive,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +202,42 @@ def _lex_normalize(f: BiPoly) -> BiPoly:
     return f * (RAT_ONE / c)
 
 
+def _squarefree_mod_p(f: BiPoly, p: int) -> bool:
+    """True only when f is squarefree over Q.
+
+    For each variable v of f, the other one is set to the first small
+    integer a at which lc_v(f) is nonzero mod p, and f(a) must be squarefree
+    in F_p[v].  If g^2 divided f, g primitive in Z[x,y] with deg_v g >= 1,
+    then lc_v(g)(a) would divide lc_v(f)(a), so g(a) would keep a positive
+    degree and g(a)^2 would divide f(a) mod p.
+    """
+    nums = _int_form(dict(f.items()))[1]
+    for v in (0, 1):
+        n = max(e[v] for e in nums)
+        if n == 0:
+            continue
+        lead = [(e[1 - v], c) for e, c in nums.items() if e[v] == n]
+        bound = max(j for j, _ in lead) + 1
+        a = next((a for a in range(bound) if sum(c * pow(a, j, p) for j, c in lead) % p), None)
+        if a is None:
+            return False
+        fa = [0] * (n + 1)
+        for e, c in nums.items():
+            fa[e[v]] += c * pow(a, e[1 - v], p)
+        if len(_gcd_mod_p(fa, [k * c for k, c in enumerate(fa)][1:], p)) != 1:
+            return False
+    return True
+
+
 def bipoly_squarefree_part(f: BiPoly) -> Tuple[BiPoly, bool]:
-    """(squarefree part, was_already_squarefree) over Q[x,y], char 0."""
+    """(squarefree part, was_already_squarefree) over Q[x,y], char 0.
+
+    A squarefree f is recognised modulo MODULAR_PRIME first; anything that
+    certificate cannot prove runs the exact gcds with f_x and f_y."""
     if f.is_zero():
         raise ZeroPolynomialError("squarefree part of zero polynomial")
+    if _squarefree_mod_p(f, MODULAR_PRIME):
+        return f, True
     g = bipoly_gcd(f, f.diff_x())
     if not g.is_constant():  # else gcd(f, f_x, f_y) is constant too
         g = bipoly_gcd(g, f.diff_y())

@@ -13,6 +13,13 @@ nearly triangular before elimination.  The system is built with integer
 coefficients and its rank is taken modulo RUPPERT_PRIME first: rank_p <=
 rank_Q gives count_p >= count_Q >= 1, so count_p == 1 certifies absolute
 irreducibility, and only count_p > 1 runs the exact elimination over Q.
+
+Every invariant is taken on the squarefree part of P - c.  Two gcds are
+proved modulo the same prime where they can be: elim.bipoly_squarefree_part
+proves P - c squarefree, and UniPoly.gcd proves that the resultants of the
+torus pre-test have a power of x as their gcd.  The exact gcds answer
+whatever these one-sided certificates cannot prove.
+
 Genus is the interior lattice point count of the Newton polygon, reported
 only under full nondegeneracy and irreducibility; everything outside those
 hypotheses is an explicit Unknown, never a guess.
@@ -33,7 +40,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._ratback import RAT_ONE, RAT_ZERO, rat
-from .qpoly import BiPoly, InputTooLarge, UniPoly, _int_form, squarefree_part, substitute
+from .qpoly import MODULAR_PRIME, BiPoly, InputTooLarge, UniPoly, _int_form, squarefree_part, substitute
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
@@ -77,8 +84,7 @@ MaybeInt = Union[int, Unknown]
 # ---------------------------------------------------------------------------
 # Ruppert/Gao linear system
 
-# the largest prime below 2^30, so that residues are one-digit Python ints
-RUPPERT_PRIME = 1073741789
+RUPPERT_PRIME = MODULAR_PRIME
 
 
 def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):

@@ -7,8 +7,10 @@ common-denominator integer form ``(den, {exponent: numerator})``, ``den`` the
 lcm of the denominators.  A :class:`UniPoly` is a dense tuple, degree 0
 first.  Its products run on the same integer form as a list; its exact
 division and its gcd run on the primitive integer form (the integer list
-divided by its content): division by Gauss's lemma in Z[x], the gcd by the
-primitive PRS, which is the one univariate gcd of the package.  All values
+divided by its content): division by Gauss's lemma in Z[x].  The gcd is
+proved to be a power of x modulo MODULAR_PRIME when it can be, which covers
+coprime operands, and is otherwise the primitive PRS, the one exact
+univariate gcd of the package.  All values
 are immutable after construction and every operation is pure, so instances
 can be shared freely across threads.
 """
@@ -82,6 +84,30 @@ def _int_prem(a: List[int], b: List[int]) -> List[int]:
         while rem and not rem[-1]:
             rem.pop()
     return rem
+
+
+# the largest prime below 2^30, so that residues are one-digit Python ints
+MODULAR_PRIME = 1073741789
+
+
+def _gcd_mod_p(a: List[int], b: List[int], p: int) -> List[int]:
+    """A gcd in F_p[x] of two integer coefficient lists, as residues with a
+    nonzero leading one; [] when both vanish modulo p."""
+    a, b = [c % p for c in a], [c % p for c in b]
+    while a and not a[-1]:
+        a.pop()
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        db, inv, body = len(b) - 1, pow(b[-1], -1, p), b[:-1]
+        while len(a) > db:
+            q = a.pop() * inv % p
+            k = len(a) - db
+            a[k:] = [(r - q * y) % p for r, y in zip(a[k:], body)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return a
 
 
 def _int_exact_div(a: List[int], b: List[int]) -> List[int]:
@@ -233,11 +259,23 @@ class UniPoly:
         return UniPoly([c * inv for c in self.coeffs])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
-        """The monic gcd (zero when both are zero), by the primitive PRS:
-        on primitive integer forms, each remainder is an integer
-        pseudo-remainder with its content divided out."""
+        """The monic gcd (zero when both are zero), on primitive integer forms.
+
+        Each nonzero operand is x^v times a part with a nonzero constant
+        term.  When MODULAR_PRIME divides neither part's leading coefficient
+        and the parts have gcd 1 modulo it, the gcd is x^min(va, vb): a common
+        factor of the parts in Z[x] would divide both leading coefficients
+        and so keep its degree modulo the prime.  Any other pair runs the
+        primitive PRS, where each remainder is an integer pseudo-remainder
+        with its content divided out."""
         a = _int_primitive(_int_coeffs(self.coeffs)[1])[1]
         b = _int_primitive(_int_coeffs(other.coeffs)[1])[1]
+        if a and b:
+            p = MODULAR_PRIME
+            va = next(k for k, c in enumerate(a) if c)
+            vb = next(k for k, c in enumerate(b) if c)
+            if a[-1] % p and b[-1] % p and len(_gcd_mod_p(a[va:], b[vb:], p)) == 1:
+                return UniPoly.monomial(1, min(va, vb))
         if len(a) < len(b):
             a, b = b, a
         while b:

@@ -12,9 +12,11 @@ from jaccoord import (
     bipoly_gcd,
     bipoly_is_squarefree,
     bipoly_squarefree_part,
+    gen_random_coordinate,
     parse_poly,
     rat,
 )
+from jaccoord import elim, qpoly
 from jaccoord.elim import (
     RAT_RING,
     UNIPOLY_RING,
@@ -256,6 +258,65 @@ class TestSquarefree:
         sq, was = bipoly_squarefree_part(f)
         assert was
         assert sq.total_degree() == f.total_degree()
+
+
+def small_poly(rng, degx, degy, terms):
+    """Up to `terms` random terms below the given degrees, with the monomial
+    x^degx y^degy present; small coefficients, some of them rational."""
+    t = {(rng.randint(0, degx), rng.randint(0, degy)): rat(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+         for _ in range(terms)}
+    t[(degx, degy)] = rat(rng.choice([-3, -1, 1, 2, 5]))
+    return BiPoly(t)
+
+
+def squarefree_corpus(rng):
+    """(kind, f): squarefree fibres P - c, products g^2 h with deg_y g >= 1,
+    square x- and y-contents, and polynomials in x alone or y alone."""
+    out = [("fibre", small_poly(rng, rng.randint(1, 5), rng.randint(1, 5), 8) - BiPoly.const(rat(k, 3)))
+           for k in range(30)]
+    out += [("fibre", gen_random_coordinate(s, 2, 3, 5)[0] - BiPoly.const(rat(1, 3))) for s in range(8)]
+    for _ in range(20):
+        g = small_poly(rng, rng.randint(0, 2), rng.randint(1, 2), 3)
+        out.append(("square", g * g * small_poly(rng, rng.randint(0, 2), rng.randint(0, 2), 4)))
+    out += [(kind, parse_poly(text)) for kind, text in (
+        ("content", "x^2*(y + 1)"), ("content", "(x - 1)^2*(y^2 + x)"), ("content", "(2*x + 1)^3*(x*y - 1)"),
+        ("content", "y^2*(x + 1)"), ("content", "(y + 3)^2*(x^2 - y)"), ("content", "x^2*y^2 + x^2"),
+        ("x only", "x^3 - x"), ("x only", "(x^2 - 2)^2*(x + 1)"), ("x only", "3*x - 1/2"),
+        ("y only", "y^4 + 1"), ("y only", "(y + 1)^3"), ("y only", "y^2 - 2*y + 1"),
+        ("constant", "7/2"), ("fibre", "x*y - 1"), ("fibre", "y^2 - x^3"),
+    )]
+    return out
+
+
+class TestSquarefreeCertificate:
+    """bipoly_squarefree_part with the modular certificate equals the exact
+    gcds alone, at the package's prime and at 3, where it often fails."""
+
+    def _check(self, monkeypatch, prime):
+        """Whether the certificate proved each squarefree input, after
+        checking every answer against the exact path."""
+        corpus = squarefree_corpus(random.Random(16))
+        for module in (elim, qpoly):
+            monkeypatch.setattr(module, "MODULAR_PRIME", prime)
+        got = [bipoly_squarefree_part(f) for _, f in corpus]
+        proved = [elim._squarefree_mod_p(f, prime) for _, f in corpus]
+        monkeypatch.setattr(elim, "_squarefree_mod_p", lambda f, p: False)
+        assert got == [bipoly_squarefree_part(f) for _, f in corpus]
+        was = [w for _, w in got]
+        assert {kind for (kind, _), w in zip(corpus, was) if not w} == {"square", "content", "x only", "y only"}
+        assert not any(p and not w for p, w in zip(proved, was))
+        return [p for p, w in zip(proved, was) if w]
+
+    def test_equals_exact_path(self, monkeypatch):
+        # a slice through a singular point fails, as x = 0 and y = 0 both
+        # do on the cusp y^2 - x^3; such inputs take the exact path
+        squarefree = self._check(monkeypatch, elim.MODULAR_PRIME)
+        assert squarefree.count(False) <= 3
+        assert not elim._squarefree_mod_p(parse_poly("y^2 - x^3"), elim.MODULAR_PRIME)
+
+    def test_small_prime_falls_back(self, monkeypatch):
+        squarefree = self._check(monkeypatch, 3)
+        assert 10 <= squarefree.count(False) < len(squarefree)
 
 
 class TestLinearAlgebra:

@@ -402,6 +402,16 @@ class TestFibreReport:
             monkeypatch.undo()
             assert calls == dict.fromkeys(names, 1)
 
+    def test_dense_degree_twelve(self):
+        # all 91 monomials of degree <= 12: a smooth curve of genus 55 with
+        # 12 points at infinity; its torus pre-test takes the gcd of two
+        # coprime resultants of degree 132 with 139-bit numerators
+        rng = random.Random(0)
+        P = BiPoly({(i, d - i): rat(rng.randint(1, 9)) for d in range(13) for i in range(d + 1)})
+        r = fibre_report(P, rat(1, 3))
+        assert (r.abs_factor_count, r.multiplicity_reduced, r.nondegenerate) == (1, True, True)
+        assert (r.genus, r.branches_at_infinity) == (55, 12)
+
 
 class TestSpecialValues:
     def test_cusp_names_zero(self):

@@ -621,3 +621,89 @@ class TestUniPolyKernelOracle:
                 dividend.exact_div(UniPoly.zero())
         assert UniPoly.zero().gcd(UniPoly.zero()).is_zero()
         assert UniPoly.zero().exact_div(t2).is_zero()
+
+
+def x_power(k):
+    return UniPoly.monomial(1, k)
+
+
+def strip_x(ints):
+    """An integer coefficient list without its factor x^v."""
+    return ints[next(k for k, c in enumerate(ints) if c):]
+
+
+def gcd_certificate_pair(rng, kind):
+    """(a, b) of the given kind, with integer coefficients that are
+    sometimes multiples of 3 so that a small prime meets unlucky leading
+    coefficients: 'coprime', 'shared' (common factors up to multiplicity 3),
+    'xpow' (each times its own power of x, coprime otherwise), 'xshared'
+    (powers of x and a common factor), 'const' and 'zero' (as a)."""
+
+    def poly(lo, hi):
+        cs = [rat(rng.choice([0, 3, -3, 6]) if rng.random() < 0.3 else rng.randint(-9, 9))
+              for _ in range(rng.randint(lo, hi) + 1)]
+        cs[-1] = rat(rng.choice([-6, 3]) if rng.random() < 0.2 else rng.choice([-5, -2, -1, 1, 2, 4, 7]))
+        return UniPoly(cs)
+
+    b = poly(0, 6)
+    if kind == "zero":
+        return UniPoly.zero(), b
+    if kind == "const":
+        return UniPoly.const(rng.choice([-6, 3, 1, 7])), b
+    a = poly(1, 6)
+    if kind in ("shared", "xshared"):
+        for _ in range(rng.randint(1, 2)):
+            f = poly(1, 2)
+            a = a * f ** rng.randint(1, 3)
+            b = b * f ** rng.randint(1, 3)
+    if kind in ("xpow", "xshared"):
+        a = a * x_power(rng.randint(0, 3))
+        b = b * x_power(rng.randint(0, 3))
+    return a, b
+
+
+class TestUniPolyGcdCertificate:
+    """UniPoly.gcd against sympy.gcd, made monic, with and without the
+    modular coprimality certificate able to answer."""
+
+    KINDS = ["coprime", "shared", "xpow", "xshared", "const", "zero"]
+
+    def _corpus(self):
+        rng = random.Random(16)
+        return [(kind, *gcd_certificate_pair(rng, kind)) for _ in range(40) for kind in self.KINDS]
+
+    def _check(self, corpus):
+        for kind, a, b in corpus:
+            want = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b))).monic()
+            assert a.gcd(b) == want and b.gcd(a) == want, (kind, a, b)
+
+    def test_large_prime_proves_every_power_of_x(self, monkeypatch):
+        corpus = self._corpus()
+        self._check(corpus)
+        prems = []
+        real_prem = qpoly._int_prem
+        monkeypatch.setattr(qpoly, "_int_prem", lambda a, b: prems.append(1) or real_prem(a, b))
+        proved = 0
+        for kind, a, b in corpus:
+            del prems[:]
+            if sum(c != 0 for c in a.gcd(b).coeffs) == 1 and not a.is_zero():
+                assert not prems, (kind, a, b)
+                proved += 1
+        assert proved >= 100, proved
+
+    def test_small_prime_falls_back_to_the_prs(self, monkeypatch):
+        corpus = self._corpus()
+        monkeypatch.setattr(qpoly, "MODULAR_PRIME", 3)
+        self._check(corpus)
+        # pairs whose gcd is a power of x but which the certificate cannot
+        # prove modulo 3: an unlucky leading coefficient or a spurious gcd
+        unlucky = spurious = 0
+        for kind, a, b in corpus:
+            if a.is_zero() or sum(c != 0 for c in a.gcd(b).coeffs) != 1:
+                continue
+            ia, ib = (qpoly._int_primitive(qpoly._int_coeffs(u.coeffs)[1])[1] for u in (a, b))
+            if ia[-1] % 3 == 0 or ib[-1] % 3 == 0:
+                unlucky += 1
+            elif len(qpoly._gcd_mod_p(strip_x(ia), strip_x(ib), 3)) > 1:
+                spurious += 1
+        assert unlucky >= 10 and spurious >= 10, (unlucky, spurious)
