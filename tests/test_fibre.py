@@ -405,7 +405,7 @@ class TestFibreReport:
     def test_dense_degree_twelve(self):
         # all 91 monomials of degree <= 12: a smooth curve of genus 55 with
         # 12 points at infinity; its torus pre-test takes the gcd of two
-        # coprime resultants of degree 132 with 139-bit numerators
+        # coprime resultants of degree 132 with 147- and 152-bit numerators
         rng = random.Random(0)
         P = BiPoly({(i, d - i): rat(rng.randint(1, 9)) for d in range(13) for i in range(d + 1)})
         r = fibre_report(P, rat(1, 3))

@@ -623,10 +623,6 @@ class TestUniPolyKernelOracle:
         assert UniPoly.zero().exact_div(t2).is_zero()
 
 
-def x_power(k):
-    return UniPoly.monomial(1, k)
-
-
 def strip_x(ints):
     """An integer coefficient list without its factor x^v."""
     return ints[next(k for k, c in enumerate(ints) if c):]
@@ -657,8 +653,8 @@ def gcd_certificate_pair(rng, kind):
             a = a * f ** rng.randint(1, 3)
             b = b * f ** rng.randint(1, 3)
     if kind in ("xpow", "xshared"):
-        a = a * x_power(rng.randint(0, 3))
-        b = b * x_power(rng.randint(0, 3))
+        a = a * UniPoly.monomial(1, rng.randint(0, 3))
+        b = b * UniPoly.monomial(1, rng.randint(0, 3))
     return a, b
 
 
