@@ -2,8 +2,8 @@
 
     python3 tools/byte_corpus.py [--out PATH]
 
-Run it from the repository root; it imports ``jaccoord`` from ``src/`` and
-the benchmark inputs from ``perfbench/``.  Every document is one in-process
+It imports ``jaccoord`` from the ``src/`` and the benchmark inputs from the
+``perfbench/`` of its own checkout.  Every document is one in-process
 ``jaccoord.cli.main(argv)`` call; its line is the JSON list ``[argv, digest]``
 with ``digest`` the sha256 of the exit code, stdout and stderr.  The inputs
 are the texts of every perfbench item of seeds 11 and 12 in all four sign
@@ -12,7 +12,7 @@ existing paths left out).  Each input gets ``check``, ``special-values`` and
 ``scan``, and, up to total degree 12, ``fibre`` at c = 0 and c = 1/3.  Lines
 are sorted, so two runs on one tree write the same file, and a change that
 keeps every CLI byte leaves the committed file as it is.  The full run takes
-minutes and stays out of the test suite.
+13-14 minutes on a 2-vCPU Xeon and stays out of the test suite.
 """
 
 from __future__ import annotations
