@@ -21,14 +21,16 @@ its rank over Q.
 
 sympy finds rational roots and decides whether a system has a common zero
 on the torus x*y != 0, by a Groebner basis.  That basis is computed only
-when a resultant certificate cannot already prove that there is none.
+when the resultants can neither prove that there is none nor show one over
+a rational x.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -42,6 +44,7 @@ from .qpoly import (
     _int_coeffs,
     _int_form,
     _int_primitive,
+    squarefree_part,
 )
 
 
@@ -205,11 +208,12 @@ def _lex_normalize(f: BiPoly) -> BiPoly:
 def _squarefree_mod_p(f: BiPoly, p: int) -> bool:
     """True only when f is squarefree over Q.
 
-    For each variable v of f, the other one is set to the first small
-    integer a at which lc_v(f) is nonzero mod p, and f(a) must be squarefree
-    in F_p[v].  If g^2 divided f, g primitive in Z[x,y] with deg_v g >= 1,
-    then lc_v(g)(a) would divide lc_v(f)(a), so g(a) would keep a positive
-    degree and g(a)^2 would divide f(a) mod p.
+    For each variable v of f, the other one is set to a small integer a at
+    which lc_v(f) is nonzero mod p, and f(a) must be squarefree in F_p[v];
+    when the first such a fails (its slice may run through a singular
+    point), the next one is tried.  If g^2 divided f, g primitive in
+    Z[x,y] with deg_v g >= 1, then lc_v(g)(a) would divide lc_v(f)(a), so
+    g(a) would keep a positive degree and g(a)^2 would divide f(a) mod p.
     """
     nums = _int_form(dict(f.items()))[1]
     for v in (0, 1):
@@ -217,14 +221,15 @@ def _squarefree_mod_p(f: BiPoly, p: int) -> bool:
         if n == 0:
             continue
         lead = [(e[1 - v], c) for e, c in nums.items() if e[v] == n]
-        bound = max(j for j, _ in lead) + 1
-        a = next((a for a in range(bound) if sum(c * pow(a, j, p) for j, c in lead) % p), None)
-        if a is None:
-            return False
-        fa = [0] * (n + 1)
-        for e, c in nums.items():
-            fa[e[v]] += c * pow(a, e[1 - v], p)
-        if len(_gcd_mod_p(fa, [k * c for k, c in enumerate(fa)][1:], p)) != 1:
+        bound = max(j for j, _ in lead) + 2  # holds two values a
+        admissible = (a for a in range(bound) if sum(c * pow(a, j, p) for j, c in lead) % p)
+        for a in itertools.islice(admissible, 2):
+            fa = [0] * (n + 1)
+            for e, c in nums.items():
+                fa[e[v]] += c * pow(a, e[1 - v], p)
+            if len(_gcd_mod_p(fa, [k * c for k, c in enumerate(fa)][1:], p)) == 1:
+                break
+        else:
             return False
     return True
 
@@ -363,7 +368,7 @@ def rat_det(rows: List[List]):
 
 
 # ---------------------------------------------------------------------------
-# rational roots and torus solvability: sympy, behind a resultant pre-test
+# rational roots and torus solvability: sympy, behind resultant certificates
 
 _SX, _SY, _ST = sympy.symbols("x y t")
 
@@ -416,40 +421,72 @@ def strip_rational_roots(u: UniPoly) -> Tuple[List, UniPoly]:
     return roots, rest.monic()
 
 
-def _resultants_exclude_torus(polys: Sequence[BiPoly]) -> bool:
-    """True when gcd over Q[x] of Res_y(A, f), for one A with deg_y A >= 1
-    and every other f, is a nonzero c * x^k.
+def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
+    """gcd over Q[x] of Res_y(A, f), for the first A with deg_y A >= 1 and
+    every other f; None when there is no such A or only one polynomial.
 
-    A common zero (x0, y0) makes x0 a root of every Res_y(A, f), so then no
-    common zero has x0 != 0.  The y-degree guard matters: the resultant of
-    two y-free polynomials is 1 even when they share a root.  False means
-    only that the pre-test cannot decide.
+    A common zero (x0, y0) makes x0 a root of every Res_y(A, f).  The
+    y-degree guard matters: the resultant of two y-free polynomials is 1
+    even when they share a root.
     """
     a = next((i for i, f in enumerate(polys) if f.degy >= 1), None)
     if a is None or len(polys) < 2:
-        return False
+        return None
     ay = polys[a].y_coeffs()
     G = UniPoly.zero()
     for i, f in enumerate(polys):
         if i != a:
             G = G.gcd(resultant(ay, f.y_coeffs(), UNIPOLY_RING))
-    return sum(c != 0 for c in G.coeffs) == 1  # G = c * x^k with c != 0
+    return G
+
+
+def _resultants_exclude_torus(G: Optional[UniPoly]) -> bool:
+    """True when the resultant gcd G is a nonzero c * x^k, so that no
+    common zero has x0 != 0.  False means only that G cannot decide."""
+    return G is not None and sum(c != 0 for c in G.coeffs) == 1
+
+
+def _rational_torus_zero(polys: Sequence[BiPoly], G: Optional[UniPoly]) -> bool:
+    """True only when the system has a common zero (x0, y0), x0 a nonzero
+    rational root of G and y0 != 0.
+
+    At such an x0 the gcd g over Q[y] of every f(x0, y) is zero, when each
+    vanishes, or has the common roots in y; any g other than c * y^k has a
+    nonzero one.  False means only that no rational x0 shows a zero.
+    """
+    if G is None or G.is_zero():
+        return False
+    ys = [f.y_coeffs() for f in polys]
+    for x0 in rational_roots(squarefree_part(G)):
+        if x0 == 0:
+            continue
+        g = UniPoly.zero()
+        for fy in ys:
+            g = g.gcd(UniPoly([u.eval(x0) for u in fy]))
+        if sum(c != 0 for c in g.coeffs) != 1:  # zero, or not c * y^k
+            return True
+    return False
 
 
 def has_common_torus_zero(polys: Sequence[BiPoly]) -> bool:
     """Whether the system has a common complex zero with x != 0 and y != 0.
 
-    A resultant certificate answers False first when it can (see
-    _resultants_exclude_torus); it never answers True.  Every other system
-    is decided exactly by a Groebner basis of the system saturated by x*y;
-    the basis is [1] iff no such zero exists (Nullstellensatz).
+    Two exact certificates come first, both read off the resultant gcd G
+    of _torus_resultant_gcd: G = c * x^k answers False, and a common zero
+    over a nonzero rational root of G answers True.  Every other system, as
+    one whose zeros lie only over irrational x or only on y = 0, is decided
+    exactly by a Groebner basis of the system saturated by x*y; the basis is
+    [1] iff no such zero exists (Nullstellensatz).
     """
     polys = [f for f in polys if not f.is_zero()]
     if not polys:
         return True  # empty system: every torus point qualifies
-    if _resultants_exclude_torus(polys):
+    G = _torus_resultant_gcd(polys)
+    if _resultants_exclude_torus(G):
         return False
+    if _rational_torus_zero(polys, G):
+        return True
     exprs = [bipoly_to_sympy(f) for f in polys]
     exprs.append(_SX * _SY * _ST - 1)
-    G = sympy.groebner(exprs, _SX, _SY, _ST, order="grevlex")
-    return not (len(G.exprs) == 1 and G.exprs[0] == 1)
+    basis = sympy.groebner(exprs, _SX, _SY, _ST, order="grevlex")
+    return not (len(basis.exprs) == 1 and basis.exprs[0] == 1)

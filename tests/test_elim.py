@@ -309,10 +309,13 @@ class TestSquarefreeCertificate:
 
     def test_equals_exact_path(self, monkeypatch):
         # a slice through a singular point fails, as x = 0 and y = 0 both
-        # do on the cusp y^2 - x^3; such inputs take the exact path
-        squarefree = self._check(monkeypatch, elim.MODULAR_PRIME)
+        # do on the cusp y^2 - x^3, whose next slices prove it; inputs with
+        # both slices of a variable singular take the exact path
+        certificate, p = elim._squarefree_mod_p, elim.MODULAR_PRIME
+        squarefree = self._check(monkeypatch, p)
         assert squarefree.count(False) <= 3
-        assert not elim._squarefree_mod_p(parse_poly("y^2 - x^3"), elim.MODULAR_PRIME)
+        assert certificate(parse_poly("y^2 - x^3"), p)
+        assert not certificate(parse_poly("y^2 - x^2*(x - 1)^2"), p)
 
     def test_small_prime_falls_back(self, monkeypatch):
         squarefree = self._check(monkeypatch, 3)
@@ -575,3 +578,83 @@ class TestTorusPretest:
         agree([BiPoly.zero(), parse_poly("x - 1"), parse_poly("y^2 - x")], "few", True)
         assert counts["y_free"] == 4 and counts["few"] == 6
         assert min(counts[k] for k in ("decided", "x_strip", "y_zero", "torus")) >= 10, counts
+
+
+class TestTorusCertificate:
+    """has_common_torus_zero equals the plain Groebner reference, and the
+    rational-zero certificate answers the systems of the theorem audit."""
+
+    X, Y = BiPoly.var_x(), BiPoly.var_y()
+
+    @classmethod
+    def _linear(cls, rng):
+        return sum((cls.X ** i * cls.Y ** j * rat(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+                    for i, j in ((0, 0), (1, 0), (0, 1))), BiPoly.zero())
+
+    @classmethod
+    def _vanishing(cls, rng, m, h, k):
+        """k random members a*m(x) + b*(y - h(x)), a and b of degree <= 1, of
+        the ideal of the points (x0, h(x0)) with m(x0) = 0."""
+        return [cls._linear(rng) * m + cls._linear(rng) * (cls.Y - h) for _ in range(k)]
+
+    def test_matches_plain_groebner(self, monkeypatch):
+        answered = []
+        certificate = elim._rational_torus_zero
+        monkeypatch.setattr(
+            elim, "_rational_torus_zero", lambda ps, G: answered.append(certificate(ps, G)) or answered[-1]
+        )
+        rng = random.Random(17)
+        X, Y, seen = self.X, self.Y, {}
+
+        def agree(kind, polys):
+            """Compare with the reference; record (answer, certificate's answer)."""
+            answered.clear()
+            got = has_common_torus_zero(polys)
+            assert got == _plain_groebner_torus(polys), (kind, polys)
+            seen.setdefault(kind, set()).add((got, answered == [True]))
+
+        nonzero = [rat(k, 2) for k in (-3, -2, -1, 1, 3)]
+        for _ in range(6):
+            x0, x1 = rng.sample(nonzero, 2)
+            y0, y1 = rng.choice(nonzero), rng.choice(nonzero)
+            agree("rational", self._vanishing(rng, X - x0, y0, 3))
+            agree("irrational", self._vanishing(rng, X * X - 2, y0, 3))
+            agree("y = 0", self._vanishing(rng, X - x0, 0, 3))
+            agree("x = 0", self._vanishing(rng, X, y0, 3))
+            # three lines through no common point, times x - x0: every f(x0, y) is zero
+            agree("vertical line", [(X - x0) * self._linear(rng) for _ in range(3)])
+            agree("y-free", [X - x0] + self._vanishing(rng, X - x0, y0, 2))
+            agree("y-free, elsewhere", [X - x1] + self._vanishing(rng, X - x0, y0, 2))
+            # G has the root 0 next to x1: zeros (0, y0) and (x1, y1), or (x1, 0)
+            for kind, v in (("zero root", y1), ("zero root, y = 0", 0)):
+                agree(kind, self._vanishing(rng, X * (X - x1), X * ((v - y0) / x1) + y0, 3))
+        assert seen == {
+            "rational": {(True, True)},
+            "irrational": {(True, False)},
+            "y = 0": {(False, False)},
+            "x = 0": {(False, False)},
+            "vertical line": {(True, True)},
+            "y-free": {(True, True)},
+            "y-free, elsewhere": {(False, False)},
+            "zero root": {(True, True)},
+            "zero root, y = 0": {(False, False)},
+        }
+
+    def test_audit_systems_without_groebner(self, monkeypatch):
+        from jaccoord import fibre, theorem3_scan
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Groebner basis ran")
+
+        quartic, lines = parse_poly("y^3 + x^4 + x*y + 1"), parse_poly("(x + 2*y - 1)*(3*x - y + 2)")
+        reducible = parse_poly("(y - x^2)*(y + x^3 + 1)")
+        systems = [
+            fibre._shift_to_nonzero_constant(quartic - BiPoly.const(rat(1))),  # genus shift of c = 1
+            reducible - BiPoly.const(rat(-961, 2916)),  # a critical value
+            lines,  # singular where the lines meet, at (-3/7, 5/7)
+        ]
+        scans = [theorem3_scan(P) for P in (quartic, reducible)]
+        monkeypatch.setattr(elim.sympy, "groebner", refuse)
+        for f in systems:
+            assert has_common_torus_zero([f, f.diff_x(), f.diff_y()]), f
+        assert [theorem3_scan(P) for P in (quartic, reducible)] == scans
