@@ -440,10 +440,15 @@ def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
     return G
 
 
+def _is_monomial(u: UniPoly) -> bool:
+    """Whether u is c * t^k with c != 0."""
+    return sum(c != 0 for c in u.coeffs) == 1
+
+
 def _resultants_exclude_torus(G: Optional[UniPoly]) -> bool:
     """True when the resultant gcd G is a nonzero c * x^k, so that no
     common zero has x0 != 0.  False means only that G cannot decide."""
-    return G is not None and sum(c != 0 for c in G.coeffs) == 1
+    return G is not None and _is_monomial(G)
 
 
 def _rational_torus_zero(polys: Sequence[BiPoly], G: Optional[UniPoly]) -> bool:
@@ -463,7 +468,7 @@ def _rational_torus_zero(polys: Sequence[BiPoly], G: Optional[UniPoly]) -> bool:
         g = UniPoly.zero()
         for fy in ys:
             g = g.gcd(UniPoly([u.eval(x0) for u in fy]))
-        if sum(c != 0 for c in g.coeffs) != 1:  # zero, or not c * y^k
+        if not _is_monomial(g):  # zero, or not c * y^k
             return True
     return False
 

@@ -15,8 +15,9 @@ from jaccoord import (
     gen_random_coordinate,
     parse_poly,
     rat,
+    theorem3_scan,
 )
-from jaccoord import elim, qpoly
+from jaccoord import elim, fibre, qpoly
 from jaccoord.elim import (
     RAT_RING,
     UNIPOLY_RING,
@@ -641,8 +642,6 @@ class TestTorusCertificate:
         }
 
     def test_audit_systems_without_groebner(self, monkeypatch):
-        from jaccoord import fibre, theorem3_scan
-
         def refuse(*args, **kwargs):
             raise AssertionError("the Groebner basis ran")
 
