@@ -3,15 +3,19 @@ gcd and squarefree part, exact Gaussian elimination of rational matrices,
 and rational root extraction.
 
 Polynomials in the elimination variable are dense coefficient lists over
-Q, Q[x] or Q[x,c].  The coefficient types' own operators do the ring
-arithmetic; a small adapter carries only what differs between them (zero,
-one and exact division), so the same pseudo-remainder code serves all
-three.  All divisions performed by the subresultant chain are exact by
-theory; an inexact division raises, it is never silently rounded.
+a ring: Z[x] (integer coefficient lists) and Z[x, c] (integer term maps)
+for every subresultant chain of the package, Q[x] for the reductions of
+fibre._values_over, and Q and Q[x, c], which the tests take as reference.
+A small adapter carries each ring's zero, one, product, difference and
+exact division, so one subresultant chain serves all five.  All
+divisions performed by the chain are exact by theory; an inexact division
+raises, it is never silently rounded.  The callers convert their rational
+inputs to integer multiples once, so the chain runs without a gcd per
+coefficient, and they use its elements only up to nonzero constants.
 
 A bivariate squarefree part is proved to be the input itself modulo
-MODULAR_PRIME when it can be, by one univariate slice per variable; any
-other input runs the exact gcds with its partial derivatives.
+MODULAR_PRIME when it can be, by univariate slices, up to three per
+variable; any other input runs the exact gcds with its partial derivatives.
 
 A rational matrix is eliminated fraction-free: on a copy whose rows are
 scaled to primitive integer rows, with plain integer arithmetic, and with
@@ -27,8 +31,10 @@ a rational x.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -42,8 +48,13 @@ from .qpoly import (
     ZeroPolynomialError,
     _gcd_mod_p,
     _int_coeffs,
+    _int_conv,
+    _int_exact_div,
     _int_form,
+    _int_mul,
     _int_primitive,
+    _int_sub,
+    _int_terms_exact_div,
     squarefree_part,
 )
 
@@ -54,16 +65,27 @@ from .qpoly import (
 
 @dataclass(frozen=True)
 class Ring:
-    """What differs between coefficient types; +, -, * and == are their own."""
+    """Zero, one, product, difference and exact division of a coefficient
+    type; exact_div raises ValueError rather than round."""
 
     zero: object
     one: object
+    mul: Callable
+    sub: Callable
     exact_div: Callable
 
 
-RAT_RING = Ring(RAT_ZERO, RAT_ONE, lambda a, b: a / b)
-UNIPOLY_RING = Ring(UniPoly.zero(), UniPoly.const(1), UniPoly.exact_div)
-BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), BiPoly.exact_div)
+RAT_RING = Ring(RAT_ZERO, RAT_ONE, operator.mul, operator.sub, operator.truediv)
+UNIPOLY_RING = Ring(UniPoly.zero(), UniPoly.const(1), operator.mul, operator.sub, UniPoly.exact_div)
+BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), operator.mul, operator.sub, BiPoly.exact_div)
+# Z[x]: integer coefficient lists, degree 0 first, without trailing zeros
+ZX_RING = Ring([], [1], lambda a, b: _int_conv(a, b) if a and b else [], _int_sub, _int_exact_div)
+# Z[x, c]: integer term maps {(i, j): n} of n x^i c^j, without zero values
+ZXC_RING = Ring(
+    {}, {(0, 0): 1}, lambda a, b: {e: n for e, n in _int_mul(a, b).items() if n},
+    lambda a, b: {e: n for e in a.keys() | b.keys() if (n := a.get(e, 0) - b.get(e, 0))},
+    _int_terms_exact_div,
+)
 
 
 # dense polynomial-over-ring helpers; a poly is a list of ring elements
@@ -84,7 +106,7 @@ def plc(p: Sequence):
 
 
 def pscale(p: Sequence, c, R: Ring) -> List:
-    return pstrip([a * c for a in p], R)
+    return pstrip([R.mul(a, c) for a in p], R)
 
 
 def psub(p: Sequence, q: Sequence, R: Ring) -> List:
@@ -93,7 +115,7 @@ def psub(p: Sequence, q: Sequence, R: Ring) -> List:
     for k in range(n):
         a = p[k] if k < len(p) else R.zero
         b = q[k] if k < len(q) else R.zero
-        out.append(a - b)
+        out.append(R.sub(a, b))
     return pstrip(out, R)
 
 
@@ -108,7 +130,7 @@ def pseudo_rem(A: Sequence, B: Sequence, R: Ring) -> List:
     while pdeg(rem) >= dB:
         d = pdeg(rem)
         lead = plc(rem)
-        rem = psub(pscale(rem, lcB, R), [R.zero] * (d - dB) + [a * lead for a in B], R)
+        rem = psub(pscale(rem, lcB, R), [R.zero] * (d - dB) + [R.mul(a, lead) for a in B], R)
         e -= 1
         if pdeg(rem) >= d:  # defensive; cannot happen
             raise RuntimeError("pseudo-division failed to reduce degree")
@@ -134,7 +156,7 @@ def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
     while b:
         delta = pdeg(a) - pdeg(b)
         r = pseudo_rem(a, b, R) if pdeg(b) > 0 else []
-        divisor = g * h ** delta if r else None
+        divisor = R.mul(g, _pow(h, delta, R)) if r else None
         a, b = b, [R.exact_div(c, divisor) for c in r]
         g = plc(a)
         h = _pow_quotient(h, g, delta, R)
@@ -142,11 +164,15 @@ def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
     return chain
 
 
+def _pow(a, n: int, R: Ring):
+    return functools.reduce(R.mul, [a] * (n - 1), a) if n else R.one
+
+
 def _pow_quotient(h, g, delta: int, R: Ring):
     """h^(1-delta) * g^delta, via exact division when delta > 1."""
     if delta == 0:
         return h
-    return R.exact_div(g ** delta, h ** (delta - 1))
+    return R.exact_div(_pow(g, delta, R), _pow(h, delta - 1, R))
 
 
 def resultant(A: List, B: List, R: Ring):
@@ -175,26 +201,39 @@ def _unipoly_list_gcd(us: Sequence[UniPoly]) -> UniPoly:
     return g
 
 
+def _int_y_rows(f: BiPoly) -> List[List[int]]:
+    """f times the lcm of its denominators, in Z[x][y]: a list over the
+    powers of y of ZX_RING elements."""
+    den = math.lcm(*[c.denominator for _, c in f.items()])
+    return [[c.numerator * (den // c.denominator) for c in u.coeffs] for u in f.y_coeffs()]
+
+
+def _int_primitive_rows(rows: List[List[int]]) -> Tuple[UniPoly, List[List[int]]]:
+    """(c, rows / c'): c the monic gcd over Q[x] of nonzero rows, c' its
+    primitive integer form, which divides each row in Z[x] by Gauss's lemma."""
+    c = _unipoly_list_gcd([UniPoly(r) for r in rows])
+    cz = _int_primitive(_int_coeffs(c.coeffs)[1])[1]
+    return c, [_int_exact_div(r, cz) for r in rows]
+
+
 def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
-    """gcd in Q[x,y], normalized so the lex-leading coefficient is 1."""
+    """gcd in Q[x,y], normalized so the lex-leading coefficient is 1; the
+    primitive parts in y run their subresultant chain over Z[x]."""
     if f.is_zero():
         return _lex_normalize(g)
     if g.is_zero():
         return _lex_normalize(f)
-    cf, cg = _unipoly_list_gcd(f.y_coeffs()), _unipoly_list_gcd(g.y_coeffs())
+    cf, fp = _int_primitive_rows(_int_y_rows(f))
+    cg, gp = _int_primitive_rows(_int_y_rows(g))
     cont = cf.gcd(cg)
-    fp = [u.exact_div(cf) for u in f.y_coeffs()]
-    gp = [u.exact_div(cg) for u in g.y_coeffs()]
     if pdeg(fp) < pdeg(gp):
         fp, gp = gp, fp
-    last = subresultant_chain(fp, gp, UNIPOLY_RING)[-1][0]
+    last = subresultant_chain(fp, gp, ZX_RING)[-1][0]
     if pdeg(last) == 0:  # coprime primitive parts: the gcd is the content
         return cont.to_bipoly("x")
     # primitive part of the last nonzero subresultant is the pp-gcd
-    c = _unipoly_list_gcd(last)
-    pp = [u.exact_div(c) for u in last]
-    out = BiPoly.from_y_coeffs([u * cont for u in pp])
-    return _lex_normalize(out)
+    pp = _int_primitive_rows(last)[1]
+    return _lex_normalize(BiPoly.from_y_coeffs([UniPoly(u) * cont for u in pp]))
 
 
 def _lex_normalize(f: BiPoly) -> BiPoly:
@@ -211,9 +250,10 @@ def _squarefree_mod_p(f: BiPoly, p: int) -> bool:
     For each variable v of f, the other one is set to a small integer a at
     which lc_v(f) is nonzero mod p, and f(a) must be squarefree in F_p[v];
     when the first such a fails (its slice may run through a singular
-    point), the next one is tried.  If g^2 divided f, g primitive in
-    Z[x,y] with deg_v g >= 1, then lc_v(g)(a) would divide lc_v(f)(a), so
-    g(a) would keep a positive degree and g(a)^2 would divide f(a) mod p.
+    point or meet a component tangentially), up to two more are tried.
+    If g^2 divided f, g primitive in Z[x,y] with deg_v g >= 1, then
+    lc_v(g)(a) would divide lc_v(f)(a), so g(a) would keep a positive
+    degree and g(a)^2 would divide f(a) mod p.
     """
     nums = _int_form(dict(f.items()))[1]
     for v in (0, 1):
@@ -221,9 +261,9 @@ def _squarefree_mod_p(f: BiPoly, p: int) -> bool:
         if n == 0:
             continue
         lead = [(e[1 - v], c) for e, c in nums.items() if e[v] == n]
-        bound = max(j for j, _ in lead) + 2  # holds two values a
+        bound = max(j for j, _ in lead) + 3  # holds three values a
         admissible = (a for a in range(bound) if sum(c * pow(a, j, p) for j, c in lead) % p)
-        for a in itertools.islice(admissible, 2):
+        for a in itertools.islice(admissible, 3):
             fa = [0] * (n + 1)
             for e, c in nums.items():
                 fa[e[v]] += c * pow(a, e[1 - v], p)
@@ -424,6 +464,7 @@ def strip_rational_roots(u: UniPoly) -> Tuple[List, UniPoly]:
 def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
     """gcd over Q[x] of Res_y(A, f), for the first A with deg_y A >= 1 and
     every other f; None when there is no such A or only one polynomial.
+    The resultants are taken over Z[x], of integer multiples of the inputs.
 
     A common zero (x0, y0) makes x0 a root of every Res_y(A, f).  The
     y-degree guard matters: the resultant of two y-free polynomials is 1
@@ -432,11 +473,11 @@ def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
     a = next((i for i, f in enumerate(polys) if f.degy >= 1), None)
     if a is None or len(polys) < 2:
         return None
-    ay = polys[a].y_coeffs()
+    ay = _int_y_rows(polys[a])
     G = UniPoly.zero()
     for i, f in enumerate(polys):
         if i != a:
-            G = G.gcd(resultant(ay, f.y_coeffs(), UNIPOLY_RING))
+            G = G.gcd(UniPoly(resultant(ay, _int_y_rows(f), ZX_RING)))
     return G
 
 

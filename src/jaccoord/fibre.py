@@ -25,11 +25,12 @@ only under full nondegeneracy and irreducibility; everything outside those
 hypotheses is an explicit Unknown, never a guess.
 
 Special value candidates are a superset of the bifurcation set: exactly
-the critical values, from one subresultant chain of Q_y and Q_x, plus the
-values atypical at infinity, among the limits of Q along the polar branches
-at infinity, read off Res_y(Q - c, Q_y).  Q = P(x + t*y, y), where t is the
-first of 0, 1, -1, 2, -2, ... with degy Q = deg P, the exact condition that
-makes every fibre of Q finite over the x-line.
+the critical values, from one subresultant chain of Q_y and Q_x over Z[x],
+plus the values atypical at infinity, among the limits of Q along the polar
+branches at infinity, read off Res_y(Q - c, Q_y) over Z[x, c].
+Q = P(x + t*y, y), where t is the first of 0, 1, -1, 2, -2, ... with
+degy Q = deg P, the exact condition that makes every fibre of Q finite
+over the x-line.
 """
 
 from __future__ import annotations
@@ -44,9 +45,11 @@ from .qpoly import MODULAR_PRIME, BiPoly, InputTooLarge, UniPoly, _int_form, squ
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
-    BIPOLY_RING,
     UNIPOLY_RING,
-    _unipoly_list_gcd,
+    ZX_RING,
+    ZXC_RING,
+    _int_primitive_rows,
+    _int_y_rows,
     bipoly_squarefree_part,
     has_common_torus_zero,
     pdeg,
@@ -198,7 +201,7 @@ def _faces_nondegenerate(f: BiPoly) -> Nondegeneracy:
             return Nondegeneracy(
                 False, "FaceEndpointMissing", f"edge {face['v0']}-{face['v1']}"
             )
-        if e.deg >= 1 and squarefree_part(e).deg != e.deg:
+        if e.deg >= 1 and e.gcd(e.derivative()).deg > 0:
             return Nondegeneracy(
                 False, "FaceNotSquarefree", f"edge {face['v0']}-{face['v1']}"
             )
@@ -284,7 +287,7 @@ def _branches_tail(f: BiPoly) -> int:
     faces = edge_faces(f, N)
     e: UniPoly = faces[0]["e"]
     p, q = faces[0]["dir"]
-    s = squarefree_part(e).deg
+    s = e.deg - e.gcd(e.derivative()).deg  # deg of the squarefree part of e
     beta = 2 if (p >= 1 and q >= 1) else 1
     return s * beta
 
@@ -351,7 +354,8 @@ class SpecialValues:
 
 
 # Budgets of special_value_candidates, checked before the work they bound: _polar_limits
-# takes about 1.5 s on a degree-12 coordinate, the 25 critical points of a dense sextic 2 s.
+# takes 0.5-6.2 s (median 1.1 s) on eight degree-12 generator coordinates and 5 s on a
+# dense degree-12 P, the 25 critical points of a dense sextic 2 s.
 MAX_SPECIAL_DEGREE = 12
 MAX_CRITICAL_POINTS = 25
 
@@ -369,11 +373,12 @@ def _shear(P: BiPoly) -> BiPoly:
         t = -t if t > 0 else 1 - t
 
 
-def _chain(A: BiPoly, B: BiPoly) -> List[Tuple[List[UniPoly], UniPoly]]:
-    """subresultant_chain in y over Q[x] of A, whose y-leading coefficient
-    is a nonzero constant, and B reduced modulo A."""
-    a, b = A.y_coeffs(), pstrip(B.y_coeffs(), UNIPOLY_RING)
-    return subresultant_chain(a, pseudo_rem(b, a, UNIPOLY_RING), UNIPOLY_RING)
+def _chain(A: BiPoly, B: BiPoly) -> List[Tuple[List[List[int]], List[int]]]:
+    """subresultant_chain in y over Z[x] of the integer forms of A, whose
+    y-leading coefficient is a nonzero constant, and of B reduced modulo A.
+    Each element is that of the chain over Q[x] up to a nonzero constant."""
+    a, b = _int_y_rows(A), pstrip(_int_y_rows(B), ZX_RING)
+    return subresultant_chain(a, pseudo_rem(b, a, ZX_RING), ZX_RING)
 
 
 def _inverse_mod(a: UniPoly, T: UniPoly) -> UniPoly:
@@ -436,15 +441,16 @@ def _critical_factors(Q: BiPoly) -> List[UniPoly]:
     chain, pieces = _chain(Qy, Qx), []
     G = chain[-1][0]
     if pdeg(G) > 0:
-        G = BiPoly.from_y_coeffs(G).exact_div(_unipoly_list_gcd(G).to_bipoly("x"))
+        G = BiPoly.from_y_coeffs([UniPoly(u) for u in _int_primitive_rows(G)[1]])
         pieces.append((UniPoly([0, 1]), G.y_coeffs()))
         chain = _chain(Qy.exact_div(G), Qx.exact_div(G))
-    T = squarefree_part(chain[-1][1])
+    T = squarefree_part(UniPoly(chain[-1][1]))
     for p, h in reversed(chain[:-1]):  # rising degree, up to (Q_y / G, const)
+        h = UniPoly(h)
         g = T.gcd(h)
         Tk, T = T.exact_div(g), g
         if Tk.deg >= 1:
-            pieces.append((Tk, [(u * h).exact_div(p[-1]) for u in p]))
+            pieces.append((Tk, [(UniPoly(u) * h).exact_div(UniPoly(p[-1])) for u in p]))
     points = sum(Tk.deg * (len(Sk) - 1) for Tk, Sk in pieces)
     if points > MAX_CRITICAL_POINTS:
         raise InputTooLarge(f"{points} critical points to evaluate, more than {MAX_CRITICAL_POINTS}")
@@ -456,15 +462,19 @@ def _polar_limits(Q: BiPoly) -> UniPoly:
     the branches at infinity of its polar curve, and so B-infinity.
 
     Q is a _shear, so each fibre Q = c is branched over the x-roots of
-    A(x, c) = Res_y(Q - c, Q_y), taken over Q[x, c] with c in the y slot.
+    A(x, c) = Res_y(Q - c, Q_y), taken over Z[x, c] on the integer form
+    d*Q of Q, as Res_y(d*Q - d*c, d*Q_y), a nonzero constant times A.
     Where the x-leading coefficient of A is nonzero, no branch point
     escapes to infinity as c moves, so Q is locally trivial at infinity
     there.
     """
-    minus_c = [u.to_bipoly("x") for u in Q.y_coeffs()]
-    minus_c[0] = minus_c[0] - BiPoly.var_y()
-    A = resultant(minus_c, [u.to_bipoly("x") for u in Q.diff_y().y_coeffs()], BIPOLY_RING)
-    return A.x_coeffs()[-1]
+    den, nums = _int_form(dict(Q.items()))
+    rows = [{(i, 0): n for (i, k), n in nums.items() if k == j} for j in range(Q.degy + 1)]
+    dy = [{e: j * n for e, n in row.items()} for j, row in enumerate(rows) if j]
+    rows[0][(0, 1)] = -den
+    A = resultant(rows, dy, ZXC_RING)
+    top = max((i for i, _ in A), default=0)
+    return UniPoly([A.get((top, j), 0) for j in range(Q.degy)])  # deg_c A <= deg_y Q_y
 
 
 def special_value_candidates(P: BiPoly) -> SpecialValues:

@@ -17,6 +17,7 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -125,6 +126,14 @@ def _int_exact_div(a: List[int], b: List[int]) -> List[int]:
     if any(rem[:db]):
         raise ValueError("inexact univariate division")
     return q
+
+
+def _int_sub(a: List[int], b: List[int]) -> List[int]:
+    """a - b for integer coefficient lists, stripped."""
+    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +346,29 @@ def _int_mul(a: Dict[Term, int], b: Dict[Term, int], out=None) -> Dict[Term, int
         for (i2, j2), c2 in b.items():
             e = (i1 + i2, j1 + j2)
             out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _int_terms_exact_div(a: Dict[Term, int], b: Dict[Term, int]) -> Dict[Term, int]:
+    """a / b for integer term maps without zero values, by lex-leading
+    terms; ValueError when b does not divide a in Z[x, y]."""
+    rem = dict(a)
+    (di, dj), lb = max(b.items())
+    out = {}
+    while rem:
+        (ri, rj) = e = max(rem)
+        q, r = divmod(rem[e], lb)
+        if r or ri < di or rj < dj:
+            raise ValueError("inexact bivariate division")
+        qi, qj = ri - di, rj - dj
+        out[(qi, qj)] = q
+        for (i, j), v in b.items():
+            f = (i + qi, j + qj)
+            s = rem.get(f, 0) - q * v
+            if s:
+                rem[f] = s
+            else:
+                del rem[f]
     return out
 
 

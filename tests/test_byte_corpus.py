@@ -1,6 +1,7 @@
-"""A tier-1 subset of the byte corpus: the check, fibre and scan documents of
-the test-suite literals, recomputed in process with tools/byte_corpus.py and
-compared with their committed digests in tools/byte_corpus.jsonl."""
+"""A tier-1 subset of the byte corpus: the check, fibre, special-values and
+scan documents of the test-suite literals, recomputed in process with
+tools/byte_corpus.py and compared with their committed digests in
+tools/byte_corpus.jsonl."""
 
 import importlib.util
 import json
@@ -19,6 +20,6 @@ def test_literal_documents_match_committed_digests(monkeypatch):
     texts = corpus.literal_texts()
     with open(os.path.join(ROOT, "tools/byte_corpus.jsonl"), encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh]
-    subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "fibre", "scan") and argv[1] in texts]
-    assert len(subset) >= 1000, len(subset)
+    subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "fibre", "special-values", "scan") and argv[1] in texts]
+    assert len(subset) >= 1500, len(subset)
     assert [argv for argv, d in subset if corpus.digest(argv) != d] == []

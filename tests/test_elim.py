@@ -1,6 +1,7 @@
 """Resultants, bivariate gcd, squarefree parts, exact linear algebra."""
 
 import copy
+import math
 import random
 
 import pytest
@@ -19,8 +20,11 @@ from jaccoord import (
 )
 from jaccoord import elim, fibre, qpoly
 from jaccoord.elim import (
+    BIPOLY_RING,
     RAT_RING,
     UNIPOLY_RING,
+    ZX_RING,
+    ZXC_RING,
     bipoly_to_sympy,
     has_common_torus_zero,
     rat_det,
@@ -153,6 +157,8 @@ class TestResultant:
         rings = (
             (RAT_RING, lambda u: list(u.coeffs)),
             (UNIPOLY_RING, lambda u: [UniPoly([c]) for c in u.coeffs]),
+            (ZX_RING, lambda u: [[int(c)] if c else [] for c in u.coeffs]),
+            (ZXC_RING, lambda u: [{(0, 0): int(c)} if c else {} for c in u.coeffs]),
         )
         for R, wrap in rings:
             with pytest.raises(ValueError, match="deg A >= deg B"):
@@ -199,6 +205,136 @@ class TestSubresultantChain:
                 skipped += 1
                 assert _det_subresultant(a, b, j)[j] == 0, (a, b, j)
         assert skipped >= 20, skipped
+
+
+def _integer_multiple(p):
+    """(den, den * p) for a list p of UniPoly or BiPoly, den the lcm of all
+    its denominators, as ZX_RING or ZXC_RING elements."""
+    if all(isinstance(u, UniPoly) for u in p):
+        den = math.lcm(*[c.denominator for u in p for c in u.coeffs])
+        return den, [[int(c * den) for c in u.coeffs] for u in p]
+    den = math.lcm(*[c.denominator for f in p for _, c in f.items()])
+    return den, [{e: int(c * den) for e, c in f.items()} for f in p]
+
+
+def _flat(p):
+    """{(k, exponent...): coefficient} of a list of ring elements."""
+    out = {}
+    for k, u in enumerate(p):
+        if isinstance(u, UniPoly):
+            u = u.coeffs
+        if isinstance(u, BiPoly):
+            u = dict(u.items())
+        items = u.items() if isinstance(u, dict) else enumerate(u)
+        out.update({(k,) + (e if isinstance(e, tuple) else (e,)): c for e, c in items if c})
+    return out
+
+
+def _factor(a, b):
+    """The nonzero rational lam with a == lam * b for the flat maps a and b
+    (1 when both are empty), or None when there is none."""
+    if a.keys() != b.keys():
+        return None
+    lam = rat(a[next(iter(a))]) / b[next(iter(a))] if a else rat(1)
+    return lam if all(a[e] == lam * b[e] for e in a) else None
+
+
+class TestIntegerRings:
+    """The chains over Z[x] and Z[x, c] equal those over Q[x] and Q[x, c],
+    element by element, up to nonzero rational factors, and exactly on
+    integer inputs."""
+
+    @staticmethod
+    def _same_chain(A, B, R, QR):
+        (da, ZA), (db, ZB) = _integer_multiple(A), _integer_multiple(B)
+        got, ref = subresultant_chain(ZA, ZB, R), subresultant_chain(A, B, QR)
+        assert [len(p) for p, _ in got] == [len(p) for p, _ in ref]
+        pairs = [(_flat(p), _flat(q)) for (p, _), (q, _) in zip(got, ref)]
+        pairs += [(_flat([h]), _flat([g])) for (_, h), (_, g) in zip(got, ref)]
+        # zero top slices are stripped
+        pairs.append((_flat([resultant(ZA + [R.zero], ZB, R)]), _flat([resultant(A, B + [QR.zero], QR)])))
+        factors = [_factor(a, b) for a, b in pairs]
+        assert None not in factors, (A, B)
+        assert da * db > 1 or set(factors) == {1}, (A, B)
+        return [len(p) - 1 for p, _ in got]
+
+    @staticmethod
+    def _gaps(degs):
+        return any(degs[i] - degs[i + 1] > 1 for i in range(1, len(degs) - 1))
+
+    def test_zx_matches_unipoly_chain(self):
+        # coprime pairs, a shared factor y - 1, even powers of y only (each
+        # step drops the degree by 2), rational inputs and zero top slices
+        rng = random.Random(41)
+        kinds = dict.fromkeys(("coprime", "shared", "gap"), 0)
+        for k in range(120):
+            da, even = rng.randint(2, 5), k % 3 == 0
+            f = sparse_poly(rng, da, even, 1 + k % 2, rational=k % 4 == 1)
+            g = sparse_poly(rng, rng.randint(1, da), even, 1 + k % 2, rational=k % 4 == 1)
+            if k % 5 == 0:
+                f, g = f * parse_poly("y - 1"), g * parse_poly("y - 1")
+            degs = self._same_chain(f.y_coeffs(), g.y_coeffs(), ZX_RING, UNIPOLY_RING)
+            kinds["shared" if degs[-1] > 0 else "coprime"] += 1
+            kinds["gap"] += self._gaps(degs)
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_zxc_matches_bipoly_chain(self):
+        # lists in y of polynomials in x and c, as _polar_limits takes them
+        rng = random.Random(42)
+        kinds = dict.fromkeys(("coprime", "shared", "gap"), 0)
+
+        def ypoly(deg, even):
+            out = [small_poly(rng, rng.randint(0, 1), rng.randint(0, 1), 3) for _ in range(deg + 1)]
+            if even:
+                out = [u for v in out for u in (v, BiPoly.zero())][:-1]
+            return out
+
+        def times(p, q):
+            out = [BiPoly.zero()] * (len(p) + len(q) - 1)
+            for i, u in enumerate(p):
+                for j, v in enumerate(q):
+                    out[i + j] = out[i + j] + u * v
+            return out
+
+        for k in range(45):
+            da, even = rng.randint(2, 3), k % 3 == 0
+            A, B = ypoly(da, even), ypoly(rng.randint(1, da), even)
+            if k % 5 == 0:
+                common = [parse_poly("x - 2*y"), BiPoly.const(1)]  # y - x + 2c, c in the y slot
+                A, B = times(A, common), times(B, common)
+            degs = self._same_chain(A, B, ZXC_RING, BIPOLY_RING)
+            kinds["shared" if degs[-1] > 0 else "coprime"] += 1
+            kinds["gap"] += self._gaps(degs)
+        assert min(kinds.values()) >= 5, kinds
+
+    def test_polar_limits_match_bipoly_resultant(self):
+        # the x-leading coefficient of Res_y(Q - c, Q_y) over Q[x, c]
+        for s in range(6):
+            P, _ = gen_random_coordinate(s, 2, 3, 3)
+            for Q in (fibre._shear(P), fibre._shear(P - parse_poly("1/3*x^2*y"))):
+                minus_c = [u.to_bipoly("x") for u in Q.y_coeffs()]
+                minus_c[0] = minus_c[0] - BiPoly.var_y()
+                A = resultant(minus_c, [u.to_bipoly("x") for u in Q.diff_y().y_coeffs()], BIPOLY_RING)
+                assert fibre._polar_limits(Q).monic() == A.x_coeffs()[-1].monic()
+
+    def test_integer_exact_division_never_rounds(self):
+        div = qpoly._int_terms_exact_div
+        x_minus_c = {(1, 0): 1, (0, 1): -1}
+        product = ZXC_RING.mul(x_minus_c, {(1, 0): 3, (0, 1): 2, (0, 0): -5})
+        assert div(product, x_minus_c) == {(1, 0): 3, (0, 1): 2, (0, 0): -5}
+        assert div({}, x_minus_c) == {}
+        for a, b in (
+            ({(1, 0): 1, (0, 0): 1}, {(1, 0): 2}),  # (x + 1) / 2x: a quotient 1/2
+            ({(1, 1): 3}, {(0, 0): 2}),  # 3xc / 2
+            ({(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): 1}),  # remainder 2
+            ({(0, 2): 1, (1, 0): 1}, {(0, 1): 1}),  # (c^2 + x) / c
+        ):
+            with pytest.raises(ValueError, match="inexact bivariate division"):
+                div(a, b)
+        with pytest.raises(ValueError, match="inexact univariate division"):
+            ZX_RING.exact_div([1, 0, 1], [1, 1])
+        with pytest.raises(ValueError, match="inexact univariate division"):
+            ZX_RING.exact_div([3, 3], [2])
 
 
 class TestBivariateGcd:
@@ -311,12 +447,24 @@ class TestSquarefreeCertificate:
     def test_equals_exact_path(self, monkeypatch):
         # a slice through a singular point fails, as x = 0 and y = 0 both
         # do on the cusp y^2 - x^3, whose next slices prove it; inputs with
-        # both slices of a variable singular take the exact path
+        # all three slices of a variable singular take the exact path
         certificate, p = elim._squarefree_mod_p, elim.MODULAR_PRIME
         squarefree = self._check(monkeypatch, p)
         assert squarefree.count(False) <= 3
         assert certificate(parse_poly("y^2 - x^3"), p)
-        assert not certificate(parse_poly("y^2 - x^2*(x - 1)^2"), p)
+        assert certificate(parse_poly("y^2 - x^2*(x - 1)^2"), p)
+        assert not certificate(parse_poly("y^2 - x^2*(x - 1)^2*(x - 2)^2"), p)
+
+    def test_third_slice_proves_tangential_fibre(self, monkeypatch):
+        # a squarefree fibre of a sign variant of (y - x^2)*(y + x^3 + 1):
+        # its x-slices at y = 0 and y = 1 fail modulo p and y = 2 proves it
+        f = parse_poly("-x^5 - x^3*y + x^2*y - x^2 + y^2 - y")
+
+        def exact(f, g):
+            raise AssertionError("the exact gcds ran")
+
+        monkeypatch.setattr(elim, "bipoly_gcd", exact)
+        assert bipoly_squarefree_part(f) == (f, True)
 
     def test_small_prime_falls_back(self, monkeypatch):
         squarefree = self._check(monkeypatch, 3)

@@ -12,7 +12,7 @@ existing paths left out).  Each input gets ``check``, ``special-values`` and
 ``scan``, and, up to total degree 12, ``fibre`` at c = 0 and c = 1/3.  Lines
 are sorted, so two runs on one tree write the same file, and a change that
 keeps every CLI byte leaves the committed file as it is.  The full run takes
-13-14 minutes on a 2-vCPU Xeon and stays out of the test suite.
+about 7 minutes on a 2-vCPU Xeon and stays out of the test suite.
 """
 
 from __future__ import annotations
