@@ -17,11 +17,11 @@ A bivariate squarefree part is proved to be the input itself modulo
 MODULAR_PRIME when it can be, by univariate slices, up to three per
 variable; any other input runs the exact gcds with its partial derivatives.
 
-A rational matrix is eliminated fraction-free: on a copy whose rows are
-scaled to primitive integer rows, with plain integer arithmetic, and with
-the scale of each row tracked so that the rational pivots stay exact.  An
+A rational matrix is eliminated fraction-free, on a copy whose rows are
+scaled to primitive integer rows, for its rank and pivot positions; an
 integer matrix also has a rank modulo a prime, which is a lower bound on
-its rank over Q.
+its rank over Q.  rat_det, a Bareiss determinant, has no caller here; it
+stays for the tests' reference oracles and the benchmark tracer.
 
 sympy finds rational roots and decides whether a system has a common zero
 on the torus x*y != 0, by a Groebner basis.  That basis is computed only
@@ -299,17 +299,7 @@ def bipoly_is_squarefree(f: BiPoly) -> bool:
 # exact rational linear algebra, and rank modulo a prime
 
 
-class Elimination(tuple):
-    """``(rank, pivot_rows, pivot_cols)``, with ``pivots``: the rational
-    pivots in order, the values Gaussian elimination over Q meets."""
-
-    def __new__(cls, rank: int, pivot_rows: List[int], pivot_cols: List[int], pivots: List):
-        self = super().__new__(cls, (rank, pivot_rows, pivot_cols))
-        self.pivots = pivots
-        return self
-
-
-def rat_eliminate(rows: List[List]) -> Elimination:
+def rat_eliminate(rows: List[List]) -> Tuple[int, List[int], List[int]]:
     """Gaussian elimination of a rational matrix, which is left untouched;
     returns (rank, pivot_rows, pivot_cols).
 
@@ -317,28 +307,18 @@ def rat_eliminate(rows: List[List]) -> Elimination:
     row with a nonzero entry.  Fraction-free: each row is scaled to a
     primitive integer row; a row r with entry c in the pivot column becomes
     ((piv/g)*r - (c/g)*prow) / content, g = gcd(piv, c), and rows with a zero
-    there are left as they are.  Each row's scale against the rational
-    elimination is kept as an integer numerator and denominator, which makes
-    the rational pivots exact.
+    there are left as they are.
     """
-    mat, num, den = [], [], []
-    for row in rows:
-        lcm, ints = _int_coeffs(row)
-        h, prim = _int_primitive(ints)
-        mat.append(prim)
-        num.append(lcm)
-        den.append(h)
+    mat = [_int_primitive(_int_coeffs(row)[1])[1] for row in rows]
     n = len(mat)
     order = list(range(n))  # original index of each physical row
-    pivot_rows: List[int] = []
     pivot_cols: List[int] = []
-    pivots: List = []
     r = 0
     for col in range(len(mat[0]) if mat else 0):
         sel = next((i for i in range(r, n) if mat[i][col]), None)
         if sel is None:
             continue
-        for seq in (mat, order, num, den):
+        for seq in (mat, order):
             seq[r], seq[sel] = seq[sel], seq[r]
         piv = mat[r][col]
         ptail = mat[r][col + 1:]
@@ -353,13 +333,9 @@ def rat_eliminate(rows: List[List]) -> Elimination:
                 h = math.gcd(*tail) or 1
                 ri[col] = 0
                 ri[col + 1:] = [v // h for v in tail] if h > 1 else tail
-                num[i] *= a
-                den[i] *= h
-        pivot_rows.append(order[r])
         pivot_cols.append(col)
-        pivots.append(rat(piv * den[r], num[r]))
         r += 1
-    return Elimination(r, pivot_rows, pivot_cols, pivots)
+    return r, order[:r], pivot_cols
 
 
 def rank_mod_p(rows: List[List], p: int) -> int:
@@ -392,19 +368,27 @@ def rank_mod_p(rows: List[List], p: int) -> int:
 
 
 def rat_det(rows: List[List]):
-    """Determinant of a square rational matrix (exact): the product of
-    rat_eliminate's pivots, signed by its row permutation."""
-    elim = rat_eliminate(rows)
-    rank, pivot_rows, _ = elim
-    if rank < len(rows):
-        return RAT_ZERO
-    inversions = sum(
-        a > b for k, a in enumerate(pivot_rows) for b in pivot_rows[k + 1:]
-    )
-    det = -RAT_ONE if inversions % 2 else RAT_ONE
-    for p in elim.pivots:
-        det = det * p
-    return det
+    """Determinant of a square rational matrix (exact), which is left
+    untouched: the integer form of each row (times the lcm of its
+    denominators) is eliminated fraction-free (Bareiss, Math. Comp. 22,
+    1968); step k replaces a_ij by (a_kk a_ij - a_ik a_kj) / (the previous
+    pivot), exact by Sylvester's identity, and the last entry is the
+    determinant."""
+    forms = [_int_coeffs(row) for row in rows]
+    mat = [nums for _, nums in forms]
+    n, sign, prev = len(mat), 1, 1
+    for k in range(n - 1):
+        sel = next((i for i in range(k, n) if mat[i][k]), None)
+        if sel is None:
+            return RAT_ZERO
+        if sel != k:
+            mat[k], mat[sel], sign = mat[sel], mat[k], -sign
+        piv, ptail = mat[k][k], mat[k][k + 1:]
+        for ri in mat[k + 1:]:
+            c = ri[k]
+            ri[k + 1:] = [(piv * x - c * y) // prev for x, y in zip(ri[k + 1:], ptail)]
+        prev = piv
+    return rat(sign * mat[-1][-1], math.prod(den for den, _ in forms)) if n else RAT_ONE
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +458,9 @@ def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
     if a is None or len(polys) < 2:
         return None
     ay = _int_y_rows(polys[a])
-    G = UniPoly.zero()
-    for i, f in enumerate(polys):
-        if i != a:
-            G = G.gcd(UniPoly(resultant(ay, _int_y_rows(f), ZX_RING)))
-    return G
+    return _unipoly_list_gcd(
+        [UniPoly(resultant(ay, _int_y_rows(f), ZX_RING)) for i, f in enumerate(polys) if i != a]
+    )
 
 
 def _is_monomial(u: UniPoly) -> bool:
@@ -506,9 +488,7 @@ def _rational_torus_zero(polys: Sequence[BiPoly], G: Optional[UniPoly]) -> bool:
     for x0 in rational_roots(squarefree_part(G)):
         if x0 == 0:
             continue
-        g = UniPoly.zero()
-        for fy in ys:
-            g = g.gcd(UniPoly([u.eval(x0) for u in fy]))
+        g = _unipoly_list_gcd([UniPoly([u.eval(x0) for u in fy]) for fy in ys])
         if not _is_monomial(g):  # zero, or not c * y^k
             return True
     return False

@@ -4,15 +4,16 @@ A :class:`BiPoly` is a sparse map from exponent pairs ``(i, j)`` (powers of
 ``x`` and ``y``) to nonzero rational coefficients; the zero polynomial is the
 empty map.  Products, :func:`substitute` and :func:`jacobian_det` run on the
 common-denominator integer form ``(den, {exponent: numerator})``, ``den`` the
-lcm of the denominators.  A :class:`UniPoly` is a dense tuple, degree 0
-first.  Its products run on the same integer form as a list; its exact
-division and its gcd run on the primitive integer form (the integer list
-divided by its content): division by Gauss's lemma in Z[x].  The gcd is
-proved to be a power of x modulo MODULAR_PRIME when it can be, which covers
-coprime operands, and is otherwise the primitive PRS, the one exact
-univariate gcd of the package.  All values
-are immutable after construction and every operation is pure, so instances
-can be shared freely across threads.
+lcm of the denominators; exact division runs on the primitive integer form
+(the term map divided by its content), by Gauss's lemma in Z[x, y].  A
+:class:`UniPoly` is a dense tuple, degree 0 first.  Its products run on the
+same integer form as a list; its exact division and its gcd run on the
+primitive integer form (the integer list divided by its content): division
+by Gauss's lemma in Z[x].  The gcd is proved to be a power of x modulo
+MODULAR_PRIME when it can be, which covers coprime operands, and is
+otherwise the primitive PRS, the one exact univariate gcd of the package.
+All values are immutable after construction and every operation is pure, so
+instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -531,28 +532,20 @@ class BiPoly:
         return acc
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
-        """Exact multivariate division; raises ValueError if not divisible."""
+        """self / other; ValueError when other does not divide self.
+
+        As in UniPoly.exact_div, by Gauss's lemma the quotient of the
+        primitive integer forms lies in Z[x, y]; it is divided out over the
+        integers by lex-leading terms and scaled by the ratio of the contents.
+        """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = dict(self._t)
-        (di, dj) = max(other._t)  # lex-leading term of the divisor
-        dc = other._t[(di, dj)]
-        out: Dict[Term, object] = {}
-        while rem:
-            (ri, rj) = max(rem)
-            qi, qj = ri - di, rj - dj
-            if qi < 0 or qj < 0:
-                raise ValueError("inexact bivariate division")
-            qc = rem[(ri, rj)] / dc
-            out[(qi, qj)] = qc
-            for (i, j), c in other._t.items():
-                e = (i + qi, j + qj)
-                s = rem.get(e, RAT_ZERO) - qc * c
-                if s == 0:
-                    rem.pop(e, None)
-                else:
-                    rem[e] = s
-        return BiPoly(out, _trusted=True)
+        da, a = _int_form(self._t)
+        db, b = _int_form(other._t)
+        ga, gb = math.gcd(*a.values()) or 1, math.gcd(*b.values())
+        q = _int_terms_exact_div({e: n // ga for e, n in a.items()}, {e: n // gb for e, n in b.items()})
+        num, den = ga * db, da * gb
+        return BiPoly({e: Rat(n * num, den) for e, n in q.items()}, _trusted=True)
 
     # -- views as a polynomial in one variable -----------------------------
 

@@ -1,8 +1,10 @@
 """A tier-1 subset of the byte corpus: the check, fibre, special-values and
 scan documents of the test-suite literals, recomputed in process with
 tools/byte_corpus.py and compared with their committed digests in
-tools/byte_corpus.jsonl."""
+tools/byte_corpus.jsonl.  Also the names perfbench/tracing.py wraps, which
+must stay in the package for a traced benchmark run to start."""
 
+import importlib
 import importlib.util
 import json
 import os
@@ -23,3 +25,18 @@ def test_literal_documents_match_committed_digests(monkeypatch):
     subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "fibre", "special-values", "scan") and argv[1] in texts]
     assert len(subset) >= 1500, len(subset)
     assert [argv for argv, d in subset if corpus.digest(argv) != d] == []
+
+
+def test_tracer_layers_resolve(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("tracing", os.path.join(ROOT, "perfbench/tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{home}.{name}"
+        for home, name in tracing.LAYERS
+        if not callable(getattr(importlib.import_module(f"jaccoord.{home}"), name, None))
+    ]
+    assert missing == []
+    spans = {span for _, counted, per_call in tracing.RATIOS for span in (counted, per_call)}
+    assert sorted(spans - set(tracing.LAYER_NAMES)) == []

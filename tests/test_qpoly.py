@@ -362,6 +362,30 @@ class TestArithmetic:
             if B.is_zero():
                 continue
             assert (A * B).exact_div(B) == A
+        # integer operands with contents > 1, and oracle-size coefficients
+        for k in range(60):
+            A, B = oracle_bipoly(rng), oracle_bipoly(rng)
+            if B.is_zero():
+                continue
+            if k % 2:
+                m = rng.choice([2, 6, 35, 10**20 + 39])
+                A, B = (BiPoly({e: rat(n * m) for e, n in qpoly._int_form(dict(f.items()))[1].items()})
+                        for f in (A, B))
+            assert (A * B).exact_div(B) == A
+        # the contents differ: their ratio is the whole quotient
+        assert parse_poly("2*x").exact_div(parse_poly("3*x")) == BiPoly.const(rat(2, 3))
+        for a, b in [
+            ("x^2 + 1", "x + 1"),  # remainder 2
+            ("x^2 + 1", "2*x + 1"),  # an integer division with a remainder
+            ("x", "x^2"),  # a quotient of negative degree
+            ("y^2 + x", "y"),  # the lex-leading x is not divisible by y
+        ]:
+            with pytest.raises(ValueError, match="inexact bivariate division"):
+                parse_poly(a).exact_div(parse_poly(b))
+        for dividend in (parse_poly("x + 1"), BiPoly.zero()):
+            with pytest.raises(ZeroDivisionError):
+                dividend.exact_div(BiPoly.zero())
+        assert BiPoly.zero().exact_div(parse_poly("2*x + 3")).is_zero()
 
 
 def oracle_coeff(rng):
