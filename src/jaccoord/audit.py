@@ -20,8 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
-from ._ratback import Rat, rat
-from .qpoly import BiPoly
+from .qpoly import BiPoly, rat
 from .coordinate import Coordinate, CoordinateVerdict, check
 from .fibre import (
     ConstantInputError,

@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple, Union
 
-from ._ratback import RAT_ONE, RAT_ZERO, rat
-from .qpoly import BiPoly, InputTooLarge, UniPoly, jacobian_det, substitute
+from .qpoly import RAT_ONE, RAT_ZERO, BiPoly, InputTooLarge, UniPoly, jacobian_det, rat, substitute
 from .newton import (
     FaceForm,
     FaceNotBinomialPower,

@@ -40,9 +40,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import sympy
 
-from ._ratback import RAT_ONE, RAT_ZERO, rat
 from .qpoly import (
     MODULAR_PRIME,
+    RAT_ONE,
+    RAT_ZERO,
     BiPoly,
     UniPoly,
     ZeroPolynomialError,
@@ -55,6 +56,7 @@ from .qpoly import (
     _int_primitive,
     _int_sub,
     _int_terms_exact_div,
+    rat,
     squarefree_part,
 )
 
@@ -398,21 +400,13 @@ _SX, _SY, _ST = sympy.symbols("x y t")
 
 
 def unipoly_to_sympy(u: UniPoly, sym) -> sympy.Poly:
-    return sympy.Poly.from_list(
-        [sympy.Rational(int(c.numerator), int(c.denominator)) for c in reversed(u.coeffs)]
-        or [0],
-        sym,
-    )
+    return sympy.Poly.from_list([sympy.Rational(c) for c in reversed(u.coeffs)] or [0], sym)
 
 
 def bipoly_to_sympy(f: BiPoly):
     expr = sympy.Integer(0)
     for (i, j), c in f.items():
-        expr += (
-            sympy.Rational(int(c.numerator), int(c.denominator))
-            * _SX ** i
-            * _SY ** j
-        )
+        expr += sympy.Rational(c) * _SX ** i * _SY ** j
     return expr
 
 

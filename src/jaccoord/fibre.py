@@ -10,7 +10,7 @@ oracle in the test suite.  Each column is g_y f - g f_y or h f_x - h_x f
 for one monomial g or h, and the matrix is in graded order, rows by
 descending total degree and columns by their first row, so that it is
 nearly triangular before elimination.  The system is built with integer
-coefficients and its rank is taken modulo RUPPERT_PRIME first: rank_p <=
+coefficients and its rank is taken modulo MODULAR_PRIME first: rank_p <=
 rank_Q gives count_p >= count_Q >= 1, so count_p == 1 certifies absolute
 irreducibility, and only count_p > 1 runs the exact elimination over Q.
 
@@ -40,8 +40,18 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._ratback import RAT_ONE, RAT_ZERO, rat
-from .qpoly import MODULAR_PRIME, BiPoly, InputTooLarge, UniPoly, _int_form, squarefree_part, substitute
+from .qpoly import (
+    MODULAR_PRIME,
+    RAT_ONE,
+    RAT_ZERO,
+    BiPoly,
+    InputTooLarge,
+    UniPoly,
+    _int_form,
+    rat,
+    squarefree_part,
+    substitute,
+)
 from .coordinate import InternalVerificationFailure
 from .newton import edge_faces, lattice_counts, newton_polygon
 from .elim import (
@@ -87,8 +97,6 @@ MaybeInt = Union[int, Unknown]
 # ---------------------------------------------------------------------------
 # Ruppert/Gao linear system
 
-RUPPERT_PRIME = MODULAR_PRIME
-
 
 def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
     """Integer coefficient matrix of the differential system of the integer
@@ -116,12 +124,12 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
 
 
 def _ruppert_pencil(P: BiPoly):
-    """c -> the factor count of P - c modulo RUPPERT_PRIME, None where the
+    """c -> the factor count of P - c modulo MODULAR_PRIME, None where the
     prime divides the denominator of c.  The rows are linear in f: those of
     den*(P - c) are the rows of P without its constant term plus
     den*(P(0, 0) - c) times the rows of 1, on one row set and column order."""
     den, nums = _int_form(dict(P.items()))
-    k0, p = nums.pop((0, 0), 0), RUPPERT_PRIME
+    k0, p = nums.pop((0, 0), 0), MODULAR_PRIME
     base, ncols = ruppert_rows({**nums, (0, 0): 0}, P.degx, P.degy)
     unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1}, P.degx, P.degy)[0]
     pairs = [([b % p for b in rb], [e % p for e in re]) for rb, re in zip(base, unit)]
@@ -140,7 +148,7 @@ def absolute_factor_count(f: BiPoly) -> int:
 
     The count is ncols - rank of the Ruppert system, built on the integer
     form of f (a nonzero scalar keeps the kernel).  The count mod
-    RUPPERT_PRIME satisfies count_p >= count_Q >= 1, the lower bound being
+    MODULAR_PRIME satisfies count_p >= count_Q >= 1, the lower bound being
     the logarithmic-derivative solution; so count_p == 1 is the exact answer,
     and only count_p > 1 (a reducible fibre, or a prime dividing the minors)
     runs the exact elimination, whose count is final.  A count of 0, mod p
@@ -155,9 +163,9 @@ def absolute_factor_count(f: BiPoly) -> int:
 
 def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
     """absolute_factor_count of an f already known nonconstant and
-    squarefree, given its count modulo RUPPERT_PRIME if known."""
+    squarefree, given its count modulo MODULAR_PRIME if known."""
     rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1], f.degx, f.degy)
-    dim = ncols - rank_mod_p(rows, RUPPERT_PRIME) if count_p is None else count_p
+    dim = ncols - rank_mod_p(rows, MODULAR_PRIME) if count_p is None else count_p
     if dim > 1:
         dim = ncols - rat_eliminate(rows)[0]
     if dim < 1:
@@ -325,7 +333,7 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
 
 def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) -> FibreReport:
     """fibre_report from the squarefree part sq, given a factor count modulo
-    RUPPERT_PRIME if known (final when 1) and a nondegeneracy test."""
+    MODULAR_PRIME if known (final when 1) and a nondegeneracy test."""
     count = 1 if count_p == 1 else _factor_count(sq, count_p)
     if count != 1:
         reducible = Unknown("Reducible")

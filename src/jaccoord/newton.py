@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import List, Optional, Tuple, Union
 
-from ._ratback import RAT_ONE
-from .qpoly import BiPoly, UniPoly
+from .qpoly import RAT_ONE, BiPoly, UniPoly
 
 Point = Tuple[int, int]
 

@@ -21,9 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from fractions import Fraction as Rat
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from ._ratback import RAT_ONE, RAT_ZERO, Rat, rat, rat_str
+# the one rational type of the package: rat builds it from integers or
+# parses 'p/q', and rat_str writes 'p' when the denominator is 1, else 'p/q'
+RAT_ZERO = Rat(0)
+RAT_ONE = Rat(1)
+BACKEND = "fractions"
+rat = Rat
+rat_str = str
 
 Term = Tuple[int, int]
 
@@ -399,7 +406,7 @@ class BiPoly:
 
     @classmethod
     def const(cls, c) -> "BiPoly":
-        c = Rat(c) if not isinstance(c, type(RAT_ONE)) else c
+        c = c if isinstance(c, Rat) else Rat(c)
         return cls({(0, 0): c}) if c != 0 else cls()
 
     @classmethod

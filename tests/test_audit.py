@@ -181,7 +181,7 @@ class TestScanSharedWork:
 
     def test_small_prime_falls_back_to_exact_counts(self, monkeypatch):
         # modulo 3 the pencil refuses c = a/3 and overcounts some fibres
-        monkeypatch.setattr(fibre, "RUPPERT_PRIME", 3)
+        monkeypatch.setattr(fibre, "MODULAR_PRIME", 3)
         for text in ["y^2 - x^3 - x", "x + x^2*y", COMPOSITE]:
             self._assert_samples_are_reports(parse_poly(text), 8, 12)
 

@@ -252,6 +252,63 @@ class TestGenCoordinate:
         code2, doc2, _ = run_json(capsys, "check", doc["polynomial"])
         assert code2 == 0
 
+    @pytest.mark.parametrize("steps, max_deg", [("3", "8"), ("4", "5"), ("126", "1")])
+    def test_budget_is_input_too_large(self, capsys, steps, max_deg):
+        # unbudgeted, 3 steps of degree 8 run past a minute
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "gen-coordinate", "--seed", "1", "--steps", steps, "--max-deg", max_deg
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+
+    def test_readme_example_within_budget(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "gen-coordinate", "--seed", "7", "--steps", "3", "--max-deg", "3", "--bound", "5"
+        )
+        assert code == 0
+        assert run_json(capsys, "check", doc["polynomial"])[0] == 0
+
+
+class TestSafetyGuards:
+    """Internal checks that no input is known to reach, each forced by a
+    monkeypatched helper: the exception and the CLI's error document."""
+
+    def test_jacobian_not_constant(self, capsys, monkeypatch):
+        from jaccoord import BiPoly, InternalVerificationFailure, check, coordinate
+
+        monkeypatch.setattr(coordinate, "jacobian_det", lambda P, Q: BiPoly.var_x())
+        with pytest.raises(InternalVerificationFailure, match="jacobian of certified pair not constant"):
+            check(parse_poly("y + x^3"))
+        code, out, err = run(capsys, "check", "y + x^3")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "kind": "InternalVerificationFailure", "detail": "jacobian of certified pair not constant"
+        }
+
+    def test_ruppert_solution_space_lost(self, capsys, monkeypatch):
+        from jaccoord import InternalVerificationFailure, absolute_factor_count, fibre
+
+        monkeypatch.setattr(fibre, "rank_mod_p", lambda rows, p: len(rows[0]))
+        with pytest.raises(InternalVerificationFailure, match="Ruppert solution space lost"):
+            absolute_factor_count(parse_poly("y - x^2"))
+        code, out, err = run(capsys, "fibre", "y - x^2", "--c", "1")
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["kind"] == "InternalVerificationFailure"
+        assert error["detail"].startswith("Ruppert solution space lost")
+
+    def test_scan_zero_samples(self, capsys):
+        from jaccoord import theorem3_scan
+
+        with pytest.raises(ValueError, match="n_random must be >= 1"):
+            theorem3_scan(parse_poly("x*y"), n_random=0)
+        code, out, err = run(capsys, "scan", "x*y", "--samples", "0")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {"kind": "ValueError", "detail": "n_random must be >= 1"}
+
 
 class TestExactDocuments:
     """Whole JSON documents, one per obstruction and violation kind: a key
@@ -336,8 +393,7 @@ class TestExactDocuments:
         # violation is replaced before the CLI encodes it
         import dataclasses
 
-        from jaccoord import cli
-        from jaccoord._ratback import rat
+        from jaccoord import cli, rat
         from jaccoord.audit import GenusJump
 
         scan = cli.theorem3_scan

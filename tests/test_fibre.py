@@ -161,7 +161,7 @@ class TestRuppertOrder:
         return rows, ref
 
     def test_same_matrix_and_ranks(self):
-        p = fibre.RUPPERT_PRIME
+        p = fibre.MODULAR_PRIME
         for f_terms, m, n in self._corpus():
             rows, ref = self._permuted_pair(f_terms, m, n)
             assert fibre.rank_mod_p(rows, p) == fibre.rank_mod_p(ref, p), (f_terms, m, n)
@@ -186,7 +186,7 @@ class TestRuppertOrder:
         # inner updates of the lex-ordered ones on the fibre families
         polys = _small_generator_coordinates() + [FERMAT4_IMAGE, FERMAT5_IMAGE]
         polys += [parse_poly(t) for t in RUPPERT_TEXTS]
-        p = fibre.RUPPERT_PRIME
+        p = fibre.MODULAR_PRIME
         graded = reference = 0
         for P in polys:
             system = _int_system(P)
@@ -235,7 +235,7 @@ class TestAbsoluteFactorCount:
     def test_exact_path_answers_when_the_prime_divides(self, monkeypatch, prime):
         # a small prime divides Ruppert minors, so count_p > count_Q occurs
         # and only the exact elimination can give the counts asserted here
-        monkeypatch.setattr(fibre, "RUPPERT_PRIME", prime)
+        monkeypatch.setattr(fibre, "MODULAR_PRIME", prime)
         rank_p, rank_q = fibre.rank_mod_p, fibre.rat_eliminate
         last, drops = [], []
 
@@ -278,10 +278,10 @@ class TestAbsoluteFactorCount:
             for c in cs:
                 f = P - BiPoly.const(c)
                 rows, ncols = fibre.ruppert_rows(_int_form(dict(f.items()))[1], P.degx, P.degy)
-                assert pencil(c) == ncols - fibre.rank_mod_p(rows, fibre.RUPPERT_PRIME)
+                assert pencil(c) == ncols - fibre.rank_mod_p(rows, fibre.MODULAR_PRIME)
 
     def test_pencil_refuses_denominators_divisible_by_the_prime(self, monkeypatch):
-        monkeypatch.setattr(fibre, "RUPPERT_PRIME", 3)
+        monkeypatch.setattr(fibre, "MODULAR_PRIME", 3)
         pencil = fibre._ruppert_pencil(parse_poly("y - x^2 + 1/2"))
         assert pencil(rat(1, 3)) is None
         assert pencil(rat(1, 2)) == 1

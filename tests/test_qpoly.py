@@ -523,6 +523,18 @@ class TestJacobian:
         assert lhs == rhs
 
 
+def test_one_rational_type():
+    import fractions
+
+    import jaccoord
+
+    assert jaccoord.Rat is Rat is fractions.Fraction
+    assert jaccoord.BACKEND == "fractions"
+    assert rat("-6/4") == rat(-3, 2) == Rat(-3, 2)
+    assert [jaccoord.rat_str(rat(n, d)) for n, d in ((4, 2), (-3, 6))] == ["2", "-1/2"]
+    assert BiPoly.const(2).constant_term() == Rat(2) and BiPoly.const(rat(0)).is_zero()
+
+
 class TestUniPoly:
     def test_divmod(self):
         a = UniPoly([rat(-1), rat(0), rat(0), rat(1)])  # t^3 - 1
