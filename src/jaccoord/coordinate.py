@@ -307,5 +307,4 @@ def gen_random_coordinate(
             parts.append(TriangularX(phi))
         parts.append(_rand_linear(rng, coeff_bound))
     w_truth = Witness(tuple(parts))
-    P, _ = apply_witness(invert(w_truth))
-    return P, w_truth
+    return apply_witness_to(BiPoly.var_x(), invert(w_truth)), w_truth

@@ -5,14 +5,21 @@ The absolute irreducible factor count is the dimension of the rational
 solution space of a first-order differential system (Ruppert/Gao): for
 squarefree f, pairs (g, h) with g_y f - g f_y = h_x f - h f_x under the
 degree bounds degx g <= degx f - 1, degy g <= degy f, degx h <= degx f,
-degy h <= degy f - 1.  The bounds are validated against a constructive
-oracle in the test suite.  Each column is g_y f - g f_y or h f_x - h_x f
-for one monomial g or h, and the matrix is in graded order, rows by
-descending total degree and columns by their first row, so that it is
-nearly triangular before elimination.  The system is built with integer
-coefficients and its rank is taken modulo MODULAR_PRIME first: rank_p <=
-rank_Q gives count_p >= count_Q >= 1, so count_p == 1 certifies absolute
-irreducibility, and only count_p > 1 runs the exact elimination over Q.
+degy h <= degy f - 1.  Those solutions are spanned by the pairs
+g = sum l_i (f/f_i) d_x f_i, h = sum l_i (f/f_i) d_y f_i over the factors
+f_i, and by Ostrowski's theorem, N(f) = N(f/f_i) + N(f_i), their supports
+lie in N - (1, 0) and N - (0, 1), N the Newton polygon of f with the
+origin.  So the system is built on those lattice points alone, the
+polytope form of Gao's system (Gao, 2003; Abu Salem, Gao & Lauder, 2004),
+with the same solution space; a segment N keeps the degree box.  Both are
+validated against a constructive oracle in the test suite.  Each column
+is g_y f - g f_y or h f_x - h_x f for one monomial g or h, and the matrix
+is in graded order, rows by descending total degree and columns by their
+first row, so that it is nearly triangular before elimination.  The
+system is built with integer coefficients and its rank is taken modulo
+MODULAR_PRIME first: rank_p <= rank_Q gives count_p >= count_Q >= 1, so
+count_p == 1 certifies absolute irreducibility, and only count_p > 1 runs
+the exact elimination over Q.
 
 Every invariant is taken on the squarefree part of P - c.  Two gcds are
 proved modulo the same prime where they can be: elim.bipoly_squarefree_part
@@ -53,7 +60,7 @@ from .qpoly import (
     substitute,
 )
 from .coordinate import InternalVerificationFailure
-from .newton import edge_faces, lattice_counts, newton_polygon
+from .newton import edge_faces, lattice_counts, newton_polygon, support_polygon
 from .elim import (
     UNIPOLY_RING,
     ZX_RING,
@@ -98,24 +105,30 @@ MaybeInt = Union[int, Unknown]
 # Ruppert/Gao linear system
 
 
-def ruppert_rows(f_terms: Dict[Tuple[int, int], int], m: int, n: int):
+def ruppert_rows(f_terms: Dict[Tuple[int, int], int]):
     """Integer coefficient matrix of the differential system of the integer
     term map f_terms, and its column count; absent entries are 0.
 
-    Column g = x^u y^v (u < m, v <= n) is g_y f - g f_y, with entry
-    c (v - j) at row x^(i+u) y^(j+v-1) for each term c x^i y^j, and column
-    h = x^u y^v (u <= m, v < n) is h f_x - h_x f, entry c (i - u) at row
-    x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.  Rows are in
-    descending total degree, then x-degree, and columns in the order of
-    their first row, as in a Macaulay matrix, which elimination barely fills
-    in.  Both orders follow from the support of f_terms alone (zero values
+    The unknowns lie in the Newton polygon N of the keys of f_terms plus
+    the origin.  Column g = x^u y^v, for (u+1, v) in N, is g_y f - g f_y,
+    with entry c (v - j) at row x^(i+u) y^(j+v-1) for each term c x^i y^j,
+    and column h = x^u y^v, for (u, v+1) in N, is h f_x - h_x f, entry
+    c (i - u) at row x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.
+    A segment N keeps the degree box, u < m, v <= n for g and u <= m, v < n
+    for h, m and n the largest exponents.  Rows are in descending total
+    degree, then x-degree, and columns in the order of their first row, as
+    in a Macaulay matrix, which elimination barely fills in.  The polygon
+    and both orders follow from the keys of f_terms alone (zero values
     count), so maps on one support share one row set and column order."""
+    N = support_polygon(f_terms)
+    m, n = max(i for i, _ in f_terms), max(j for _, j in f_terms)
+    box = N.dim < 2
     columns = [
         {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
-        for u in range(m) for v in range(n + 1)
+        for u in range(m) for v in range(n + 1) if box or N.contains((u + 1, v))
     ] + [
         {(i + u - 1, j + v): c * (i - u) for (i, j), c in f_terms.items() if u or i}
-        for u in range(m + 1) for v in range(n)
+        for u in range(m + 1) for v in range(n) if box or N.contains((u, v + 1))
     ]
     monomials = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
     index = {e: k for k, e in enumerate(monomials)}
@@ -127,11 +140,12 @@ def _ruppert_pencil(P: BiPoly):
     """c -> the factor count of P - c modulo MODULAR_PRIME, None where the
     prime divides the denominator of c.  The rows are linear in f: those of
     den*(P - c) are the rows of P without its constant term plus
-    den*(P(0, 0) - c) times the rows of 1, on one row set and column order."""
+    den*(P(0, 0) - c) times the rows of 1.  All are built on the support of
+    P plus the origin, so they share one polygon, row set and column order."""
     den, nums = _int_form(dict(P.items()))
     k0, p = nums.pop((0, 0), 0), MODULAR_PRIME
-    base, ncols = ruppert_rows({**nums, (0, 0): 0}, P.degx, P.degy)
-    unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1}, P.degx, P.degy)[0]
+    base, ncols = ruppert_rows({**nums, (0, 0): 0})
+    unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1})[0]
     pairs = [([b % p for b in rb], [e % p for e in re]) for rb, re in zip(base, unit)]
 
     def count(c) -> Optional[int]:
@@ -164,7 +178,7 @@ def absolute_factor_count(f: BiPoly) -> int:
 def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
     """absolute_factor_count of an f already known nonconstant and
     squarefree, given its count modulo MODULAR_PRIME if known."""
-    rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1], f.degx, f.degy)
+    rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1])
     dim = ncols - rank_mod_p(rows, MODULAR_PRIME) if count_p is None else count_p
     if dim > 1:
         dim = ncols - rat_eliminate(rows)[0]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from .qpoly import RAT_ONE, BiPoly, UniPoly
 
@@ -37,10 +37,24 @@ class LatticePolygon:
             return [(v[0], v[1])]
         return []
 
+    def contains(self, point: Point) -> bool:
+        """Whether the lattice point lies in the closed polygon.  A segment
+        runs from (0,0) to its lexicographically larger end, and the points
+        of its line between the two ends in that order are its points."""
+        if self.dim < 2:
+            lo, hi = self.vertices[0], self.vertices[-1]
+            return _cross(lo, hi, point) == 0 and lo <= point <= hi
+        return all(_cross(a, b, point) >= 0 for a, b in self.edges())
+
 
 def newton_polygon(P: BiPoly) -> LatticePolygon:
-    """Hull of support union {(0,0)} via the monotone chain."""
-    pts = sorted(set(P.support()) | {(0, 0)})
+    """Hull of the support of P union {(0,0)}."""
+    return support_polygon(P.support())
+
+
+def support_polygon(points: Iterable[Point]) -> LatticePolygon:
+    """Hull of a set of exponents union {(0,0)} via the monotone chain."""
+    pts = sorted(set(points) | {(0, 0)})
     if len(pts) == 1:
         return LatticePolygon(((0, 0),), 0)
     lower: List[Point] = []

@@ -161,6 +161,14 @@ class TestClosedLoop:
             lx, ly = L.components()
             assert isinstance(check(substitute(P, lx, ly)), Coordinate)
 
+    def test_generator_is_the_first_component_of_the_inverse(self):
+        # the generator folds x alone through the inverse witness
+        shapes = [(1, 4), (2, 3), (3, 2)]
+        for seed in range(30):
+            steps, deg = shapes[seed % 3]
+            P, W = gen_random_coordinate(seed, steps, deg, 5)
+            assert P == apply_witness(invert(W))[0]
+
     def test_generator_determinism(self):
         a = gen_random_coordinate(11, 3, 2, 4)
         b = gen_random_coordinate(11, 3, 2, 4)

@@ -11,6 +11,7 @@ from jaccoord import (
     branches_at_infinity,
     fibre_report,
     genus,
+    newton_polygon,
     nondegenerate,
     parse_poly,
     rat,
@@ -19,7 +20,9 @@ from jaccoord import (
 )
 from jaccoord import fibre, gen_random_coordinate
 from jaccoord.coordinate import _rand_linear
+from jaccoord.elim import bipoly_squarefree_part
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
+from jaccoord.newton import support_polygon
 from jaccoord.qpoly import InputTooLarge, _int_form
 
 # an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
@@ -38,11 +41,15 @@ FERMAT4_IMAGE = substitute(
 # order of their monomials
 
 
+def _ref_unknowns(m, n):
+    return [("g", u, v) for u in range(m) for v in range(n + 1)] + [
+        ("h", u, v) for u in range(m + 1) for v in range(n)
+    ]
+
+
 def _ref_ruppert_columns(f_terms, m, n):
-    unknowns = [("g", u, v) for u in range(m) for v in range(n + 1)]
-    unknowns += [("h", u, v) for u in range(m + 1) for v in range(n)]
     columns = []
-    for kind, u, v in unknowns:
+    for kind, u, v in _ref_unknowns(m, n):
         col = {}
 
         def acc(i, j, coeff):
@@ -75,8 +82,22 @@ def ref_ruppert_rows(f_terms, m, n):
 
 
 def _int_system(P):
-    """The arguments of ruppert_rows for the integer form of P."""
+    """The integer term map of P and its largest exponents of x and y, the
+    arguments of ref_ruppert_rows."""
     return _int_form(dict(P.items()))[1], P.degx, P.degy
+
+
+def _count_p(rows, ncols, p=None):
+    return ncols - fibre.rank_mod_p(rows, p or fibre.MODULAR_PRIME)
+
+
+def _count_q(rows, ncols):
+    return ncols - fibre.rat_eliminate(rows)[0]
+
+
+def _squarefree_terms(f_terms):
+    f = BiPoly({e: rat(c) for e, c in f_terms.items() if c})
+    return not f.is_constant() and bipoly_squarefree_part(f)[1]
 
 
 def _mod_p_updates(rows, p):
@@ -127,16 +148,21 @@ def _small_generator_coordinates():
     raise AssertionError("too few small generator coordinates")
 
 
+def _graded(e):
+    return -e[0] - e[1], -e[0]
+
+
 class TestRuppertOrder:
-    """ruppert_rows is the matrix of ref_ruppert_rows with its rows in graded
-    order and its columns permuted, and elimination fills it in less."""
+    """The columns of ruppert_rows are the columns of ref_ruppert_rows whose
+    unknowns lie in the Newton polygon, with the rows in graded order; on a
+    squarefree f its count ncols - rank is that of the box, and elimination
+    fills it in less."""
 
     @staticmethod
-    def _corpus():
-        polys = _small_generator_coordinates() + [FERMAT5_IMAGE]
-        polys += [parse_poly(t) for t in RUPPERT_TEXTS]
-        systems = [_int_system(P) for P in polys]
-        rng = random.Random(15)
+    def _random_systems():
+        """Random integer term maps, zero values included, and their largest
+        exponents."""
+        rng, systems = random.Random(15), []
         for _ in range(40):
             a, b = rng.randint(0, 4), rng.randint(0, 4)
             terms = {(i, j): rng.choice([-9, -2, -1, 0, 1, 3, 8])
@@ -145,27 +171,49 @@ class TestRuppertOrder:
                 systems.append((terms, max(i for i, _ in terms), max(j for _, j in terms)))
         return systems
 
+    @classmethod
+    def _corpus(cls):
+        polys = _small_generator_coordinates() + [FERMAT5_IMAGE]
+        polys += [parse_poly(t) for t in RUPPERT_TEXTS]
+        return [_int_system(P) for P in polys] + cls._random_systems()
+
     @staticmethod
-    def _permuted_pair(f_terms, m, n):
-        """The matrices of ruppert_rows and ref_ruppert_rows, once the first
-        is checked to be the second with its rows in graded order and its
-        columns permuted."""
-        rows, ncols = fibre.ruppert_rows(f_terms, m, n)
+    def _sub_pair(f_terms, m, n):
+        """The matrices of ruppert_rows and ref_ruppert_rows with their column
+        counts, once the first is checked to be the columns of the second
+        whose unknowns lie in the polygon, a sub-multiset of them, with the
+        rows in graded order."""
+        rows, ncols = fibre.ruppert_rows(f_terms)
         ref, ref_ncols = ref_ruppert_rows(f_terms, m, n)
         columns = _ref_ruppert_columns(f_terms, m, n)
-        assert ncols == ref_ncols
-        graded = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
-        assert len(rows) == len(ref) == len(graded)
-        want = Counter(tuple(col.get(e, 0) for e in graded) for col in columns)
-        assert Counter(tuple(r[k] for r in rows) for k in range(ncols)) == want
-        return rows, ref
+        N = support_polygon(f_terms)
+        kept = [col for (kind, u, v), col in zip(_ref_unknowns(m, n), columns)
+                if N.dim < 2 or N.contains((u + 1, v) if kind == "g" else (u, v + 1))]
+        graded = sorted({e for col in columns for e in col}, key=_graded)
+        at = sorted({e for col in kept for e in col}, key=_graded)
+        assert len(ref) == len(graded) and len(rows) == len(at)
+        padded = Counter(
+            tuple(dict(zip(at, (r[k] for r in rows))).get(e, 0) for e in graded)
+            for k in range(ncols)
+        )
+        assert padded == Counter(tuple(col.get(e, 0) for e in graded) for col in kept)
+        assert padded <= Counter(tuple(col.get(e, 0) for e in graded) for col in columns)
+        return (rows, ncols), (ref, ref_ncols)
 
-    def test_same_matrix_and_ranks(self):
-        p = fibre.MODULAR_PRIME
+    def test_sub_matrix_and_counts(self):
+        # equal counts where f is squarefree; elsewhere the polygon kernel is
+        # still a subspace of the box kernel
+        squarefree = 0
         for f_terms, m, n in self._corpus():
-            rows, ref = self._permuted_pair(f_terms, m, n)
-            assert fibre.rank_mod_p(rows, p) == fibre.rank_mod_p(ref, p), (f_terms, m, n)
-            assert fibre.rat_eliminate(rows)[0] == fibre.rat_eliminate(ref)[0], (f_terms, m, n)
+            system, ref = self._sub_pair(f_terms, m, n)
+            if _squarefree_terms(f_terms):
+                squarefree += 1
+                assert _count_p(*system) == _count_p(*ref), (f_terms, m, n)
+                assert _count_q(*system) == _count_q(*ref), (f_terms, m, n)
+            else:
+                assert _count_p(*system) <= _count_p(*ref), (f_terms, m, n)
+                assert _count_q(*system) <= _count_q(*ref), (f_terms, m, n)
+        assert squarefree >= 40
 
     def test_unipoly_terms(self):
         # the entries in Q[c] of P - c, as _rational_rank_drop_det builds them
@@ -176,10 +224,10 @@ class TestRuppertOrder:
             P = parse_poly(text)
             terms = {e: UniPoly.const(c) for e, c in P.items()}
             terms[(0, 0)] = terms.get((0, 0), UniPoly.zero()) + UniPoly([0, -1])
-            rows, ref = self._permuted_pair(terms, P.degx, P.degy)
-            at = [[[u.eval(probe) if isinstance(u, UniPoly) else u for u in r] for r in mat]
-                  for mat in (rows, ref)]
-            assert fibre.rat_eliminate(at[0])[0] == fibre.rat_eliminate(at[1])[0], text
+            pair = self._sub_pair(terms, P.degx, P.degy)
+            at = [([[u.eval(probe) if isinstance(u, UniPoly) else u for u in r] for r in mat], ncols)
+                  for mat, ncols in pair]
+            assert _count_q(*at[0]) == _count_q(*at[1]), text
 
     def test_fill_in_at_most_half(self):
         # the mod-p elimination of the graded matrices needs at most half the
@@ -189,14 +237,68 @@ class TestRuppertOrder:
         p = fibre.MODULAR_PRIME
         graded = reference = 0
         for P in polys:
-            system = _int_system(P)
-            ref = ref_ruppert_rows(*system)[0]
-            rank, updates = _mod_p_updates(fibre.ruppert_rows(*system)[0], p)
+            f_terms, m, n = _int_system(P)
+            ref, ref_ncols = ref_ruppert_rows(f_terms, m, n)
+            rows, ncols = fibre.ruppert_rows(f_terms)
+            rank, updates = _mod_p_updates(rows, p)
             ref_rank, ref_updates = _mod_p_updates(ref, p)
-            assert rank == ref_rank == fibre.rank_mod_p(ref, p)
+            assert ref_rank == fibre.rank_mod_p(ref, p)
+            assert ncols - rank == ref_ncols - ref_rank
             graded, reference = graded + updates, reference + ref_updates
         assert reference > 10_000
         assert 2 * graded <= reference, (graded, reference)
+
+
+class TestRuppertPolygon:
+    """The count of ruppert_rows on the Newton polygon against the count of
+    the degree box of ref_ruppert_rows, on squarefree f."""
+
+    TEXTS = [
+        "y^2 - x^2", "(x + 2*y - 1)*(3*x - y + 2)*(x - y + 1/2)",
+        "x*y*(x + y - 1)", "x*(y - x^2)", "x^2 + y^2",
+        "x^3 - x", "x*y - 1", "(x*y)^2 + x*y + 1", "x^2*y^2 - 1", "y^3 - y",
+    ]
+
+    @staticmethod
+    def _polys():
+        """Reducible fibres and segments, generator coordinates and their
+        products, each also with its constant term removed."""
+        coords = [gen_random_coordinate(s, 1 + s % 2, 2, 3)[0] for s in range(4)]
+        polys = [parse_poly(t) for t in TestRuppertPolygon.TEXTS] + coords + [FERMAT4_IMAGE]
+        big = _small_generator_coordinates()
+        polys += [coords[0] * coords[1], coords[2] * coords[3], coords[0] * parse_poly("x - y")]
+        polys += [big[0] * big[1], big[2] * parse_poly("x + y + 1")]
+        polys += [P - BiPoly.const(P.constant_term()) for P in polys if P.constant_term()]
+        return [P for P in polys if bipoly_squarefree_part(P)[1]]
+
+    def test_corpus(self):
+        polys = self._polys()
+        segments = sum(newton_polygon(P).dim < 2 for P in polys)
+        reducible = sum(absolute_factor_count(P) > 1 for P in polys)
+        zero_constant = sum(P.constant_term() == 0 for P in polys)
+        assert (len(polys), segments, reducible, zero_constant) == (32, 7, 16, 19)
+
+    def test_counts_equal_the_box(self):
+        systems = [_int_system(P) for P in self._polys()]
+        systems += [s for s in TestRuppertOrder._random_systems() if _squarefree_terms(s[0])]
+        for f_terms, m, n in systems:
+            box = ref_ruppert_rows(f_terms, m, n)
+            system = fibre.ruppert_rows(f_terms)
+            count = _count_q(*box)
+            assert _count_q(*system) == count >= 1, f_terms
+            assert _count_p(*system) == _count_p(*box), f_terms
+            for p in (2, 3):
+                assert count <= _count_p(*system, p) <= _count_p(*box, p), (f_terms, p)
+
+    def test_pencil_at_the_constant_term(self):
+        # c = P(0, 0): the fibre has no constant term, the pencil keeps the
+        # polygon of P
+        for P in self._polys():
+            c = P.constant_term()
+            if c == 0:
+                continue
+            box = ref_ruppert_rows(*_int_system(P - BiPoly.const(c)))
+            assert fibre._ruppert_pencil(P)(c) == _count_p(*box) == _count_q(*box), P
 
 
 class TestAbsoluteFactorCount:
@@ -277,7 +379,7 @@ class TestAbsoluteFactorCount:
             cs = [rat(rng.randint(-9, 9), b) for b in (1, 2, 3, 4)] + [P.constant_term()]
             for c in cs:
                 f = P - BiPoly.const(c)
-                rows, ncols = fibre.ruppert_rows(_int_form(dict(f.items()))[1], P.degx, P.degy)
+                rows, ncols = fibre.ruppert_rows(_int_form(dict(f.items()))[1])
                 assert pencil(c) == ncols - fibre.rank_mod_p(rows, fibre.MODULAR_PRIME)
 
     def test_pencil_refuses_denominators_divisible_by_the_prime(self, monkeypatch):

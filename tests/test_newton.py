@@ -77,6 +77,30 @@ class TestPolygon:
             assert area2 > 0
             assert v[0] == (0, 0)
 
+    def test_contains_triangle(self):
+        N = newton_polygon(parse_poly("y^2 + x^4 + 1"))
+        assert N.vertices == ((0, 0), (4, 0), (0, 2))
+        inside = [(0, 0), (4, 0), (0, 2), (2, 0), (0, 1), (2, 1), (1, 1)]
+        outside = [(3, 1), (1, 2), (5, 0), (0, 3), (-1, 0), (1, -1)]
+        assert all(N.contains(p) for p in inside)
+        assert not any(N.contains(p) for p in outside)
+
+    def test_contains_segment_and_point(self):
+        N = newton_polygon(parse_poly("x^2*y^2 - 1"))
+        assert N.dim == 1
+        assert all(N.contains(p) for p in [(0, 0), (1, 1), (2, 2)])
+        assert not any(N.contains(p) for p in [(3, 3), (-1, -1), (1, 0), (1, 2), (0, 2)])
+        N = newton_polygon(parse_poly("7"))
+        assert N.contains((0, 0)) and not N.contains((1, 0))
+
+    def test_contains_counts_the_lattice_points(self):
+        rng = random.Random(12)
+        for _ in range(100):
+            N = rand_polygon(rng)
+            interior, boundary, _ = lattice_counts(N)
+            box = [(i, j) for i in range(-1, 10) for j in range(-1, 10)]
+            assert sum(map(N.contains, box)) == interior + boundary
+
 
 class TestLatticeCounts:
     def test_cusp_triangle(self):
