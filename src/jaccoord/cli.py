@@ -223,6 +223,12 @@ def _cmd_scan(args) -> int:
 # degree 6 (216) take 35 s.  The step count is capped as well, since steps
 # of degree 1 keep the bound at 1.
 MAX_GEN_DEGREE = 125
+# The coefficients of P have at most about 7.1 * L * S digits, L the digits
+# of --bound and S = 1 + max-deg + ... + max-deg ** steps (seeds 0-5 over 13
+# shapes up to the degree budget and L up to 100), so L * S <= 320 keeps them
+# under 2,300 digits, within Python's 4,300-digit int-to-str limit, and every
+# measured shape within 2.1 s on a 2-vCPU Xeon; L * S = 508 took 13.8 s.
+MAX_GEN_SIZE = 320
 
 
 def _cmd_gen_coordinate(args) -> int:
@@ -230,6 +236,12 @@ def _cmd_gen_coordinate(args) -> int:
     if steps > MAX_GEN_DEGREE or (steps >= 1 and deg >= 1 and deg ** steps > MAX_GEN_DEGREE):
         raise InputTooLarge(
             f"gen-coordinate needs steps and max-deg ** steps <= {MAX_GEN_DEGREE}, got {deg} ** {steps}"
+        )
+    size = len(str(args.bound)) * sum(deg ** k for k in range(steps + 1)) if deg >= 1 else 0
+    if size > MAX_GEN_SIZE:
+        raise InputTooLarge(
+            f"gen-coordinate needs digits(bound) * (1 + max-deg + ... + max-deg ** steps)"
+            f" <= {MAX_GEN_SIZE}, got {size}"
         )
     P, W = gen_random_coordinate(args.seed, steps, deg, args.bound)
     _emit(

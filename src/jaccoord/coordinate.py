@@ -111,12 +111,10 @@ def invert(W: Witness) -> Witness:
 
 
 def apply_witness(W: Witness) -> Tuple[BiPoly, BiPoly]:
-    """The polynomial pair of the map Phi."""
-    X, Y = BiPoly.var_x(), BiPoly.var_y()
-    for step in reversed(W.steps):
-        A, B = step.components()
-        X, Y = substitute(A, X, Y), substitute(B, X, Y)
-    return X, Y
+    """The polynomial pair (x o Phi, y o Phi) of the map Phi, each
+    component folded through the steps by apply_witness_to, so that every
+    substitution puts one small step into one growing polynomial."""
+    return apply_witness_to(BiPoly.var_x(), W), apply_witness_to(BiPoly.var_y(), W)
 
 
 def apply_witness_to(P: BiPoly, W: Witness) -> BiPoly:

@@ -77,9 +77,7 @@ class Ring:
     exact_div: Callable
 
 
-RAT_RING = Ring(RAT_ZERO, RAT_ONE, operator.mul, operator.sub, operator.truediv)
 UNIPOLY_RING = Ring(UniPoly.zero(), UniPoly.const(1), operator.mul, operator.sub, UniPoly.exact_div)
-BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), operator.mul, operator.sub, BiPoly.exact_div)
 # Z[x]: integer coefficient lists, degree 0 first, without trailing zeros
 ZX_RING = Ring([], [1], lambda a, b: _int_conv(a, b) if a and b else [], _int_sub, _int_exact_div)
 # Z[x, c]: integer term maps {(i, j): n} of n x^i c^j, without zero values

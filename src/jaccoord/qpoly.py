@@ -5,7 +5,11 @@ A :class:`BiPoly` is a sparse map from exponent pairs ``(i, j)`` (powers of
 empty map.  Products, :func:`substitute` and :func:`jacobian_det` run on the
 common-denominator integer form ``(den, {exponent: numerator})``, ``den`` the
 lcm of the denominators; exact division runs on the primitive integer form
-(the term map divided by its content), by Gauss's lemma in Z[x, y].  A
+(the term map divided by its content), by Gauss's lemma in Z[x, y].
+:func:`substitute` tabulates the powers of one image; when the other is a
+monomial, as x or y in every triangular step, each term of P is one shifted
+multiple of a table entry, and only two images of several terms take
+Horner's rule.  A
 :class:`UniPoly` is a dense tuple, degree 0 first.  Its products run on the
 same integer form as a list; its exact division and its gcd run on the
 primitive integer form (the integer list divided by its content): division
@@ -628,13 +632,19 @@ class BiPoly:
 
 
 def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
-    """P(sx, sy), exactly, by Horner in y on integer numerators.
+    """P(sx, sy), exactly, on integer numerators.
 
-    With P = p / d, sx = nx / dx and sy = ny / dy in common-denominator
-    integer form, term c x^i y^j of p is scaled by dx^(degx - i) dy^(degy - j),
-    row j is evaluated at nx, Horner multiplies by ny, and the integer result
-    is divided by d dx^degx dy^degy once, at the end.
+    When only sx is a monomial, P is transposed and the images swapped, as
+    P(sx, sy) = P^T(sy, sx).  With P = p / d, sx = nx / dx and sy = ny / dy
+    in common-denominator integer form, term c x^i y^j of p is scaled by
+    dx^(degx - i) dy^(degy - j) and the powers of nx are tabulated.  A
+    monomial ny = n x^a y^b needs no more products: the term adds its scaled
+    c n^j nx^i, shifted by (a j, b j).  Otherwise row j of p is evaluated at
+    nx and Horner in y multiplies by ny.  The integer result is divided by
+    d dx^degx dy^degy once, at the end.
     """
+    if len(sx._t) == 1 and len(sy._t) != 1:
+        P, sx, sy = BiPoly({(j, i): c for (i, j), c in P._t.items()}, _trusted=True), sy, sx
     d, p = _int_form(P._t)
     dx, nx = _int_form(sx._t)
     dy, ny = _int_form(sy._t)
@@ -642,10 +652,20 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
     xpow = [{(0, 0): 1}]
     for _ in range(degx):
         xpow.append(_int_mul(xpow[-1], nx))
+    acc: Dict[Term, int] = {}
+    if len(ny) == 1:
+        ((a, b), n), = ny.items()
+        get = acc.get
+        for (i, j), c in p.items():
+            c *= dx ** (degx - i) * dy ** (degy - j) * n ** j
+            sa, sb = a * j, b * j
+            for (u, v), w in xpow[i].items():
+                e = (u + sa, v + sb)
+                acc[e] = get(e, 0) + c * w
+        return _from_int_form(d * dx ** degx * dy ** degy, acc)
     rows: List[Dict[int, int]] = [{} for _ in range(degy + 1)]
     for (i, j), c in p.items():
         rows[j][i] = c * dx ** (degx - i) * dy ** (degy - j)
-    acc: Dict[Term, int] = {}
     for row in reversed(rows):
         acc = _int_mul(acc, ny)
         for i, c in row.items():

@@ -264,6 +264,25 @@ class TestGenCoordinate:
         assert out == ""
         assert json.loads(err)["error"]["kind"] == "InputTooLarge"
 
+    def test_bound_budget_is_input_too_large(self, capsys):
+        # unbudgeted, this ran for about 9 s and failed printing a coefficient
+        # of more than 4,300 digits
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "gen-coordinate", "--seed", "3", "--steps", "3", "--max-deg", "5",
+            "--bound", "1000000000000"
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["kind"] == "InputTooLarge"
+
+    @pytest.mark.parametrize("steps, max_deg", [("3", "5"), ("1", "125"), ("125", "1")])
+    def test_bound_5_at_the_degree_budget(self, capsys, steps, max_deg):
+        code, doc, _ = run_json(
+            capsys, "gen-coordinate", "--seed", "1", "--steps", steps, "--max-deg", max_deg, "--bound", "5"
+        )
+        assert code == 0 and doc["witness"]
+
     def test_readme_example_within_budget(self, capsys):
         code, doc, _ = run_json(
             capsys, "gen-coordinate", "--seed", "7", "--steps", "3", "--max-deg", "3", "--bound", "5"

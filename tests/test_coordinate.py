@@ -34,6 +34,16 @@ from jaccoord.coordinate import ReduceSuccess, _rand_linear
 X, Y = BiPoly.var_x(), BiPoly.var_y()
 
 
+def ref_apply_witness(W):
+    """The pair fold that apply_witness replaced: the growing pair (X, Y) is
+    substituted into the components of each step, the last step first."""
+    Xc, Yc = X, Y
+    for step in reversed(W.steps):
+        A, B = step.components()
+        Xc, Yc = substitute(A, Xc, Yc), substitute(B, Xc, Yc)
+    return Xc, Yc
+
+
 class TestElementarySteps:
     def test_linear_inverse(self):
         rng = random.Random(20)
@@ -56,6 +66,18 @@ class TestElementarySteps:
             Xi, Yi = apply_witness(invert(W))
             assert substitute(Xc, Xi, Yi) == X
             assert substitute(Yc, Xi, Yi) == Y
+
+    def test_apply_witness_matches_the_pair_fold(self):
+        shapes = [(1, 4), (2, 3), (3, 2)]
+        for seed in range(9):
+            steps, deg = shapes[seed % 3]
+            _, W = gen_random_coordinate(seed, steps, deg, 5)
+            for w in (W, invert(W)):
+                assert apply_witness(w) == ref_apply_witness(w)
+        rng = random.Random(23)
+        for n in range(1, 5):
+            W = Witness(tuple(_rand_linear(rng, 5) for _ in range(n)))
+            assert apply_witness(W) == ref_apply_witness(W)
 
     def test_apply_witness_to_matches_components(self):
         _, W = gen_random_coordinate(3, 2, 2, 3)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import operator
 import random
 
 import pytest
@@ -20,11 +21,10 @@ from jaccoord import (
 )
 from jaccoord import elim, fibre, qpoly
 from jaccoord.elim import (
-    BIPOLY_RING,
-    RAT_RING,
     UNIPOLY_RING,
     ZX_RING,
     ZXC_RING,
+    Ring,
     bipoly_to_sympy,
     has_common_torus_zero,
     rat_det,
@@ -36,6 +36,10 @@ from jaccoord.elim import (
     subresultant_chain,
     unipoly_to_sympy,
 )
+
+# the reference rings of the chain tests: Q, and Q[x, y] by exact division
+RAT_RING = Ring(rat(0), rat(1), operator.mul, operator.sub, operator.truediv)
+BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), operator.mul, operator.sub, BiPoly.exact_div)
 
 
 def upoly(*coeffs):

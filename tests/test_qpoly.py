@@ -61,7 +61,7 @@ def ref_mul(A, B):
     return BiPoly({e: c for e, c in out.items() if c != 0})
 
 
-def ref_substitute(P, sx, sy):
+def rat_substitute(P, sx, sy):
     """P(sx, sy) by Horner in x when sy = y, else in y over powers of sx."""
     if P.is_zero():
         return BiPoly.zero()
@@ -85,6 +85,29 @@ def ref_substitute(P, sx, sy):
                 row_val = row_val + powers[i] * c
         acc = ref_mul(acc, sy) + row_val
     return acc
+
+
+def ref_substitute(P, sx, sy):
+    """P(sx, sy) by Horner in y on integer numerators, for every pair of
+    images: the routine before a monomial image was substituted without
+    Horner."""
+    d, p = qpoly._int_form(P._t)
+    dx, nx = qpoly._int_form(sx._t)
+    dy, ny = qpoly._int_form(sy._t)
+    degx, degy = P.degx, P.degy
+    xpow = [{(0, 0): 1}]
+    for _ in range(degx):
+        xpow.append(qpoly._int_mul(xpow[-1], nx))
+    rows = [{} for _ in range(degy + 1)]
+    for (i, j), c in p.items():
+        rows[j][i] = c * dx ** (degx - i) * dy ** (degy - j)
+    acc = {}
+    for row in reversed(rows):
+        acc = qpoly._int_mul(acc, ny)
+        for i, c in row.items():
+            for e, v in xpow[i].items():
+                acc[e] = acc.get(e, 0) + c * v
+    return qpoly._from_int_form(d * dx ** degx * dy ** degy, acc)
 
 
 def ref_jacobian(P, Q):
@@ -437,7 +460,7 @@ class TestKernelOracle:
             for got, want in (
                 (A * B, ref_mul(A, B)),
                 (A ** 3, ref_mul(ref_mul(A, A), A)),
-                (substitute(A, sx, sy), ref_substitute(A, sx, sy)),
+                (substitute(A, sx, sy), rat_substitute(A, sx, sy)),
                 (jacobian_det(A, B), ref_jacobian(A, B)),
                 (jacobian_det(A, B), diff_jacobian(A, B)),
             ):
@@ -498,6 +521,50 @@ class TestSubstitute:
             assert substitute(P, sx, sy).eval(xv, yv) == P.eval(
                 sx.eval(xv, yv), sy.eval(xv, yv)
             )
+
+
+# images of every kind that substitute distinguishes: a monomial c x^a y^b
+# (a signed rational one, a constant, x or y) or zero, and images of two or
+# three terms
+IMAGE_TEXTS = {
+    "monomial": ["-3/2*x^2*y", "5/7*y^2", "-x*y", "2/9*x^3"],
+    "constant": ["-4/3", "7"],
+    "zero": ["0"],
+    "x": ["x"],
+    "y": ["y"],
+    "binomial": ["x + y^2", "-2/3*x*y + 5", "y - 1/4*x^3"],
+    "affine": ["2*x - 3/5*y + 1", "-x + 7*y - 2/3"],
+}
+
+
+def substitute_inputs():
+    """Seeded random P, with the zero, constant and univariate ones."""
+    rng = random.Random(31)
+    fixed = ["0", "-5/3", "3/4*x^3 - x + 2", "-y^4 + 2/5*y", "x^2*y^3"]
+    return [parse_poly(t) for t in fixed] + [rand_bipoly(rng, 4, 9, 7) for _ in range(10)]
+
+
+class TestMonomialSubstitute:
+    """substitute against the Horner routine ref_substitute, with a monomial
+    image in either slot, in both or in neither."""
+
+    def test_against_horner(self):
+        images = [(kind, parse_poly(t)) for kind, texts in IMAGE_TEXTS.items() for t in texts]
+        for P in substitute_inputs():
+            for kx, sx in images:
+                for ky, sy in images:
+                    assert substitute(P, sx, sy) == ref_substitute(P, sx, sy), (P, kx, sx, ky, sy)
+
+    def test_triangular_steps(self):
+        # the images of every reduction step: (x, y + phi(x)) and (x + psi(y), y)
+        rng = random.Random(32)
+        X, Y = BiPoly.var_x(), BiPoly.var_y()
+        for P in substitute_inputs():
+            phi = rand_bipoly(rng, 5, 9, 4)
+            phi_x = BiPoly({(i, 0): c for (i, _), c in phi.items() if i})
+            phi_y = BiPoly({(0, j): c for (_, j), c in phi.items() if j})
+            for sx, sy in ((X, Y + phi_x), (X + phi_y, Y)):
+                assert substitute(P, sx, sy) == ref_substitute(P, sx, sy)
 
 
 class TestJacobian:
