@@ -11,12 +11,12 @@ f_i, and by Ostrowski's theorem, N(f) = N(f/f_i) + N(f_i), their supports
 lie in N - (1, 0) and N - (0, 1), N the Newton polygon of f with the
 origin.  So the system is built on those lattice points alone, the
 polytope form of Gao's system (Gao, 2003; Abu Salem, Gao & Lauder, 2004),
-with the same solution space, for a segment N as for a polygon.  Both
-systems are validated against a constructive oracle in the test suite.
-Each column is g_y f - g f_y or h f_x - h_x f for one monomial g or h, and
-the matrix is in graded order, rows by descending total degree and columns
-by their first row, so that it is nearly triangular before elimination.
-The system is built with integer coefficients and its rank is taken modulo
+with the same solution space; a segment N keeps the degree box.  Both are
+validated against a constructive oracle in the test suite.  Each column
+is g_y f - g f_y or h f_x - h_x f for one monomial g or h, and the matrix
+is in graded order, rows by descending total degree and columns by their
+first row, so that it is nearly triangular before elimination.  The
+system is built with integer coefficients and its rank is taken modulo
 MODULAR_PRIME first: rank_p <= rank_Q gives count_p >= count_Q >= 1, so
 count_p == 1 certifies absolute irreducibility, and only count_p > 1 runs
 the exact elimination over Q.
@@ -113,20 +113,22 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], int]):
     the origin.  Column g = x^u y^v, for (u+1, v) in N, is g_y f - g f_y,
     with entry c (v - j) at row x^(i+u) y^(j+v-1) for each term c x^i y^j,
     and column h = x^u y^v, for (u, v+1) in N, is h f_x - h_x f, entry
-    c (i - u) at row x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0;
-    N may be a segment.  Rows are in descending total degree, then
-    x-degree, and columns in the order of their first row, as in a Macaulay
-    matrix, which elimination barely fills in.  The polygon and both orders
-    follow from the keys of f_terms alone (zero values count), so maps on
-    one support share one row set and column order."""
+    c (i - u) at row x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.
+    A segment N keeps the degree box, u < m, v <= n for g and u <= m, v < n
+    for h, m and n the largest exponents.  Rows are in descending total
+    degree, then x-degree, and columns in the order of their first row, as
+    in a Macaulay matrix, which elimination barely fills in.  The polygon
+    and both orders follow from the keys of f_terms alone (zero values
+    count), so maps on one support share one row set and column order."""
     N = support_polygon(f_terms)
     m, n = max(i for i, _ in f_terms), max(j for _, j in f_terms)
+    box = N.dim < 2
     columns = [
         {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
-        for u in range(m) for v in range(n + 1) if N.contains((u + 1, v))
+        for u in range(m) for v in range(n + 1) if box or N.contains((u + 1, v))
     ] + [
         {(i + u - 1, j + v): c * (i - u) for (i, j), c in f_terms.items() if u or i}
-        for u in range(m + 1) for v in range(n) if N.contains((u, v + 1))
+        for u in range(m + 1) for v in range(n) if box or N.contains((u, v + 1))
     ]
     monomials = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
     index = {e: k for k, e in enumerate(monomials)}

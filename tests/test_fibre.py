@@ -189,7 +189,7 @@ class TestRuppertOrder:
         columns = _ref_ruppert_columns(f_terms, m, n)
         N = support_polygon(f_terms)
         kept = [col for (kind, u, v), col in zip(_ref_unknowns(m, n), columns)
-                if N.contains((u + 1, v) if kind == "g" else (u, v + 1))]
+                if N.dim < 2 or N.contains((u + 1, v) if kind == "g" else (u, v + 1))]
         graded = sorted({e for col in columns for e in col}, key=_graded)
         at = sorted({e for col in kept for e in col}, key=_graded)
         assert len(ref) == len(graded) and len(rows) == len(at)
@@ -291,33 +291,25 @@ class TestRuppertPolygon:
             for p in (2, 3):
                 assert count <= _count_p(*system, p) <= _count_p(*box, p), (f_terms, p)
 
-    def test_segments_take_the_polygon(self):
-        # a segment off the axes has fewer unknowns than its degree box
+    def test_segments_keep_the_box(self):
+        # the polygon system of a segment can count less than the box where
+        # f is not squarefree: 3 against 5 at x^2*y^2
         ncols = [
             (fibre.ruppert_rows(f_terms)[1], ref_ruppert_rows(f_terms, m, n)[1])
             for f_terms, m, n in map(_int_system, self._polys())
             if support_polygon(f_terms).dim < 2
         ]
-        assert sorted(ncols) == [(2, 4), (2, 4), (3, 3), (3, 3), (4, 12), (4, 12), (4, 12)]
+        assert len(ncols) == 7 and all(a == b for a, b in ncols), ncols
 
     def test_pencil_at_the_constant_term(self):
         # c = P(0, 0): the fibre has no constant term, the pencil keeps the
-        # polygon of P; where the fibre is not squarefree, as x^2*y^2 at
-        # P = x^2*y^2 - 1, the count is no factor count, and the polygon
-        # kernel is a subspace of the box kernel
-        squarefree = 0
+        # polygon of P
         for P in self._polys():
             c = P.constant_term()
             if c == 0:
                 continue
-            f = P - BiPoly.const(c)
-            box = ref_ruppert_rows(*_int_system(f))
-            if bipoly_squarefree_part(f)[1]:
-                squarefree += 1
-                assert fibre._ruppert_pencil(P)(c) == _count_p(*box) == _count_q(*box), P
-            else:
-                assert fibre._ruppert_pencil(P)(c) <= _count_p(*box), P
-        assert squarefree == 12
+            box = ref_ruppert_rows(*_int_system(P - BiPoly.const(c)))
+            assert fibre._ruppert_pencil(P)(c) == _count_p(*box) == _count_q(*box), P
 
 
 class TestAbsoluteFactorCount:
