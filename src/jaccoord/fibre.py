@@ -27,8 +27,11 @@ proves P - c squarefree, and UniPoly.gcd proves that the resultants of the
 torus pre-test have a power of x as their gcd.  The exact gcds answer
 whatever these one-sided certificates cannot prove.
 
-Genus is the interior lattice point count of the Newton polygon, reported
-only under full nondegeneracy and irreducibility; everything outside those
+Genus is the interior lattice point count of the Newton polygon, and the
+places at infinity are the lattice lengths of its edges facing infinity.
+fibre_report gives both only under full nondegeneracy and irreducibility,
+through one gate sequence, _fibre_tail, which genus shares (the public
+branches_at_infinity has no irreducibility gate); everything outside those
 hypotheses is an explicit Unknown, never a guess.
 
 Special value candidates are a superset of the bifurcation set: exactly
@@ -193,41 +196,21 @@ def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
 # Newton nondegeneracy
 
 
-@dataclass(frozen=True)
-class Nondegeneracy:
-    ok: bool
-    reason: Optional[str] = None
-    detail: Optional[str] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def nondegenerate(f: BiPoly) -> Nondegeneracy:
+def nondegenerate(f: BiPoly) -> bool:
     """True iff every edge face is squarefree with both endpoint monomials
     present, and f, f_x, f_y share no zero with both coordinates nonzero."""
     if f.is_constant():
         raise ConstantInputError("nondegenerate needs a nonconstant input")
-    faces = _faces_nondegenerate(f)
-    if faces.ok and has_common_torus_zero([f, f.diff_x(), f.diff_y()]):
-        return Nondegeneracy(False, "TorusSingular", None)
-    return faces
+    return _faces_nondegenerate(f) and not has_common_torus_zero([f, f.diff_x(), f.diff_y()])
 
 
-def _faces_nondegenerate(f: BiPoly) -> Nondegeneracy:
+def _faces_nondegenerate(f: BiPoly) -> bool:
     """The edge-face half of nondegenerate: all of it for a smooth f = 0."""
-    N = newton_polygon(f)
-    for face in edge_faces(f, N):
+    for face in edge_faces(f, newton_polygon(f)):
         e: UniPoly = face["e"]
-        if e.is_zero() or e.coeffs[0] == 0 or e.deg < face["full_length"]:
-            return Nondegeneracy(
-                False, "FaceEndpointMissing", f"edge {face['v0']}-{face['v1']}"
-            )
-        if e.deg >= 1 and e.gcd(e.derivative()).deg > 0:
-            return Nondegeneracy(
-                False, "FaceNotSquarefree", f"edge {face['v0']}-{face['v1']}"
-            )
-    return Nondegeneracy(True)
+        if e.deg < face["full_length"] or e.coeffs[0] == 0 or e.gcd(e.derivative()).deg > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -248,70 +231,46 @@ def _shift_to_nonzero_constant(f: BiPoly) -> Optional[BiPoly]:
     return None
 
 
-def _genus_tail(g: BiPoly) -> MaybeInt:
-    """Interior lattice points of g, once g is known squarefree,
-    nondegenerate and absolutely irreducible."""
-    N = newton_polygon(g)
-    if N.dim < 2:
-        return Unknown("SegmentPolygon")
-    interior, _, _ = lattice_counts(N)
-    return interior
-
-
 def genus(f: BiPoly) -> MaybeInt:
-    """Geometric genus via interior lattice points; translation applied first
-    when the constant term vanishes (the genus is translation invariant)."""
+    """Geometric genus of the squarefree curve f = 0, as fibre_report reads
+    it for the fibre f = 0: through the same gates, in the same order."""
     if f.is_constant():
         raise ConstantInputError("genus needs a nonconstant input")
-    g = f
-    if f.constant_term() == 0:
-        g = _shift_to_nonzero_constant(f)
-        if g is None:
-            return Unknown("ShiftFailed")
-    if not bipoly_squarefree_part(g)[1]:
+    if not bipoly_squarefree_part(f)[1]:
         return Unknown("NotSquarefree")
-    if not nondegenerate(g).ok:
-        return Unknown("Degenerate")
-    if _factor_count(g) != 1:
-        return Unknown("Reducible")
-    return _genus_tail(g)
+    return _fibre_tail(RAT_ZERO, f, True, None, nondegenerate).genus
 
 
 def branches_at_infinity(f: BiPoly) -> MaybeInt:
     """Number of places at infinity, counted by boundary lattice lengths.
 
     Unlike the genus this is not translation invariant, so a zero constant
-    term is refused rather than shifted away.
+    term is refused rather than shifted away.  There is no irreducibility
+    gate: each factor contributes its own places.
     """
     if f.is_constant():
         raise ConstantInputError("branches_at_infinity needs a nonconstant input")
     if f.constant_term() == 0:
         return Unknown("ZeroConstantTerm")
-    if not nondegenerate(f).ok:
+    if not nondegenerate(f):
         return Unknown("Degenerate")
     return _branches_tail(f)
 
 
 def _branches_tail(f: BiPoly) -> int:
-    """Boundary lattice lengths facing infinity, once f is known
-    nondegenerate with a nonzero constant term."""
-    N = newton_polygon(f)
-    if N.dim == 2:
-        total = 0
-        for v0, v1 in N.edges():
-            ux, uy = v1[0] - v0[0], v1[1] - v0[1]
-            # CCW boundary: outward normal is the direction rotated by -90
-            nu1, nu2 = uy, -ux
-            if nu1 > 0 or nu2 > 0:
-                total += gcd(abs(ux), abs(uy))
-        return total
-    # segment through the origin: f = e(x^p y^q) with e(0) != 0
-    faces = edge_faces(f, N)
-    e: UniPoly = faces[0]["e"]
-    p, q = faces[0]["dir"]
-    s = e.deg - e.gcd(e.derivative()).deg  # deg of the squarefree part of e
-    beta = 2 if (p >= 1 and q >= 1) else 1
-    return s * beta
+    """Lattice lengths of the edges facing infinity, once f is known
+    nondegenerate with a nonzero constant term.
+
+    The edges run a -> b around the vertex cycle of the Newton polygon, and
+    one faces infinity when its outward normal (b1 - a1, a0 - b0) has a
+    positive coordinate.  A segment's cycle runs it both ways, so a slanted
+    segment counts twice and an axis segment once; nondegeneracy makes the
+    face polynomial squarefree of degree the lattice length, one place per
+    root.
+    """
+    v = newton_polygon(f).vertices
+    edges = zip(v, v[1:] + v[:1])
+    return sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in edges if b[1] > a[1] or a[0] > b[0])
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +306,25 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
 
 def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) -> FibreReport:
     """fibre_report from the squarefree part sq, given a factor count modulo
-    MODULAR_PRIME if known (final when 1) and a nondegeneracy test."""
+    MODULAR_PRIME if known (final when 1) and a nondegeneracy test.  The one
+    gate sequence of the genus and the branches: Reducible, ShiftFailed,
+    Degenerate, then SegmentPolygon for the genus and ZeroConstantTerm for
+    the branches."""
     count = 1 if count_p == 1 else _factor_count(sq, count_p)
     if count != 1:
         reducible = Unknown("Reducible")
-        return FibreReport(c, count, reduced, nondeg(sq).ok, reducible, reducible)
+        return FibreReport(c, count, reduced, nondeg(sq), reducible, reducible)
     shifted = sq.constant_term() == 0
     g = _shift_to_nonzero_constant(sq) if shifted else sq
     if g is None:
         return FibreReport(c, count, reduced, False, Unknown("ShiftFailed"), Unknown("ZeroConstantTerm"))
-    nd = nondeg(g).ok
-    g_val = _genus_tail(g) if nd else Unknown("Degenerate")
+    nd, N = nondeg(g), newton_polygon(g)
+    if not nd:
+        g_val = Unknown("Degenerate")
+    elif N.dim < 2:
+        g_val = Unknown("SegmentPolygon")
+    else:
+        g_val = lattice_counts(N)[0]
     if shifted:
         b_val = Unknown("ZeroConstantTerm")
     else:

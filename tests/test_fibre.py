@@ -3,6 +3,7 @@
 import operator
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -23,7 +24,7 @@ from jaccoord import fibre, gen_random_coordinate
 from jaccoord.coordinate import _rand_linear
 from jaccoord.elim import bipoly_squarefree_part
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
-from jaccoord.newton import support_polygon
+from jaccoord.newton import edge_faces, support_polygon
 from jaccoord.qpoly import InputTooLarge, _int_form
 
 # an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
@@ -411,19 +412,17 @@ class TestAbsoluteFactorCount:
 
 class TestNondegenerate:
     def test_smooth_elliptic(self):
-        assert nondegenerate(parse_poly("y^2 - x^3 - x - 1")).ok
+        assert nondegenerate(parse_poly("y^2 - x^3 - x - 1")) is True
 
     def test_cusp_missing_endpoint(self):
-        nd = nondegenerate(parse_poly("y^2 - x^3"))
-        assert not nd.ok
+        assert nondegenerate(parse_poly("y^2 - x^3")) is False
 
     def test_square_face_fails(self):
         # hypotenuse face (y - x)^2 has a repeated torus root
-        nd = nondegenerate(parse_poly("(y - x)^2 + x"))
-        assert not nd.ok
+        assert nondegenerate(parse_poly("(y - x)^2 + x")) is False
 
     def test_parabola(self):
-        assert nondegenerate(parse_poly("y - x^2 + 1")).ok
+        assert nondegenerate(parse_poly("y - x^2 + 1")) is True
 
 
 class TestGenus:
@@ -447,8 +446,84 @@ class TestGenus:
         g = genus(parse_poly("y^2 - x^5 - x - 2"))
         assert g == 2
 
+    # degenerate and reducible: fibre_report's gates name Reducible first
+    DEGENERATE_REDUCIBLE = ["-3*x*y", "-3*x^3 - 3/2*x^2*y + 2*x^2 + x*y"]
+
+    @staticmethod
+    def _random(rng):
+        """Degree <= 3, small coefficients, a zero constant term half of the
+        time: reducible, degenerate and shifted fibres all occur."""
+        terms = {(i, j): rat(rng.randint(-3, 3), rng.choice([1, 2]))
+                 for i in range(4) for j in range(4 - i) if rng.random() < 0.5}
+        if rng.random() < 0.5:
+            terms.pop((0, 0), None)
+        return BiPoly(terms)
+
+    def test_shares_the_gates_of_fibre_report(self):
+        rng = random.Random(7)
+        polys = [parse_poly(t) for t in self.DEGENERATE_REDUCIBLE] + [self._random(rng) for _ in range(150)]
+        polys = [f for f in polys if not f.is_constant() and bipoly_squarefree_part(f)[1]]
+        genera = [genus(f) for f in polys]
+        assert genera == [fibre_report(f, rat(0)).genus for f in polys]
+        assert genera[:2] == [Unknown("Reducible")] * 2
+        reasons = Counter(g.reason for g in genera if isinstance(g, Unknown))
+        assert len(polys) == 146 and set(reasons) == {"Reducible", "Degenerate", "SegmentPolygon"}, reasons
+
+    def test_not_squarefree(self):
+        assert genus(parse_poly("(y - x^2)^2")) == Unknown("NotSquarefree")
+
+
+def _ref_branches_tail(f):
+    """Reference count of the places at infinity: a polygon's edges by
+    their outward normal, and a segment f = e(x^p y^q) as the degree of the
+    squarefree part of e, doubled off the axes."""
+    N = newton_polygon(f)
+    if N.dim == 2:
+        total = 0
+        for v0, v1 in N.edges():
+            ux, uy = v1[0] - v0[0], v1[1] - v0[1]
+            if uy > 0 or -ux > 0:
+                total += gcd(abs(ux), abs(uy))
+        return total
+    face = edge_faces(f, N)[0]
+    e, (p, q) = face["e"], face["dir"]
+    return (e.deg - e.gcd(e.derivative()).deg) * (2 if p >= 1 and q >= 1 else 1)
+
 
 class TestBranches:
+    # h(x^a y^b) on both axes and on slanted directions
+    DIRECTIONS = [(1, 0), (2, 0), (0, 1), (0, 3), (1, 1), (1, 2), (3, 1), (2, 2), (2, 3)]
+
+    @staticmethod
+    def _segment(rng, a, b):
+        """h(x^a y^b) for a random h of degree 1-3 with h(0) != 0."""
+        h = [rat(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))]
+        h += [rat(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(rng.randint(1, 3))]
+        h[-1] = h[-1] or rat(1)
+        return BiPoly({(a * k, b * k): c for k, c in enumerate(h) if c})
+
+    def test_vertex_cycle_matches_the_segment_formula(self):
+        rng = random.Random(11)
+        polys = [self._segment(rng, a, b) for _ in range(12) for a, b in self.DIRECTIONS]
+        polys += [TestGenus._random(rng) for _ in range(500)]
+        polys = [f for f in polys if not f.is_constant() and f.constant_term() != 0 and nondegenerate(f)]
+        kinds = Counter(
+            "polygon" if N.dim == 2 else "slanted" if min(N.vertices[1]) else "axis"
+            for N in map(newton_polygon, polys)
+        )
+        assert kinds == {"axis": 55, "slanted": 65, "polygon": 97}, kinds
+        for f in polys:
+            assert fibre._branches_tail(f) == _ref_branches_tail(f) == branches_at_infinity(f), f
+
+    @pytest.mark.parametrize(
+        "text, h", [("x^2 - 3*x + 2", 2), ("x^2*y^2 - 3*x*y + 2", 4), ("y^3 - 1", 3)]
+    )
+    def test_no_irreducibility_gate(self, text, h):
+        f = parse_poly(text)
+        assert branches_at_infinity(f) == h
+        r = fibre_report(f, rat(0))
+        assert r.genus == r.branches_at_infinity == Unknown("Reducible")
+
     def test_elliptic_one_branch(self):
         assert branches_at_infinity(parse_poly("y^2 - x^3 - x - 1")) == 1
 
