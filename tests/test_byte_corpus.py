@@ -22,7 +22,7 @@ def test_literal_documents_match_committed_digests(monkeypatch):
     texts = corpus.literal_texts()
     with open(os.path.join(ROOT, "tools/byte_corpus.jsonl"), encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh]
-    subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "fibre", "special-values", "scan") and argv[1] in texts]
+    subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "fibre", "special-values", "scan") and argv[-1] in texts]
     assert len(subset) >= 1500, len(subset)
     assert [argv for argv, d in subset if corpus.digest(argv) != d] == []
 

@@ -9,9 +9,11 @@ with ``digest`` the sha256 of the exit code, stdout and stderr.  The inputs
 are the texts of every perfbench item of seeds 11 and 12 in all four sign
 variants, and every one-line string literal of ``tests/*.py`` (docstrings and
 existing paths left out).  Each input gets ``check``, ``special-values`` and
-``scan``, and, up to total degree 12, ``fibre`` at c = 0 and c = 1/3.  Lines
-are sorted, so two runs on one tree write the same file, and a change that
-keeps every CLI byte leaves the committed file as it is.  The full run takes
+``scan``, and, up to total degree 12, ``fibre`` at c = 0 and c = 1/3, each
+with the input after ``--``, so that a text starting with ``-`` is read as the
+input and not as an option.  Lines are sorted, so two runs on one tree write
+the same file, and a change that keeps every CLI byte leaves the committed
+file as it is.  The full run takes
 about 7 minutes on a 2-vCPU Xeon and stays out of the test suite.
 """
 
@@ -65,16 +67,16 @@ def literal_texts():
 
 
 def argvs(text: str):
-    yield ["check", text]
-    yield ["special-values", text]
-    yield ["scan", text]
+    yield ["check", "--", text]
+    yield ["special-values", "--", text]
+    yield ["scan", "--", text]
     try:
         small = parse_poly(text).total_degree() <= FIBRE_MAX_DEGREE
     except Exception:  # noqa: BLE001 - an input the CLI refuses gets no fibre documents
         small = False
     if small:
         for c in FIBRE_VALUES:
-            yield ["fibre", text, "--c", c]
+            yield ["fibre", "--c", c, "--", text]
 
 
 def digest(argv) -> str:
