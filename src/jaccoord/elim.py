@@ -9,8 +9,8 @@ fibre._values_over, and Q and Q[x, c], which the tests take as reference.
 A small adapter carries each ring's zero, one, product, difference and
 exact division, so one subresultant chain serves all five.  All
 divisions performed by the chain are exact by theory; an inexact division
-raises, it is never silently rounded.  The callers convert their rational
-inputs to integer multiples once, so the chain runs without a gcd per
+raises, it is never silently rounded.  The callers pass the integer
+numerators of their inputs, so the chain runs without a gcd per
 coefficient, and they use its elements only up to nonzero constants.
 
 A bivariate squarefree part is proved to be the input itself modulo
@@ -51,7 +51,6 @@ from .qpoly import (
     _int_coeffs,
     _int_conv,
     _int_exact_div,
-    _int_form,
     _int_mul,
     _int_primitive,
     _int_sub,
@@ -202,18 +201,17 @@ def _unipoly_list_gcd(us: Sequence[UniPoly]) -> UniPoly:
 
 
 def _int_y_rows(f: BiPoly) -> List[List[int]]:
-    """f times the lcm of its denominators, in Z[x][y]: a list over the
-    powers of y of ZX_RING elements."""
-    den = math.lcm(*[c.denominator for _, c in f.items()])
-    return [[c.numerator * (den // c.denominator) for c in u.coeffs] for u in f.y_coeffs()]
+    """f times its denominator, the polynomial of its numerators, in
+    Z[x][y]: a list over the powers of y of ZX_RING elements."""
+    return [list(u.nums) for u in BiPoly(f.nums).y_coeffs()]
 
 
 def _int_primitive_rows(rows: List[List[int]]) -> Tuple[UniPoly, List[List[int]]]:
     """(c, rows / c'): c the monic gcd over Q[x] of nonzero rows, c' its
-    primitive integer form, which divides each row in Z[x] by Gauss's lemma."""
+    numerators, primitive as c is monic, which divide each row in Z[x] by
+    Gauss's lemma."""
     c = _unipoly_list_gcd([UniPoly(r) for r in rows])
-    cz = _int_primitive(_int_coeffs(c.coeffs)[1])[1]
-    return c, [_int_exact_div(r, cz) for r in rows]
+    return c, [_int_exact_div(r, c.nums) for r in rows]
 
 
 def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -255,7 +253,7 @@ def _squarefree_mod_p(f: BiPoly, p: int) -> bool:
     lc_v(g)(a) would divide lc_v(f)(a), so g(a) would keep a positive
     degree and g(a)^2 would divide f(a) mod p.
     """
-    nums = _int_form(dict(f.items()))[1]
+    nums = f.nums
     for v in (0, 1):
         n = max(e[v] for e in nums)
         if n == 0:
@@ -457,7 +455,7 @@ def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
 
 def _is_monomial(u: UniPoly) -> bool:
     """Whether u is c * t^k with c != 0."""
-    return sum(c != 0 for c in u.coeffs) == 1
+    return len(u.nums) - u.nums.count(0) == 1
 
 
 def _resultants_exclude_torus(G: Optional[UniPoly]) -> bool:

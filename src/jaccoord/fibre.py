@@ -11,8 +11,8 @@ f_i, and by Ostrowski's theorem, N(f) = N(f/f_i) + N(f_i), their supports
 lie in N - (1, 0) and N - (0, 1), N the Newton polygon of f with the
 origin.  So the system is built on those lattice points alone, the
 polytope form of Gao's system (Gao, 2003; Abu Salem, Gao & Lauder, 2004),
-with the same solution space; a segment N keeps the degree box.  Both are
-validated against a constructive oracle in the test suite.  Each column
+with the same solution space, a segment N included.  The test suite
+validates it against the degree box and a constructive oracle.  Each column
 is g_y f - g f_y or h f_x - h_x f for one monomial g or h, and the matrix
 is in graded order, rows by descending total degree and columns by their
 first row, so that it is nearly triangular before elimination.  The
@@ -57,7 +57,6 @@ from .qpoly import (
     BiPoly,
     InputTooLarge,
     UniPoly,
-    _int_form,
     rat,
     squarefree_part,
     substitute,
@@ -117,21 +116,19 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], int]):
     with entry c (v - j) at row x^(i+u) y^(j+v-1) for each term c x^i y^j,
     and column h = x^u y^v, for (u, v+1) in N, is h f_x - h_x f, entry
     c (i - u) at row x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.
-    A segment N keeps the degree box, u < m, v <= n for g and u <= m, v < n
-    for h, m and n the largest exponents.  Rows are in descending total
-    degree, then x-degree, and columns in the order of their first row, as
-    in a Macaulay matrix, which elimination barely fills in.  The polygon
-    and both orders follow from the keys of f_terms alone (zero values
-    count), so maps on one support share one row set and column order."""
+    Rows are in descending total degree, then x-degree, and columns in the
+    order of their first row, as in a Macaulay matrix, which elimination
+    barely fills in.  The polygon and both orders follow from the keys of
+    f_terms alone (zero values count), so maps on one support share one row
+    set and column order."""
     N = support_polygon(f_terms)
     m, n = max(i for i, _ in f_terms), max(j for _, j in f_terms)
-    box = N.dim < 2
     columns = [
         {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
-        for u in range(m) for v in range(n + 1) if box or N.contains((u + 1, v))
+        for u in range(m) for v in range(n + 1) if N.contains((u + 1, v))
     ] + [
         {(i + u - 1, j + v): c * (i - u) for (i, j), c in f_terms.items() if u or i}
-        for u in range(m + 1) for v in range(n) if box or N.contains((u, v + 1))
+        for u in range(m + 1) for v in range(n) if N.contains((u, v + 1))
     ]
     monomials = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
     index = {e: k for k, e in enumerate(monomials)}
@@ -145,7 +142,7 @@ def _ruppert_pencil(P: BiPoly):
     den*(P - c) are the rows of P without its constant term plus
     den*(P(0, 0) - c) times the rows of 1.  All are built on the support of
     P plus the origin, so they share one polygon, row set and column order."""
-    den, nums = _int_form(dict(P.items()))
+    den, nums = P.den, dict(P.nums)
     k0, p = nums.pop((0, 0), 0), MODULAR_PRIME
     base, ncols = ruppert_rows({**nums, (0, 0): 0})
     unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1})[0]
@@ -163,8 +160,8 @@ def _ruppert_pencil(P: BiPoly):
 def absolute_factor_count(f: BiPoly) -> int:
     """Number of absolutely irreducible factors of a squarefree polynomial.
 
-    The count is ncols - rank of the Ruppert system, built on the integer
-    form of f (a nonzero scalar keeps the kernel).  The count mod
+    The count is ncols - rank of the Ruppert system, built on the
+    numerators of f (a nonzero scalar keeps the kernel).  The count mod
     MODULAR_PRIME satisfies count_p >= count_Q >= 1, the lower bound being
     the logarithmic-derivative solution; so count_p == 1 is the exact answer,
     and only count_p > 1 (a reducible fibre, or a prime dividing the minors)
@@ -181,7 +178,7 @@ def absolute_factor_count(f: BiPoly) -> int:
 def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
     """absolute_factor_count of an f already known nonconstant and
     squarefree, given its count modulo MODULAR_PRIME if known."""
-    rows, ncols = ruppert_rows(_int_form(dict(f.items()))[1])
+    rows, ncols = ruppert_rows(f.nums)
     dim = ncols - rank_mod_p(rows, MODULAR_PRIME) if count_p is None else count_p
     if dim > 1:
         dim = ncols - rat_eliminate(rows)[0]
@@ -208,7 +205,7 @@ def _faces_nondegenerate(f: BiPoly) -> bool:
     """The edge-face half of nondegenerate: all of it for a smooth f = 0."""
     for face in edge_faces(f, newton_polygon(f)):
         e: UniPoly = face["e"]
-        if e.deg < face["full_length"] or e.coeffs[0] == 0 or e.gcd(e.derivative()).deg > 0:
+        if e.deg < face["full_length"] or e.nums[0] == 0 or e.gcd(e.derivative()).deg > 0:
             return False
     return True
 
@@ -363,7 +360,7 @@ def _shear(P: BiPoly) -> BiPoly:
 
 
 def _chain(A: BiPoly, B: BiPoly) -> List[Tuple[List[List[int]], List[int]]]:
-    """subresultant_chain in y over Z[x] of the integer forms of A, whose
+    """subresultant_chain in y over Z[x] of the numerators of A, whose
     y-leading coefficient is a nonzero constant, and of B reduced modulo A.
     Each element is that of the chain over Q[x] up to a nonzero constant."""
     a, b = _int_y_rows(A), pstrip(_int_y_rows(B), ZX_RING)
@@ -451,13 +448,13 @@ def _polar_limits(Q: BiPoly) -> UniPoly:
     the branches at infinity of its polar curve, and so B-infinity.
 
     Q is a _shear, so each fibre Q = c is branched over the x-roots of
-    A(x, c) = Res_y(Q - c, Q_y), taken over Z[x, c] on the integer form
+    A(x, c) = Res_y(Q - c, Q_y), taken over Z[x, c] on the numerators
     d*Q of Q, as Res_y(d*Q - d*c, d*Q_y), a nonzero constant times A.
     Where the x-leading coefficient of A is nonzero, no branch point
     escapes to infinity as c moves, so Q is locally trivial at infinity
     there.
     """
-    den, nums = _int_form(dict(Q.items()))
+    den, nums = Q.den, Q.nums
     rows = [{(i, 0): n for (i, k), n in nums.items() if k == j} for j in range(Q.degy + 1)]
     dy = [{e: j * n for e, n in row.items()} for j, row in enumerate(rows) if j]
     rows[0][(0, 1)] = -den

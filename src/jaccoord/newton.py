@@ -148,19 +148,19 @@ def triangle_face(P: BiPoly) -> Union[TriangleFace, PolygonNotTriangle]:
     dx, dy = P.degx, P.degy
     if dx < 1 or dy < 1:
         raise ValueError("triangle_face requires degx >= 1 and degy >= 1")
-    if P.coeff(dx, 0) == 0:
+    if (dx, 0) not in P.nums:
         return PolygonNotTriangle(missing_vertex=(dx, 0))
-    if P.coeff(0, dy) == 0:
+    if (0, dy) not in P.nums:
         return PolygonNotTriangle(missing_vertex=(0, dy))
     edge = {}
     bound = dx * dy
-    for (i, j), c in P.items():
+    for (i, j), n in sorted(P.nums.items()):
         v = dy * i + dx * j
         if v > bound:
             return PolygonNotTriangle(point=(i, j))
         if v == bound:
-            edge[(i, j)] = c
-    return TriangleFace(dx, dy, BiPoly(edge))
+            edge[(i, j)] = n
+    return TriangleFace(dx, dy, BiPoly(edge, P.den))
 
 
 def face_binomial_power(
@@ -207,9 +207,6 @@ def edge_faces(P: BiPoly, N: LatticePolygon) -> List[dict]:
         ux, uy = v1[0] - v0[0], v1[1] - v0[1]
         g = gcd(abs(ux), abs(uy))
         sx, sy = ux // g, uy // g
-        coeffs = []
-        for k in range(g + 1):
-            coeffs.append(P.coeff(v0[0] + k * sx, v0[1] + k * sy))
-        e = UniPoly(coeffs)
+        e = UniPoly([P.nums.get((v0[0] + k * sx, v0[1] + k * sy), 0) for k in range(g + 1)], P.den)
         out.append({"v0": v0, "v1": v1, "dir": (sx, sy), "e": e, "full_length": g})
     return out

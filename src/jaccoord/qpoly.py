@@ -1,19 +1,22 @@
 """Exact bivariate and univariate polynomial arithmetic over the rationals.
 
-A :class:`BiPoly` is a sparse map from exponent pairs ``(i, j)`` (powers of
-``x`` and ``y``) to nonzero rational coefficients; the zero polynomial is the
-empty map.  Products, :func:`substitute` and :func:`jacobian_det` run on the
-common-denominator integer form ``(den, {exponent: numerator})``, ``den`` the
-lcm of the denominators; exact division runs on the primitive integer form
-(the term map divided by its content), by Gauss's lemma in Z[x, y].
+Both polynomial types hold integer numerators over one positive denominator,
+in lowest terms: gcd(den, every numerator) = 1 and no numerator is zero, so
+that two equal polynomials hold the same den and nums.  A :class:`BiPoly`
+is a sparse map ``nums`` from exponent pairs ``(i, j)`` (powers of ``x`` and
+``y``) to integers, the zero polynomial the empty map; a :class:`UniPoly` is
+a dense tuple ``nums``, degree 0 first.  Each type has one normalising
+constructor, which also takes rational coefficients, and every kernel runs
+on the integers: products, :func:`substitute`, :func:`jacobian_det`, and
+exact division and gcd on the primitive integer form (nums divided by its
+content), division by Gauss's lemma in Z[x, y] and Z[x].  Rationals are
+built only at the API edge: ``coeff``, ``items``, ``coeffs``, ``lc``,
+``[k]``, ``eval`` and ``to_str``.
+
 :func:`substitute` tabulates the powers of one image; when the other is a
 monomial, as x or y in every triangular step, each term of P is one shifted
 multiple of a table entry, and only two images of several terms take
-Horner's rule.  A
-:class:`UniPoly` is a dense tuple, degree 0 first.  Its products run on the
-same integer form as a list; its exact division and its gcd run on the
-primitive integer form (the integer list divided by its content): division
-by Gauss's lemma in Z[x].  The gcd is proved to be a power of x modulo
+Horner's rule.  The univariate gcd is proved to be a power of x modulo
 MODULAR_PRIME when it can be, which covers coprime operands, and is
 otherwise the primitive PRS, the one exact univariate gcd of the package.
 All values are immutable after construction and every operation is pure, so
@@ -65,6 +68,20 @@ def _int_coeffs(cs) -> Tuple[int, List[int]]:
     """(den, nums) with cs[k] == nums[k] / den; den is the lcm of the denominators."""
     den = math.lcm(*[c.denominator for c in cs])
     return den, [c.numerator * (den // c.denominator) for c in cs]
+
+
+def _lowest(den: int, cs: List) -> Tuple[int, List[int]]:
+    """(d, nums) with cs[k] / den == nums[k] / d, d > 0 and gcd(d, *nums) = 1;
+    cs holds integers or rationals and den is a nonzero integer."""
+    try:
+        g = math.gcd(den, *cs)
+    except TypeError:  # rational entries: scale by the lcm of their denominators
+        d, cs = _int_coeffs([Rat(c) for c in cs])
+        den *= d
+        g = math.gcd(den, *cs)
+    if den < 0:
+        g = -g
+    return (den // g, [n // g for n in cs]) if g != 1 else (den, cs)
 
 
 def _int_primitive(nums: List[int]) -> Tuple[int, List[int]]:
@@ -153,15 +170,17 @@ def _int_sub(a: List[int], b: List[int]) -> List[int]:
 
 
 class UniPoly:
-    """Dense univariate polynomial; coeffs[k] is the degree-k coefficient."""
+    """Dense univariate polynomial: nums[k] / den is the degree-k coefficient."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("den", "nums")
 
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [c if not isinstance(c, int) else Rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+    def __init__(self, coeffs: Sequence = (), den: int = 1):
+        """The polynomial with coefficients coeffs[k] / den, in lowest terms;
+        coeffs holds integers or rationals and den is a nonzero integer."""
+        self.den, cs = _lowest(den, list(coeffs))
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: Tuple = tuple(cs)
+        self.nums: Tuple[int, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "UniPoly":
@@ -169,59 +188,62 @@ class UniPoly:
 
     @classmethod
     def const(cls, c) -> "UniPoly":
-        return cls((Rat(c),))
+        return cls((c,))
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
-        return cls((RAT_ZERO,) * k + (Rat(c),))
+        return cls((0,) * k + (c,))
+
+    @property
+    def coeffs(self) -> Tuple:
+        return tuple(Rat(n, self.den) for n in self.nums)
 
     @property
     def deg(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     def lc(self):
-        if not self.coeffs:
-            return RAT_ZERO
-        return self.coeffs[-1]
+        return self[len(self.nums) - 1]
 
     def __getitem__(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Rat(self.nums[k], self.den)
         return RAT_ZERO
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly([-n for n in self.nums], self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[k] + other[k] for k in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self[k] - other[k] for k in range(n)])
+        return self._combine(other, -1)
+
+    def _combine(self, other: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * other over the lcm of the denominators."""
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return UniPoly([x * a + y * b for x, y in itertools.zip_longest(self.nums, other.nums, fillvalue=0)], den)
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
             c = Rat(other)
-            return UniPoly([a * c for a in self.coeffs])
+            return UniPoly([n * c.numerator for n in self.nums], self.den * c.denominator)
         if self.is_zero() or other.is_zero():
             return UniPoly.zero()
-        da, a = _int_coeffs(self.coeffs)
-        db, b = _int_coeffs(other.coeffs)
-        den = da * db
-        return UniPoly([Rat(n, den) for n in _int_conv(a, b)])
+        return UniPoly(_int_conv(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -240,19 +262,18 @@ class UniPoly:
 
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         """(quotient, remainder), from the integer pseudo-division
-        lb^e * a = q * b + r of the integer forms, e = deg a - deg b + 1."""
+        lb^e * a = q * b + r of the numerators, e = deg a - deg b + 1."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        da, rem = _int_coeffs(self.coeffs)
-        db, b = _int_coeffs(other.coeffs)
+        rem, b = list(self.nums), other.nums
         lb, q = b[-1], [0] * max(len(rem) - len(b) + 1, 0)
         for k in reversed(range(len(q))):
             lead = rem.pop()
             q = [lb * x for x in q]
             q[k] = lead
             rem = [lb * r for r in rem[:k]] + [lb * r - lead * y for r, y in zip(rem[k:], b)]
-        den = da * lb ** len(q)
-        return UniPoly([Rat(n * db, den) for n in q]), UniPoly([Rat(n, den) for n in rem])
+        den = self.den * lb ** len(q)
+        return UniPoly([n * other.den for n in q], den), UniPoly(rem, den)
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         """self / other; ValueError when other does not divide self.
@@ -263,21 +284,18 @@ class UniPoly:
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        da, a = _int_coeffs(self.coeffs)
-        ga, a = _int_primitive(a)
-        db, b = _int_coeffs(other.coeffs)
-        gb, b = _int_primitive(b)
-        num, den = ga * db, da * gb
-        return UniPoly([Rat(n * num, den) for n in _int_exact_div(a, b)])
+        ga, a = _int_primitive(self.nums)
+        gb, b = _int_primitive(other.nums)
+        num = ga * other.den
+        return UniPoly([n * num for n in _int_exact_div(a, b)], self.den * gb)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
+        return UniPoly([k * n for k, n in enumerate(self.nums)][1:], self.den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        inv = RAT_ONE / self.lc()
-        return UniPoly([c * inv for c in self.coeffs])
+        return UniPoly(self.nums, self.nums[-1])
 
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """The monic gcd (zero when both are zero), on primitive integer forms.
@@ -289,8 +307,8 @@ class UniPoly:
         and so keep its degree modulo the prime.  Any other pair runs the
         primitive PRS, where each remainder is an integer pseudo-remainder
         with its content divided out."""
-        a = _int_primitive(_int_coeffs(self.coeffs)[1])[1]
-        b = _int_primitive(_int_coeffs(other.coeffs)[1])[1]
+        a = _int_primitive(self.nums)[1]
+        b = _int_primitive(other.nums)[1]
         if a and b:
             p = MODULAR_PRIME
             va = next(k for k, c in enumerate(a) if c)
@@ -301,20 +319,16 @@ class UniPoly:
             a, b = b, a
         while b:
             a, b = b, _int_primitive(_int_prem(a, b))[1]
-        return UniPoly([Rat(n, a[-1]) for n in a])
+        return UniPoly(a, a[-1] if a else 1)
 
     def eval(self, v):
-        acc = RAT_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        acc = 0
+        for n in reversed(self.nums):
+            acc = acc * v + n
+        return Rat(acc, self.den)
 
     def to_bipoly(self, axis: str = "x") -> "BiPoly":
-        terms = {}
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
-                terms[(k, 0) if axis == "x" else (0, k)] = c
-        return BiPoly(terms)
+        return BiPoly({(k, 0) if axis == "x" else (0, k): n for k, n in enumerate(self.nums)}, self.den)
 
     def to_str(self, var: str = "x") -> str:
         return self.to_bipoly("x").to_str(varnames=(var, var))
@@ -333,17 +347,6 @@ def squarefree_part(u: UniPoly) -> UniPoly:
 
 # ---------------------------------------------------------------------------
 # bivariate polynomials
-
-
-def _int_form(terms: Dict[Term, object]) -> Tuple[int, Dict[Term, int]]:
-    """(den, nums) with terms[e] == nums[e] / den; den is the lcm of the denominators."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
-def _from_int_form(den: int, nums: Dict[Term, int]) -> "BiPoly":
-    """The BiPoly with coefficients nums[e] / den; zero numerators are dropped."""
-    return BiPoly({e: Rat(n, den) for e, n in nums.items() if n}, _trusted=True)
 
 
 def _int_mul(a: Dict[Term, int], b: Dict[Term, int], out=None) -> Dict[Term, int]:
@@ -385,22 +388,18 @@ def _int_terms_exact_div(a: Dict[Term, int], b: Dict[Term, int]) -> Dict[Term, i
 
 
 class BiPoly:
-    """Sparse exact polynomial in x, y over the rationals."""
+    """Sparse exact polynomial in x, y: nums[(i, j)] / den is the coefficient
+    of x^i y^j."""
 
-    __slots__ = ("_t",)
+    __slots__ = ("den", "nums")
 
-    def __init__(self, terms: Dict[Term, object] | None = None, _trusted=False):
-        if terms is None:
-            self._t: Dict[Term, object] = {}
-        elif _trusted:
-            self._t = terms
-        else:
-            t = {}
-            for (i, j), c in terms.items():
-                c = Rat(c) if isinstance(c, int) else c
-                if c != 0:
-                    t[(int(i), int(j))] = c
-            self._t = t
+    def __init__(self, terms: Dict[Term, object] | None = None, den: int = 1):
+        """The polynomial with coefficients terms[(i, j)] / den, in lowest
+        terms; terms holds integers or rationals and den is a nonzero
+        integer."""
+        terms = terms or {}
+        self.den, cs = _lowest(den, list(terms.values()))
+        self.nums: Dict[Term, int] = {e: n for e, n in zip(terms, cs) if n}
 
     # -- constructors ------------------------------------------------------
 
@@ -410,16 +409,15 @@ class BiPoly:
 
     @classmethod
     def const(cls, c) -> "BiPoly":
-        c = c if isinstance(c, Rat) else Rat(c)
-        return cls({(0, 0): c}) if c != 0 else cls()
+        return cls({(0, 0): c})
 
     @classmethod
     def var_x(cls) -> "BiPoly":
-        return cls({(1, 0): RAT_ONE})
+        return cls({(1, 0): 1})
 
     @classmethod
     def var_y(cls) -> "BiPoly":
-        return cls({(0, 1): RAT_ONE})
+        return cls({(0, 1): 1})
 
     @classmethod
     def monomial(cls, c, i: int, j: int) -> "BiPoly":
@@ -428,63 +426,59 @@ class BiPoly:
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._t
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return not self._t or set(self._t) == {(0, 0)}
+        return self.nums.keys() <= {(0, 0)}
 
     def support(self) -> List[Term]:
-        return sorted(self._t)
+        return sorted(self.nums)
 
     def items(self) -> Iterator[Tuple[Term, object]]:
-        return iter(sorted(self._t.items()))
+        return ((e, Rat(n, self.den)) for e, n in sorted(self.nums.items()))
 
     def num_terms(self) -> int:
-        return len(self._t)
+        return len(self.nums)
 
     def coeff(self, i: int, j: int):
-        return self._t.get((i, j), RAT_ZERO)
+        n = self.nums.get((i, j))
+        return Rat(n, self.den) if n else RAT_ZERO
 
     def constant_term(self):
-        return self._t.get((0, 0), RAT_ZERO)
+        return self.coeff(0, 0)
 
     @property
     def degx(self) -> int:
-        return max((i for i, _ in self._t), default=0)
+        return max((i for i, _ in self.nums), default=0)
 
     @property
     def degy(self) -> int:
-        return max((j for _, j in self._t), default=0)
+        return max((j for _, j in self.nums), default=0)
 
     def total_degree(self) -> int:
-        return max((i + j for i, j in self._t), default=0)
+        return max((i + j for i, j in self.nums), default=0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BiPoly) and self._t == other._t
+        return isinstance(other, BiPoly) and self.den == other.den and self.nums == other.nums
 
     def __bool__(self):
-        return bool(self._t)
+        return bool(self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({e: -c for e, c in self._t.items()}, _trusted=True)
+        return BiPoly({e: -n for e, n in self.nums.items()}, self.den)
 
     def __add__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
             other = BiPoly.const(other)
-        t = dict(self._t)
-        for e, c in other._t.items():
-            s = t.get(e)
-            if s is None:
-                t[e] = c
-            else:
-                s = s + c
-                if s == 0:
-                    del t[e]
-                else:
-                    t[e] = s
-        return BiPoly(t, _trusted=True)
+        den = math.lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        t = {e: n * a for e, n in self.nums.items()}
+        get = t.get
+        for e, n in other.nums.items():
+            t[e] = get(e, 0) + n * b
+        return BiPoly(t, den)
 
     __radd__ = __add__
 
@@ -498,22 +492,18 @@ class BiPoly:
 
     def __mul__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
-            c = Rat(other) if isinstance(other, int) else other
-            if c == 0:
-                return BiPoly.zero()
-            return BiPoly({e: v * c for e, v in self._t.items()}, _trusted=True)
-        da, a = _int_form(self._t)
-        db, b = _int_form(other._t)
-        return _from_int_form(da * db, _int_mul(a, b))
+            c = Rat(other)
+            return BiPoly({e: n * c.numerator for e, n in self.nums.items()}, self.den * c.denominator)
+        return BiPoly(_int_mul(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power")
-        if len(self._t) == 1:  # a monomial: (c x^i y^j)^n = c^n x^(i n) y^(j n)
-            ((i, j), c), = self._t.items()
-            return BiPoly({(i * n, j * n): c ** n}, _trusted=True)
+        if len(self.nums) == 1:  # a monomial: (c x^i y^j)^n = c^n x^(i n) y^(j n)
+            ((i, j), c), = self.nums.items()
+            return BiPoly({(i * n, j * n): c ** n}, self.den ** n)
         out = BiPoly.const(1)
         base = self
         while n:
@@ -525,22 +515,13 @@ class BiPoly:
         return out
 
     def diff_x(self) -> "BiPoly":
-        return BiPoly(
-            {(i - 1, j): c * i for (i, j), c in self._t.items() if i > 0},
-            _trusted=True,
-        )
+        return BiPoly({(i - 1, j): n * i for (i, j), n in self.nums.items() if i}, self.den)
 
     def diff_y(self) -> "BiPoly":
-        return BiPoly(
-            {(i, j - 1): c * j for (i, j), c in self._t.items() if j > 0},
-            _trusted=True,
-        )
+        return BiPoly({(i, j - 1): n * j for (i, j), n in self.nums.items() if j}, self.den)
 
     def eval(self, xv, yv):
-        acc = RAT_ZERO
-        for (i, j), c in self._t.items():
-            acc += c * (xv ** i) * (yv ** j)
-        return acc
+        return Rat(sum(n * xv ** i * yv ** j for (i, j), n in self.nums.items()), self.den)
 
     def exact_div(self, other: "BiPoly") -> "BiPoly":
         """self / other; ValueError when other does not divide self.
@@ -551,55 +532,49 @@ class BiPoly:
         """
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        da, a = _int_form(self._t)
-        db, b = _int_form(other._t)
+        a, b = self.nums, other.nums
         ga, gb = math.gcd(*a.values()) or 1, math.gcd(*b.values())
         q = _int_terms_exact_div({e: n // ga for e, n in a.items()}, {e: n // gb for e, n in b.items()})
-        num, den = ga * db, da * gb
-        return BiPoly({e: Rat(n * num, den) for e, n in q.items()}, _trusted=True)
+        num = ga * other.den
+        return BiPoly({e: n * num for e, n in q.items()}, self.den * gb)
 
     # -- views as a polynomial in one variable -----------------------------
 
     def y_coeffs(self) -> List[UniPoly]:
         """Coefficients as a polynomial in y over Q[x]; index = y-power."""
-        rows: List[List] = [[] for _ in range(self.degy + 1)]
-        for (i, j), c in self._t.items():
-            row = rows[j]
-            if len(row) <= i:
-                row.extend([RAT_ZERO] * (i + 1 - len(row)))
-            row[i] = c
-        return [UniPoly(r) for r in rows]
+        return self._rows(1)
 
     def x_coeffs(self) -> List[UniPoly]:
         """Coefficients as a polynomial in x over Q[y]; index = x-power."""
-        rows: List[List] = [[] for _ in range(self.degx + 1)]
-        for (i, j), c in self._t.items():
-            row = rows[i]
-            if len(row) <= j:
-                row.extend([RAT_ZERO] * (j + 1 - len(row)))
-            row[j] = c
-        return [UniPoly(r) for r in rows]
+        return self._rows(0)
+
+    def _rows(self, v: int) -> List[UniPoly]:
+        """The coefficients in Q[w] of the powers of variable v (0 for x,
+        1 for y), w the other one."""
+        rows: List[List[int]] = [[] for _ in range(max((e[v] for e in self.nums), default=0) + 1)]
+        for e, n in self.nums.items():
+            row, k = rows[e[v]], e[1 - v]
+            if len(row) <= k:
+                row.extend([0] * (k + 1 - len(row)))
+            row[k] = n
+        return [UniPoly(r, self.den) for r in rows]
 
     @classmethod
     def from_y_coeffs(cls, coeffs: Sequence[UniPoly]) -> "BiPoly":
-        t = {}
-        for j, u in enumerate(coeffs):
-            for i, c in enumerate(u.coeffs):
-                if c != 0:
-                    t[(i, j)] = c
-        return cls(t, _trusted=True)
+        den = math.lcm(*[u.den for u in coeffs])
+        return cls({(i, j): n * (den // u.den) for j, u in enumerate(coeffs) for i, n in enumerate(u.nums)}, den)
 
     # -- printing ----------------------------------------------------------
 
     def to_str(self, varnames: Tuple[str, str] = ("x", "y")) -> str:
         """Canonical text: terms sorted by (i+j, i) descending."""
-        if not self._t:
+        if not self.nums:
             return "0"
         vx, vy = varnames
         parts = []
-        order = sorted(self._t, key=lambda e: (e[0] + e[1], e[0]), reverse=True)
+        order = sorted(self.nums, key=lambda e: (e[0] + e[1], e[0]), reverse=True)
         for idx, (i, j) in enumerate(order):
-            c = self._t[(i, j)]
+            c = Rat(self.nums[(i, j)], self.den)
             neg = c < 0
             mag = -c if neg else c
             mono = []
@@ -635,19 +610,19 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
     """P(sx, sy), exactly, on integer numerators.
 
     When only sx is a monomial, P is transposed and the images swapped, as
-    P(sx, sy) = P^T(sy, sx).  With P = p / d, sx = nx / dx and sy = ny / dy
-    in common-denominator integer form, term c x^i y^j of p is scaled by
+    P(sx, sy) = P^T(sy, sx).  With P = p / d, sx = nx / dx and sy = ny / dy,
+    term c x^i y^j of p is scaled by
     dx^(degx - i) dy^(degy - j) and the powers of nx are tabulated.  A
     monomial ny = n x^a y^b needs no more products: the term adds its scaled
     c n^j nx^i, shifted by (a j, b j).  Otherwise row j of p is evaluated at
     nx and Horner in y multiplies by ny.  The integer result is divided by
     d dx^degx dy^degy once, at the end.
     """
-    if len(sx._t) == 1 and len(sy._t) != 1:
-        P, sx, sy = BiPoly({(j, i): c for (i, j), c in P._t.items()}, _trusted=True), sy, sx
-    d, p = _int_form(P._t)
-    dx, nx = _int_form(sx._t)
-    dy, ny = _int_form(sy._t)
+    if len(sx.nums) == 1 and len(sy.nums) != 1:
+        P, sx, sy = BiPoly({(j, i): n for (i, j), n in P.nums.items()}, P.den), sy, sx
+    d, p = P.den, P.nums
+    dx, nx = sx.den, sx.nums
+    dy, ny = sy.den, sy.nums
     degx, degy = P.degx, P.degy
     xpow = [{(0, 0): 1}]
     for _ in range(degx):
@@ -662,7 +637,7 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
             for (u, v), w in xpow[i].items():
                 e = (u + sa, v + sb)
                 acc[e] = get(e, 0) + c * w
-        return _from_int_form(d * dx ** degx * dy ** degy, acc)
+        return BiPoly(acc, d * dx ** degx * dy ** degy)
     rows: List[Dict[int, int]] = [{} for _ in range(degy + 1)]
     for (i, j), c in p.items():
         rows[j][i] = c * dx ** (degx - i) * dy ** (degy - j)
@@ -671,15 +646,14 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
         for i, c in row.items():
             for e, v in xpow[i].items():
                 acc[e] = acc.get(e, 0) + c * v
-    return _from_int_form(d * dx ** degx * dy ** degy, acc)
+    return BiPoly(acc, d * dx ** degx * dy ** degy)
 
 
 def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
     """P_x Q_y - P_y Q_x, exactly, on integer numerators: with P = p / dp and
     Q = q / dq, p_x q_y - p_y q_x is summed in one integer map and divided by
     dp dq once."""
-    dp, p = _int_form(P._t)
-    dq, q = _int_form(Q._t)
+    p, q = P.nums, Q.nums
     acc = _int_mul(
         {(i - 1, j): c * i for (i, j), c in p.items() if i},
         {(i, j - 1): c * j for (i, j), c in q.items() if j},
@@ -689,7 +663,7 @@ def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
         {(i - 1, j): c * i for (i, j), c in q.items() if i},
         acc,
     )
-    return _from_int_form(dp * dq, acc)
+    return BiPoly(acc, P.den * Q.den)
 
 
 # ---------------------------------------------------------------------------
@@ -798,22 +772,23 @@ class _Parser:
         return p
 
     def expr(self) -> BiPoly:
-        """The signed terms, summed into one term map."""
-        acc: Dict[Term, object] = {}
+        """The signed terms, summed into one term map over the lcm of their
+        denominators."""
+        terms = []
         op = self.next()[0] if self.peek()[0] in "+-" else "+"
         while True:
-            for e, c in self.term()._t.items():
-                c = -c if op == "-" else c
-                s = acc.get(e)
-                if s is not None:
-                    c = s + c
-                    if c == 0:
-                        del acc[e]
-                        continue
-                acc[e] = c
+            terms.append((op, self.term()))
             if self.peek()[0] not in "+-":
-                return BiPoly(acc, _trusted=True)
+                break
             op = self.next()[0]
+        den = math.lcm(*[t.den for _, t in terms])
+        acc: Dict[Term, int] = {}
+        get = acc.get
+        for op, t in terms:
+            s = den // t.den if op == "+" else -(den // t.den)
+            for e, n in t.nums.items():
+                acc[e] = get(e, 0) + s * n
+        return BiPoly(acc, den)
 
     def term(self) -> BiPoly:
         acc = self.factor()
@@ -841,8 +816,7 @@ class _Parser:
         kind, tok, pos, val = self.next()
         if kind == "mono":
             n, d, i, j = val
-            c = RAT_ONE if n is None else Rat(int(n)) if d is None else rat(int(n), int(d))
-            return BiPoly({(int(i), int(j)): c}, _trusted=True) if c else BiPoly()
+            return BiPoly({(int(i), int(j)): 1 if n is None else int(n)}, 1 if d is None else int(d))
         if kind == "int":
             num = int(tok)
             if self.peek()[0] == "/":
@@ -851,7 +825,7 @@ class _Parser:
                 den = int(dt[1])
                 if den == 0:
                     raise PolyParseError("zero denominator", dt[2])
-                return BiPoly.const(rat(num, den))
+                return BiPoly({(0, 0): num}, den)
             return BiPoly.const(num)
         if kind == "x":
             return BiPoly.var_x()

@@ -8,6 +8,7 @@ from jaccoord import (
     BiPoly,
     Coordinate,
     NotCoordinate,
+    audit,
     fibre,
     fibre_report,
     gen_random_coordinate,
@@ -178,6 +179,24 @@ class TestScanSharedWork:
         s = fibre._fibre_tail(c, P - BiPoly.const(c), True, pencil(c), fibre._faces_nondegenerate)
         assert calls == ["rank_mod_p", "rat_eliminate"]
         assert s == fibre_report(P, c) and s.abs_factor_count == 2
+
+    def test_pencil_read_only_at_squarefree_fibres(self, monkeypatch):
+        # the pencil's count is a factor count only where P - c is
+        # squarefree: at c = -1 of x^2*y^2 - 1 it counts 3 on the polygon
+        # and 5 on the degree box, and the scan reads fibre_report there
+        read, real = [], audit._ruppert_pencil
+
+        def pencil(P):
+            count = real(P)
+            return lambda c: read.append((P, c)) or count(c)
+
+        monkeypatch.setattr(audit, "_ruppert_pencil", pencil)
+        texts = ["x^2*y^2 - 1", "x*y", "y^2 - x^3", COMPOSITE] + NAMED
+        scans = [theorem3_scan(parse_poly(t), 8, 11) for t in texts]
+        assert len(read) >= 8 * len(texts)
+        assert all(bipoly_squarefree_part(P - BiPoly.const(c))[1] for P, c in read)
+        assert rat(-1) in [s.c for s in scans[0].samples]
+        assert not bipoly_squarefree_part(parse_poly("x^2*y^2"))[1]
 
     def test_small_prime_falls_back_to_exact_counts(self, monkeypatch):
         # modulo 3 the pencil refuses c = a/3 and overcounts some fibres

@@ -25,7 +25,7 @@ from jaccoord.coordinate import _rand_linear
 from jaccoord.elim import bipoly_squarefree_part
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
 from jaccoord.newton import edge_faces, support_polygon
-from jaccoord.qpoly import InputTooLarge, _int_form
+from jaccoord.qpoly import InputTooLarge
 
 # an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
 FERMAT5_IMAGE = substitute(
@@ -86,7 +86,7 @@ def ref_ruppert_rows(f_terms, m, n):
 def _int_system(P):
     """The integer term map of P and its largest exponents of x and y, the
     arguments of ref_ruppert_rows."""
-    return _int_form(dict(P.items()))[1], P.degx, P.degy
+    return P.nums, P.degx, P.degy
 
 
 def _count_p(rows, ncols, p=None):
@@ -190,7 +190,7 @@ class TestRuppertOrder:
         columns = _ref_ruppert_columns(f_terms, m, n)
         N = support_polygon(f_terms)
         kept = [col for (kind, u, v), col in zip(_ref_unknowns(m, n), columns)
-                if N.dim < 2 or N.contains((u + 1, v) if kind == "g" else (u, v + 1))]
+                if N.contains((u + 1, v) if kind == "g" else (u, v + 1))]
         graded = sorted({e for col in columns for e in col}, key=_graded)
         at = sorted({e for col in kept for e in col}, key=_graded)
         assert len(ref) == len(graded) and len(rows) == len(at)
@@ -292,25 +292,31 @@ class TestRuppertPolygon:
             for p in (2, 3):
                 assert count <= _count_p(*system, p) <= _count_p(*box, p), (f_terms, p)
 
-    def test_segments_keep_the_box(self):
-        # the polygon system of a segment can count less than the box where
-        # f is not squarefree: 3 against 5 at x^2*y^2
-        ncols = [
-            (fibre.ruppert_rows(f_terms)[1], ref_ruppert_rows(f_terms, m, n)[1])
-            for f_terms, m, n in map(_int_system, self._polys())
-            if support_polygon(f_terms).dim < 2
-        ]
-        assert len(ncols) == 7 and all(a == b for a, b in ncols), ncols
+    def test_segments_take_their_polygon(self):
+        # a segment keeps the columns of the box whose unknowns lie on it, as
+        # a polygon does: 2 of 4 at x*y - 1 and 4 of 12 at x^2*y^2 - 1, with
+        # the counts of the box on these squarefree f
+        systems = [s for s in map(_int_system, self._polys()) if support_polygon(s[0]).dim < 2]
+        fewer = 0
+        for f_terms, m, n in systems:
+            system, box = TestRuppertOrder._sub_pair(f_terms, m, n)
+            assert _count_q(*system) == _count_q(*box), f_terms
+            fewer += system[1] < box[1]
+        assert (len(systems), fewer) == (7, 5)
 
     def test_pencil_at_the_constant_term(self):
         # c = P(0, 0): the fibre has no constant term, the pencil keeps the
-        # polygon of P
+        # polygon of P.  Only squarefree fibres count factors: at c = -1 of
+        # x^2*y^2 - 1 the pencil counts 3 and the box 5
+        squarefree = 0
         for P in self._polys():
             c = P.constant_term()
-            if c == 0:
+            if c == 0 or not bipoly_squarefree_part(P - BiPoly.const(c))[1]:
                 continue
+            squarefree += 1
             box = ref_ruppert_rows(*_int_system(P - BiPoly.const(c)))
             assert fibre._ruppert_pencil(P)(c) == _count_p(*box) == _count_q(*box), P
+        assert squarefree == 12
 
 
 class TestAbsoluteFactorCount:
@@ -391,7 +397,7 @@ class TestAbsoluteFactorCount:
             cs = [rat(rng.randint(-9, 9), b) for b in (1, 2, 3, 4)] + [P.constant_term()]
             for c in cs:
                 f = P - BiPoly.const(c)
-                rows, ncols = fibre.ruppert_rows(_int_form(dict(f.items()))[1])
+                rows, ncols = fibre.ruppert_rows(f.nums)
                 assert pencil(c) == ncols - fibre.rank_mod_p(rows, fibre.MODULAR_PRIME)
 
     def test_pencil_refuses_denominators_divisible_by_the_prime(self, monkeypatch):
@@ -539,6 +545,13 @@ class TestBranches:
 
     def test_line(self):
         assert branches_at_infinity(parse_poly("y - x - 1")) == 1
+
+    def test_degenerate_top_face(self):
+        # the top face (y - x)^2 is not squarefree, so the face count is refused
+        P = parse_poly("x^2 - 2*x*y + y^2 + x + 1")
+        assert branches_at_infinity(P) == Unknown("Degenerate")
+        r = fibre_report(P, rat(0))
+        assert r.genus == r.branches_at_infinity == Unknown("Degenerate")
 
 
 class TestFibreReport:

@@ -1,5 +1,6 @@
 """Polynomial core: parsing, printing, arithmetic, substitution, Jacobian."""
 
+import math
 import random
 import re
 
@@ -91,9 +92,9 @@ def ref_substitute(P, sx, sy):
     """P(sx, sy) by Horner in y on integer numerators, for every pair of
     images: the routine before a monomial image was substituted without
     Horner."""
-    d, p = qpoly._int_form(P._t)
-    dx, nx = qpoly._int_form(sx._t)
-    dy, ny = qpoly._int_form(sy._t)
+    d, p = P.den, P.nums
+    dx, nx = sx.den, sx.nums
+    dy, ny = sy.den, sy.nums
     degx, degy = P.degx, P.degy
     xpow = [{(0, 0): 1}]
     for _ in range(degx):
@@ -107,7 +108,7 @@ def ref_substitute(P, sx, sy):
         for i, c in row.items():
             for e, v in xpow[i].items():
                 acc[e] = acc.get(e, 0) + c * v
-    return qpoly._from_int_form(d * dx ** degx * dy ** degy, acc)
+    return BiPoly(acc, d * dx ** degx * dy ** degy)
 
 
 def ref_jacobian(P, Q):
@@ -247,7 +248,8 @@ def ref_parse(text):
 def parse_outcome(parse, text):
     """The terms of parse(text), or the type, message and offset of its error."""
     try:
-        return "ok", parse(text)._t
+        p = parse(text)
+        return "ok", p.den, p.nums
     except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
         return "error", type(exc), str(exc), getattr(exc, "pos", None)
 
@@ -353,6 +355,60 @@ class TestParse:
         assert s == "x^2 + x*y + x + y + 1"
 
 
+small_rats = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+term_maps = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), small_rats, max_size=8)
+coeff_lists = st.lists(small_rats, max_size=8)
+
+
+def assert_lowest_terms(den, nums):
+    assert all(type(n) is int for n in nums) and type(den) is int
+    assert den > 0 and math.gcd(den, *nums) == 1
+
+
+class TestRepresentation:
+    """BiPoly and UniPoly hold integer numerators over one positive
+    denominator, in lowest terms and without zero numerators; rationals
+    appear only at the accessors."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(a=term_maps, b=term_maps)
+    def test_bipoly(self, a, b):
+        P, Q = BiPoly(a), BiPoly(b)
+        for f in (P, Q, P * Q, P + Q, P - Q, -P, P.diff_x(), P * rat(-3, 4)):
+            assert_lowest_terms(f.den, list(f.nums.values()))
+            assert 0 not in f.nums.values()
+        assert dict(P.items()) == {e: c for e, c in a.items() if c}
+        assert BiPoly(dict(P.items())) == P
+        assert BiPoly({e: n * 6 for e, n in P.nums.items()}, P.den * 6) == P
+        if not Q.is_zero():
+            assert (P * Q).exact_div(Q) == P
+        zero = P - P
+        assert zero.is_zero() and zero.den == 1 and zero == BiPoly.zero()
+        rats = [P.coeff(1, 1), P.constant_term(), P.eval(rat(1, 2), rat(-2))] + [c for _, c in P.items()]
+        assert all(type(c) is Rat for c in rats)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(a=coeff_lists, b=coeff_lists)
+    def test_unipoly(self, a, b):
+        u, v = UniPoly(a), UniPoly(b)
+        for f in (u, v, u * v, u + v, u - v, -u, u.derivative(), u.monic(), u.gcd(v)):
+            assert_lowest_terms(f.den, list(f.nums))
+            assert not f.nums or f.nums[-1] != 0
+        assert UniPoly(u.coeffs) == u and hash(UniPoly(u.coeffs)) == hash(u)
+        scaled = UniPoly([n * 10 for n in u.nums] + [0], u.den * 10)
+        assert scaled == u and hash(scaled) == hash(u)
+        assert (u == v) == (list(u.coeffs) == list(v.coeffs))
+        if not u.is_zero():
+            assert u.monic().lc() == 1
+        if not (u.is_zero() and v.is_zero()):
+            assert u.gcd(v).lc() == 1
+        if not v.is_zero():
+            assert (u * v).exact_div(v) == u
+        assert (u - u).is_zero() and (u - u).den == 1
+        rats = [u.lc(), u[0], u[3], u.eval(rat(2, 3)), u.eval(2)] + list(u.coeffs)
+        assert all(type(c) is Rat for c in rats)
+
+
 class TestArithmetic:
     def test_ring_axioms(self):
         rng = random.Random(3)
@@ -392,7 +448,7 @@ class TestArithmetic:
                 continue
             if k % 2:
                 m = rng.choice([2, 6, 35, 10**20 + 39])
-                A, B = (BiPoly({e: rat(n * m) for e, n in qpoly._int_form(dict(f.items()))[1].items()})
+                A, B = (BiPoly({e: rat(n * m) for e, n in f.nums.items()})
                         for f in (A, B))
             assert (A * B).exact_div(B) == A
         # the contents differ: their ratio is the whole quotient
