@@ -1,7 +1,7 @@
-"""A tier-1 subset of the byte corpus: the check, fibre, special-values and
-scan documents of the test-suite literals, recomputed in process with
-tools/byte_corpus.py and compared with their committed digests in
-tools/byte_corpus.jsonl.  Also the names perfbench/tracing.py wraps, which
+"""A tier-1 subset of the byte corpus: the check, witness, polygon, fibre,
+special-values and scan documents of the test-suite literals, recomputed in
+process with tools/byte_corpus.py and compared with their committed digests
+in tools/byte_corpus.jsonl.  Also the names perfbench/tracing.py wraps, which
 must stay in the package for a traced benchmark run to start."""
 
 import importlib
@@ -22,7 +22,7 @@ def test_literal_documents_match_committed_digests(monkeypatch):
     texts = corpus.literal_texts()
     with open(os.path.join(ROOT, "tools/byte_corpus.jsonl"), encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh]
-    subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "fibre", "special-values", "scan") and argv[-1] in texts]
+    subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "witness", "polygon", "fibre", "special-values", "scan") and argv[-1] in texts]
     assert len(subset) >= 1500, len(subset)
     assert [argv for argv, d in subset if corpus.digest(argv) != d] == []
 

@@ -8,13 +8,15 @@ It imports ``jaccoord`` from the ``src/`` and the benchmark inputs from the
 with ``digest`` the sha256 of the exit code, stdout and stderr.  The inputs
 are the texts of every perfbench item of seeds 11 and 12 in all four sign
 variants, and every one-line string literal of ``tests/*.py`` (docstrings and
-existing paths left out).  Each input gets ``check``, ``special-values`` and
-``scan``, and, up to total degree 12, ``fibre`` at c = 0 and c = 1/3, each
-with the input after ``--``, so that a text starting with ``-`` is read as the
-input and not as an option.  Lines are sorted, so two runs on one tree write
-the same file, and a change that keeps every CLI byte leaves the committed
-file as it is.  The full run takes
-about 7 minutes on a 2-vCPU Xeon and stays out of the test suite.
+existing paths left out).  Each input gets ``check``, ``witness``,
+``polygon``, ``special-values`` and ``scan``, and, up to total degree 12,
+``fibre`` at c = 0 and c = 1/3, each with the input after ``--``, so that a
+text starting with ``-`` is read as the input and not as an option.  The
+``polygon`` document pins the face gate's C and a, and ``witness`` the steps
+and complement of every certificate.  Lines are sorted, so two runs on one
+tree write the same file, and a change that keeps every CLI byte leaves the
+committed file as it is.  The full run takes about 7 minutes on a 2-vCPU
+Xeon and stays out of the test suite.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ def literal_texts():
 
 def argvs(text: str):
     yield ["check", "--", text]
+    yield ["witness", "--", text]
+    yield ["polygon", "--", text]
     yield ["special-values", "--", text]
     yield ["scan", "--", text]
     try:
