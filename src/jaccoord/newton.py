@@ -4,7 +4,8 @@ The polygon of P is the convex hull of the exponent support together with
 the origin (the origin is always a member, whether or not P has a constant
 term).  The triangle gate checks that the hull is the right triangle spanned
 by (degx, 0) and (0, degy), and the face gate checks that the hypotenuse
-polynomial is a power of a binomial y^q - a*x^p.
+polynomial is a power of a binomial y^q - a*x^p.  Both gates run on the
+integer numerators of P: one pass over its terms, then an integer recurrence.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, List, Optional, Tuple, Union
 
-from .qpoly import RAT_ONE, BiPoly, UniPoly
+from .qpoly import RAT_ONE, BiPoly, UniPoly, rat
 
 Point = Tuple[int, int]
 
@@ -143,7 +144,9 @@ def triangle_face(P: BiPoly) -> Union[TriangleFace, PolygonNotTriangle]:
 
     Requires degx(P) >= 1 and degy(P) >= 1.  Succeeds iff both pure-power
     vertices carry nonzero coefficients and every support point lies on or
-    under the hypotenuse; returns the hypotenuse polynomial.
+    under the hypotenuse; returns the hypotenuse polynomial, else the
+    lexicographically smallest support point above it, from one pass over
+    the terms.
     """
     dx, dy = P.degx, P.degy
     if dx < 1 or dy < 1:
@@ -152,14 +155,16 @@ def triangle_face(P: BiPoly) -> Union[TriangleFace, PolygonNotTriangle]:
         return PolygonNotTriangle(missing_vertex=(dx, 0))
     if (0, dy) not in P.nums:
         return PolygonNotTriangle(missing_vertex=(0, dy))
-    edge = {}
+    edge, above = {}, []
     bound = dx * dy
-    for (i, j), n in sorted(P.nums.items()):
+    for (i, j), n in P.nums.items():
         v = dy * i + dx * j
         if v > bound:
-            return PolygonNotTriangle(point=(i, j))
-        if v == bound:
+            above.append((i, j))
+        elif v == bound:
             edge[(i, j)] = n
+    if above:
+        return PolygonNotTriangle(point=min(above))
     return TriangleFace(dx, dy, BiPoly(edge, P.den))
 
 
@@ -168,29 +173,31 @@ def face_binomial_power(
 ) -> Union[FaceForm, FaceNotBinomialPower]:
     """Gate: the edge polynomial is C*(y^q - a*x^p)^m.
 
-    m is forced to gcd(dx, dy); a is read off the k = m-1 edge coefficient
-    and must be nonzero, then every edge coefficient is checked against the
-    binomial expansion.
+    m is forced to gcd(dx, dy).  With e_k the integer numerator of the edge
+    coefficient of x^(p(m-k)) y^(qk), C = e_m and u1 = e_(m-1), a = -u1/(C m)
+    must be nonzero; when it is zero the obstruction is the first slot k < m
+    that no nonzero a could fill, the first zero e_k.  Otherwise the expected
+    numerators follow the ratio of consecutive binomial terms,
+    expected_k = expected_(k+1) (k+1) u1 / ((m-k) C m), held as an unreduced
+    integer pair from k = m-1 down to 0, and the obstruction is the smallest
+    k whose e_k differs.  No power and no rational is built until C and a.
     """
     m = gcd(F.dx, F.dy)
     p, q = F.dx // m, F.dy // m
-    C = F.E.coeff(0, F.dy)
-    u1 = F.E.coeff(p, q * (m - 1))
-    a = -u1 / (C * m)
-    if a == 0:
-        # no admissible a: the first k < m with a zero edge coefficient is
-        # the first slot no nonzero a could ever fill
-        for k in range(m):
-            if F.E.coeff(p * (m - k), q * k) == 0:
-                return FaceNotBinomialPower(k=k)
-    binom = 1
-    for k in range(m + 1):
-        # binom holds C(m, k); expected coefficient of x^{p(m-k)} y^{qk}
-        expected = C * binom * (-a) ** (m - k)
-        if F.E.coeff(p * (m - k), q * k) != expected:
-            return FaceNotBinomialPower(k=k)
-        binom = binom * (m - k) // (k + 1)
-    return FaceForm(C=C, a=a, p=p, q=q, m=m)
+    get = F.E.nums.get
+    e = [get((p * (m - k), q * k), 0) for k in range(m + 1)]
+    c, u1 = e[m], e[m - 1]
+    if not u1:
+        return FaceNotBinomialPower(k=e.index(0))
+    num, den, failed = c, 1, None
+    for k in range(m - 1, -1, -1):
+        num *= (k + 1) * u1
+        den *= (m - k) * c * m
+        if e[k] * den != num:
+            failed = k
+    if failed is not None:
+        return FaceNotBinomialPower(k=failed)
+    return FaceForm(C=rat(c, F.E.den), a=rat(-u1, c * m), p=p, q=q, m=m)
 
 
 def edge_faces(P: BiPoly, N: LatticePolygon) -> List[dict]:

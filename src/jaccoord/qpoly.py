@@ -16,7 +16,8 @@ built only at the API edge: ``coeff``, ``items``, ``coeffs``, ``lc``,
 :func:`substitute` tabulates the powers of one image; when the other is a
 monomial, as x or y in every triangular step, each term of P is one shifted
 multiple of a table entry, and only two images of several terms take
-Horner's rule.  The univariate gcd is proved to be a power of x modulo
+Horner's rule.  :func:`jacobian_det` makes one pass over the term pairs of
+P and Q.  The univariate gcd is proved to be a power of x modulo
 MODULAR_PRIME when it can be, which covers coprime operands, and is
 otherwise the primitive PRS, the one exact univariate gcd of the package.
 All values are immutable after construction and every operation is pure, so
@@ -349,13 +350,11 @@ def squarefree_part(u: UniPoly) -> UniPoly:
 # bivariate polynomials
 
 
-def _int_mul(a: Dict[Term, int], b: Dict[Term, int], out=None) -> Dict[Term, int]:
-    """Sparse product of two integer term maps, added into out if given;
-    cancelled terms stay as 0."""
+def _int_mul(a: Dict[Term, int], b: Dict[Term, int]) -> Dict[Term, int]:
+    """Sparse product of two integer term maps; cancelled terms stay as 0."""
     if len(a) < len(b):
         a, b = b, a
-    if out is None:
-        out = {}
+    out: Dict[Term, int] = {}
     get = out.get
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
@@ -650,20 +649,28 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
 
 
 def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """P_x Q_y - P_y Q_x, exactly, on integer numerators: with P = p / dp and
-    Q = q / dq, p_x q_y - p_y q_x is summed in one integer map and divided by
-    dp dq once."""
-    p, q = P.nums, Q.nums
-    acc = _int_mul(
-        {(i - 1, j): c * i for (i, j), c in p.items() if i},
-        {(i, j - 1): c * j for (i, j), c in q.items() if j},
-    )
-    _int_mul(
-        {(i, j - 1): -c * j for (i, j), c in p.items() if j},
-        {(i - 1, j): c * i for (i, j), c in q.items() if i},
-        acc,
-    )
-    return BiPoly(acc, P.den * Q.den)
+    """P_x Q_y - P_y Q_x, exactly, on integer numerators, in one pass over
+    the term pairs of P and Q.
+
+    With P = p / dp and Q = q / dq, the pair c x^i y^j of p and d x^a y^b of
+    q adds c d (b i - a j) x^(i+a-1) y^(j+b-1); a pair with b i = a j adds
+    nothing, and every other pair has i + a >= 1 and j + b >= 1.  The sum is
+    kept in one integer map keyed by i + a + w (j + b), where
+    w = degx p + degx q + 1 exceeds i + a; the keys are unpacked and the
+    sum divided by dp dq once, at the end.
+    """
+    w = P.degx + Q.degx + 1
+    ts = [(a + w * b, a, b, d) for (a, b), d in Q.nums.items()]
+    acc: Dict[int, int] = {}
+    get = acc.get
+    for (i, j), c in P.nums.items():
+        ks = i + w * j
+        for kt, a, b, d in ts:
+            f = b * i - a * j
+            if f:
+                k = ks + kt
+                acc[k] = get(k, 0) + f * d * c
+    return BiPoly({(k % w - 1, k // w - 1): v for k, v in acc.items()}, P.den * Q.den)
 
 
 # ---------------------------------------------------------------------------

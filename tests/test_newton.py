@@ -1,5 +1,6 @@
 """Newton polygon, lattice counts, and the triangle / face gates."""
 
+import math
 import random
 
 from jaccoord import (
@@ -15,6 +16,7 @@ from jaccoord import (
 from jaccoord.newton import (
     FaceNotBinomialPower,
     PolygonNotTriangle,
+    TriangleFace,
     edge_faces,
 )
 
@@ -168,6 +170,25 @@ class TestTriangleGate:
         tf = triangle_face(parse_poly("y^2 - x^3 + x + 1"))
         assert tf.E == parse_poly("y^2 - x^3")
 
+    def test_point_is_the_smallest_above(self):
+        # the first point above the hypotenuse in a scan of the sorted terms
+        rng = random.Random(5)
+        seen = 0
+        for _ in range(200):
+            dx, dy = rng.randint(1, 6), rng.randint(1, 6)
+            terms = {(dx, 0): 1, (0, dy): 1}
+            for _ in range(rng.randint(0, 8)):
+                terms[(rng.randint(0, dx), rng.randint(0, dy))] = rng.randint(1, 9)
+            P = BiPoly(terms)
+            above = [(i, j) for i, j in sorted(P.support()) if dy * i + dx * j > dx * dy]
+            got = triangle_face(P)
+            if above:
+                seen += 1
+                assert got == PolygonNotTriangle(point=above[0])
+            else:
+                assert got.E == BiPoly({e: P.coeff(*e) for e in P.support() if dy * e[0] + dx * e[1] == dx * dy})
+        assert seen >= 50, seen
+
 
 class TestFaceGate:
     def test_binomial_cube(self):
@@ -204,6 +225,61 @@ class TestFaceGate:
         ff = face_binomial_power(tf)
         assert isinstance(ff, FaceForm)
         assert (ff.p, ff.q, ff.m) == (3, 2, 1)
+
+
+def ref_face_binomial_power(F):
+    """The face gate on rationals: every edge coefficient against
+    C * C(m, k) * (-a)^(m - k), the first mismatch reported."""
+    m = math.gcd(F.dx, F.dy)
+    p, q = F.dx // m, F.dy // m
+    C = F.E.coeff(0, F.dy)
+    a = -F.E.coeff(p, q * (m - 1)) / (C * m)
+    if a == 0:
+        return FaceNotBinomialPower(k=min(k for k in range(m) if F.E.coeff(p * (m - k), q * k) == 0))
+    for k in range(m + 1):
+        if F.E.coeff(p * (m - k), q * k) != C * math.comb(m, k) * (-a) ** (m - k):
+            return FaceNotBinomialPower(k=k)
+    return FaceForm(C=C, a=a, p=p, q=q, m=m)
+
+
+class TestFaceGateOracle:
+    """face_binomial_power against the rational reference on seeded faces
+    C*(y^q - a*x^p)^m, m <= 12, with large numerators, and on variants with
+    one slot perturbed, one slot zeroed, two slots perturbed, and u1 = 0."""
+
+    @staticmethod
+    def big_rat(rng):
+        return rat(rng.choice([-1, 1]) * rng.randint(1, 10**12), rng.randint(1, 10**9))
+
+    def faces(self, rng):
+        for _ in range(300):
+            q, p = rng.choice([(q, p) for q in range(1, 5) for p in range(1, 5) if math.gcd(p, q) == 1])
+            m = rng.randint(1, 12)
+            E = FaceForm(C=self.big_rat(rng), a=self.big_rat(rng), p=p, q=q, m=m).expand()
+            slot = lambda k: (p * (m - k), q * k)  # noqa: E731
+            face = lambda terms: TriangleFace(p * m, q * m, E + BiPoly(terms))  # noqa: E731
+            yield "exact", face({})
+            yield "perturbed", face({slot(rng.randint(0, m)): self.big_rat(rng)})
+            if m >= 3:
+                k1, k2 = rng.sample(range(m - 1), 2)
+                yield "two perturbed", face({slot(k1): self.big_rat(rng), slot(k2): rat(1, 7)})
+            if m >= 2:
+                k = rng.randint(1, m - 1)
+                yield "zeroed", face({slot(k): -E.coeff(*slot(k))})
+                ks = {m - 1, rng.randint(1, m - 1)} if rng.random() < 0.5 else {m - 1}
+                yield "u1 = 0", face({slot(k): -E.coeff(*slot(k)) for k in ks})
+
+    def test_against_reference(self):
+        rng = random.Random(2025)
+        seen = {}
+        for variant, F in self.faces(rng):
+            got, want = face_binomial_power(F), ref_face_binomial_power(F)
+            assert got == want, (variant, F)
+            kind = f"{variant}: {type(want).__name__}"
+            seen[kind] = seen.get(kind, 0) + 1
+        assert seen["exact: FaceForm"] == 300
+        for kind in ("perturbed", "two perturbed", "zeroed", "u1 = 0"):
+            assert seen.get(f"{kind}: FaceNotBinomialPower", 0) >= 50, seen
 
 
 class TestEdgeFaces:

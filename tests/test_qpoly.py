@@ -519,10 +519,37 @@ class TestKernelOracle:
                 (substitute(A, sx, sy), rat_substitute(A, sx, sy)),
                 (jacobian_det(A, B), ref_jacobian(A, B)),
                 (jacobian_det(A, B), diff_jacobian(A, B)),
+                (jacobian_det(B, A), -jacobian_det(A, B)),
             ):
                 assert got == want
                 assert_rat_coefficients(got)
         assert min(seen.values()) >= 10, seen
+
+    def test_jacobian_operand_shapes(self):
+        # zero, constant, y-free, x-free and general operands in both
+        # places, the second with more terms than the first
+        rng = random.Random(13)
+
+        def operand(kind, n):
+            if kind == "zero":
+                return BiPoly.zero()
+            if kind == "const":
+                return BiPoly.const(oracle_coeff(rng))
+            dx, dy = (6, 0) if kind == "y-free" else (0, 6) if kind == "x-free" else (6, 6)
+            return BiPoly({(rng.randint(0, dx), rng.randint(0, dy)): oracle_coeff(rng) for _ in range(n)})
+
+        kinds = ("zero", "const", "y-free", "x-free", "general")
+        longer = 0
+        for _ in range(10):
+            for ka in kinds:
+                for kb in kinds:
+                    A, B = operand(ka, rng.randint(1, 6)), operand(kb, rng.randint(6, 24))
+                    longer += B.num_terms() > A.num_terms()
+                    J = jacobian_det(A, B)
+                    assert J == diff_jacobian(A, B), (A, B)
+                    assert jacobian_det(B, A) == -J
+                    assert_rat_coefficients(J)
+        assert longer >= 150, longer
 
     def test_jacobian_of_coordinate_pairs(self):
         # P and its complement from the witness of check, degrees up to 25
