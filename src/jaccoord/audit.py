@@ -8,9 +8,10 @@ fibres all look irreducible of constant genus, with nothing left unknown and
 no irrational special values in play, is flagged loudly as a suspected
 implementation bug rather than swallowed.
 
-A scan computes the special values, the verdict and one Ruppert pencil once
-per P.  A sample that is not a candidate skips the squarefree and torus
-tests, for the reason fibre_report gives, and reads its count off the pencil.
+A scan computes the special values, the verdict and one fibre pencil once per
+P.  A sample that is not a candidate skips the squarefree and torus tests, for
+the reason fibre_report gives, reads its count off the Ruppert pencil and, but
+for c = P(0, 0), its polygon, genus, branches and most faces off P itself.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .fibre import (
     FibreReport,
     SpecialValues,
     Unknown,
-    _faces_nondegenerate,
-    _fibre_tail,
+    _fibre_pencil,
     _ruppert_pencil,
     fibre_report,
     special_value_candidates,
@@ -106,12 +106,8 @@ def theorem3_scan(P: BiPoly, n_random: int = 8, seed: int = 0) -> ScanReport:
         )
     while len(cs) < len(sv.rational_candidates) + n_random:
         cs.add(rat(rng.randint(-9, 9), rng.randint(1, 4)))
-    count_p = _ruppert_pencil(P)
-    samples = tuple(
-        fibre_report(P, c) if c in sv.rational_candidates
-        else _fibre_tail(c, P - BiPoly.const(c), True, count_p(c), _faces_nondegenerate)
-        for c in sorted(cs)
-    )
+    report = _fibre_pencil(P, _ruppert_pencil(P))
+    samples = tuple(fibre_report(P, c) if c in sv.rational_candidates else report(c) for c in sorted(cs))
     verdict = check(P)
 
     known_genus = [(s.genus, s.c) for s in samples if not isinstance(s.genus, Unknown)]

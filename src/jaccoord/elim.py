@@ -1,6 +1,6 @@
 """Exact elimination machinery: subresultant chains, resultants, bivariate
 gcd and squarefree part, exact Gaussian elimination of rational matrices,
-and rational root extraction.
+and rational roots.
 
 Polynomials in the elimination variable are dense coefficient lists over
 a ring: Z[x] (integer coefficient lists) and Z[x, c] (integer term maps)
@@ -23,10 +23,10 @@ integer matrix also has a rank modulo a prime, which is a lower bound on
 its rank over Q.  rat_det, a Bareiss determinant, has no caller here; it
 stays for the tests' reference oracles and the benchmark tracer.
 
-sympy finds rational roots and decides whether a system has a common zero
-on the torus x*y != 0, by a Groebner basis.  That basis is computed only
-when the resultants can neither prove that there is none nor show one over
-a rational x.
+Rational roots are found modulo a small prime, lifted p-adically and each
+confirmed exactly.  sympy only decides whether a system has a common zero on
+the torus x*y != 0, by a Groebner basis computed only when the resultants
+can neither prove that there is none nor show one over a rational x.
 """
 
 from __future__ import annotations
@@ -390,13 +390,73 @@ def rat_det(rows: List[List]):
 
 
 # ---------------------------------------------------------------------------
-# rational roots and torus solvability: sympy, behind resultant certificates
+# rational roots modulo a prime, lifted, and torus solvability: resultant
+# certificates, then a sympy Groebner basis
+
+
+def _hom_eval(g: Sequence[int], a: int, b: int) -> int:
+    """b^n g(a/b) = sum_k g_k a^k b^(n-k), n = deg g: zero iff g(a/b) = 0."""
+    acc, bk = 0, 1
+    for c in reversed(g):
+        acc, bk = acc * a + c * bk, bk * b
+    return acc
+
+
+def _horner_mod(g: Sequence[int], r: int, m: int) -> int:
+    acc = 0
+    for c in reversed(g):
+        acc = (acc * r + c) % m
+    return acc
+
+
+def rational_roots(u: UniPoly) -> List:
+    """All rational roots of a nonzero univariate polynomial, ascending, found
+    modulo a prime, lifted p-adically and each confirmed exactly (Loos, SIAM
+    J. Comput. 12, 1983).  With the root 0 split off, g is the primitive
+    integer form, taken squarefree where a prime shows a multiple root.  A root
+    a/b in lowest terms has a | g(0) and b | lc(g), so it is a root r modulo the
+    first prime p >= 101 that divides no lc(g) and leaves every root simple;
+    lifted to m = p^k > 2 |g(0) lc(g)|, the residue of lc(g) r of least
+    absolute value is lc(g) a/b, kept only when g(a/b) = 0 exactly."""
+    if u.is_zero():
+        raise ZeroPolynomialError("rational_roots of zero polynomial")
+    v = next(k for k, n in enumerate(u.nums) if n)
+    g = _int_primitive(u.nums[v:])[1]
+    roots, p = [RAT_ZERO] if v else [], 100
+    if len(g) == 1:
+        return roots
+    while True:
+        p = next(q for q in itertools.count(p + 1) if g[-1] % q and all(q % d for d in range(2, math.isqrt(q) + 1)))
+        dg = [k * c for k, c in enumerate(g)][1:]
+        residues = [a for a in range(p) if not _horner_mod(g, a, p)]
+        if all(_horner_mod(dg, a, p) for a in residues):
+            break
+        g = _int_primitive(squarefree_part(UniPoly(g)).nums)[1]
+    lc, bound = g[-1], 2 * abs(g[0] * g[-1])
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner_mod(g, r, m) * pow(_horner_mod(dg, r, m), -1, m)) % m
+        n = lc * r % m
+        root = rat(n - m if 2 * n > m else n, lc)
+        if not _hom_eval(g, root.numerator, root.denominator):
+            roots.append(root)
+    return sorted(roots)
+
+
+def strip_rational_roots(u: UniPoly) -> Tuple[List, UniPoly]:
+    """(rational roots, monic cofactor with no rational roots): each root a/b
+    divides the numerators as b*t - a, in Z[t] by Gauss's lemma, as often as
+    it divides them."""
+    roots, rest = rational_roots(u), list(u.nums)
+    for a, b in ((r.numerator, r.denominator) for r in roots):
+        while not _hom_eval(rest, a, b):
+            rest = _int_exact_div(rest, [-a, b])
+    return roots, UniPoly(rest, rest[-1])
+
 
 _SX, _SY, _ST = sympy.symbols("x y t")
-
-
-def unipoly_to_sympy(u: UniPoly, sym) -> sympy.Poly:
-    return sympy.Poly.from_list([sympy.Rational(c) for c in reversed(u.coeffs)] or [0], sym)
 
 
 def bipoly_to_sympy(f: BiPoly):
@@ -404,35 +464,6 @@ def bipoly_to_sympy(f: BiPoly):
     for (i, j), c in f.items():
         expr += sympy.Rational(c) * _SX ** i * _SY ** j
     return expr
-
-
-def rational_roots(u: UniPoly) -> List:
-    """All rational roots of a nonzero univariate polynomial."""
-    if u.is_zero():
-        raise ZeroPolynomialError("rational_roots of zero polynomial")
-    if u.is_constant():
-        return []
-    p = unipoly_to_sympy(u, _ST)
-    roots = []
-    for r in p.ground_roots():
-        rr = sympy.Rational(r)
-        roots.append(rat(int(rr.p), int(rr.q)))
-    return sorted(roots)
-
-
-def strip_rational_roots(u: UniPoly) -> Tuple[List, UniPoly]:
-    """(rational roots, monic cofactor with no rational roots)."""
-    roots = rational_roots(u)
-    rest = u.monic()
-    for r in roots:
-        lin = UniPoly([-r, RAT_ONE])
-        while True:
-            q, rem = rest.divmod(lin)
-            if rem.is_zero():
-                rest = q
-            else:
-                break
-    return roots, rest.monic()
 
 
 def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
@@ -475,7 +506,7 @@ def _rational_torus_zero(polys: Sequence[BiPoly], G: Optional[UniPoly]) -> bool:
     if G is None or G.is_zero():
         return False
     ys = [f.y_coeffs() for f in polys]
-    for x0 in rational_roots(squarefree_part(G)):
+    for x0 in rational_roots(G):
         if x0 == 0:
             continue
         g = _unipoly_list_gcd([UniPoly([u.eval(x0) for u in fy]) for fy in ys])

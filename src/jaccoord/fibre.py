@@ -203,11 +203,12 @@ def nondegenerate(f: BiPoly) -> bool:
 
 def _faces_nondegenerate(f: BiPoly) -> bool:
     """The edge-face half of nondegenerate: all of it for a smooth f = 0."""
-    for face in edge_faces(f, newton_polygon(f)):
-        e: UniPoly = face["e"]
-        if e.deg < face["full_length"] or e.nums[0] == 0 or e.gcd(e.derivative()).deg > 0:
-            return False
-    return True
+    return all(_face_ok(face["e"], face["full_length"]) for face in edge_faces(f, newton_polygon(f)))
+
+
+def _face_ok(e: UniPoly, length: int) -> bool:
+    """Whether a face polynomial has both endpoint monomials and no square."""
+    return e.deg == length and e.nums[0] != 0 and e.gcd(e.derivative()).deg == 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +242,9 @@ def genus(f: BiPoly) -> MaybeInt:
 def branches_at_infinity(f: BiPoly) -> MaybeInt:
     """Number of places at infinity, counted by boundary lattice lengths.
 
-    Unlike the genus this is not translation invariant, so a zero constant
-    term is refused rather than shifted away.  There is no irreducibility
+    The number of places is translation invariant, like the genus; only
+    the lattice formula needs a nonzero constant term, so a zero one is
+    refused here rather than shifted away.  There is no irreducibility
     gate: each factor contributes its own places.
     """
     if f.is_constant():
@@ -327,6 +329,34 @@ def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) ->
     else:
         b_val = _branches_tail(sq) if nd else Unknown("Degenerate")
     return FibreReport(c, count, reduced, nd, g_val, b_val)
+
+
+def _fibre_pencil(P: BiPoly, count_p):
+    """c -> fibre_report(P, c) for c not a critical value of P, given
+    count_p = _ruppert_pencil(P).  For c != P(0, 0), P - c has the Newton
+    polygon of P, which holds the origin, so the genus, the branches and
+    the faces away from the origin are read once per P; each c tests only
+    the at most two faces through the origin, less c in the origin's slot.
+    A count other than 1, and c = P(0, 0), take _fibre_tail."""
+    N, k0, near, far = newton_polygon(P), P.constant_term(), [], True
+    for face in edge_faces(P, N):
+        e, n = face["e"], face["full_length"]
+        if (0, 0) in (face["v0"], face["v1"]):
+            near.append((e, n, 0 if face["v0"] == (0, 0) else n))
+        else:
+            far = far and _face_ok(e, n)
+    genus = lattice_counts(N)[0] if N.dim == 2 else Unknown("SegmentPolygon")
+    branches, degenerate = _branches_tail(P), Unknown("Degenerate")
+
+    def report(c) -> FibreReport:
+        count = count_p(c)
+        if count != 1 or c == k0:
+            return _fibre_tail(c, P - BiPoly.const(c), True, count, _faces_nondegenerate)
+        if far and all(_face_ok(e - UniPoly.monomial(c, o), n) for e, n, o in near):
+            return FibreReport(c, 1, True, True, genus, branches)
+        return FibreReport(c, 1, True, False, degenerate, degenerate)
+
+    return report
 
 
 # ---------------------------------------------------------------------------

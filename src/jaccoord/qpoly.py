@@ -48,9 +48,9 @@ class ZeroPolynomialError(ValueError):
 
 
 class InputTooLarge(ValueError):
-    """The input exceeds a resource budget, such as MAX_NESTING or
-    MAX_POWER_POINTS while parsing or the degree guard of the reduction; no
-    verdict."""
+    """The input exceeds a resource budget, such as MAX_NESTING,
+    MAX_POWER_POINTS or MAX_POWER_DIGITS while parsing or the degree guard
+    of the reduction; no verdict."""
 
 
 class PolyParseError(SyntaxError):
@@ -735,6 +735,11 @@ MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
 # both its box and the product of their term counts pass it, so its work stays
 # bounded; (x + y + 1)^49 is at the bound
 MAX_POWER_POINTS = 2_500
+# decimal digits of the coefficients of base^n, bounded before expanding by
+# n * log10(max(den, sum of |numerators|)) of the base: Python prints no longer
+# integer by default, and check on (a*x + b*y + 1/c)^49, with a, b and c of 43
+# digits, just under the bound, takes 2.6-4.4 s on a 2-vCPU Xeon
+MAX_POWER_DIGITS = 4_300
 
 
 def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
@@ -816,6 +821,12 @@ class _Parser:
             n = int(t[1])
             if base.num_terms() > 1:
                 _check_points("power", n * base.degx, n * base.degy, t[2])
+            digits = n * math.log10(max(base.den, sum(map(abs, base.nums.values()))))
+            if digits > MAX_POWER_DIGITS:
+                raise InputTooLarge(
+                    f"power with coefficients of up to {math.ceil(digits)} digits,"
+                    f" more than {MAX_POWER_DIGITS} (at position {t[2]})"
+                )
             base = base ** n
         return base
 

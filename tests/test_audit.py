@@ -9,6 +9,7 @@ from jaccoord import (
     Coordinate,
     NotCoordinate,
     audit,
+    elim,
     fibre,
     fibre_report,
     gen_random_coordinate,
@@ -252,3 +253,28 @@ class TestNonCandidateFibresAreSmooth:
         assert rat(0) in special_value_candidates(P).rational_candidates
         assert has_common_torus_zero([P, P.diff_x(), P.diff_y()])
         assert bipoly_squarefree_part(P)[1] == (text == "(y - 1)^2 - (x - 1)^3")
+
+
+class _NoSympy:
+    def __getattr__(self, name):
+        raise AssertionError(f"sympy.{name} was touched")
+
+
+class TestScanWithoutSympy:
+    """In the package, sympy serves only the Groebner fallback of
+    has_common_torus_zero: the scans of the benchmark's inputs, generator
+    coordinates of two steps and the named non-coordinates, never reach it."""
+
+    def test_stub_refuses(self, monkeypatch):
+        monkeypatch.setattr(elim, "sympy", _NoSympy())
+        # the common zeros (+-sqrt(2), 1) lie over irrational x only
+        with pytest.raises(AssertionError, match="sympy"):
+            elim.has_common_torus_zero([parse_poly("x^2 - 2"), parse_poly("y - 1")])
+
+    def test_scan_does_not_touch_sympy(self, monkeypatch):
+        monkeypatch.setattr(elim, "sympy", _NoSympy())
+        polys = [gen_random_coordinate(s, 2, 3, 3)[0] for s in range(10)]
+        polys += [parse_poly(t) for t in NAMED]
+        for k, P in enumerate(polys):
+            r = theorem3_scan(P, 8, k)
+            assert isinstance(r.verdict, Coordinate) == (k < 10)

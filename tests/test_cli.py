@@ -92,6 +92,24 @@ class TestCheck:
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "InputTooLarge"
 
+    def test_power_digit_budget_is_input_too_large(self, capsys):
+        # expanding the first power takes about 20 s and gives coefficients
+        # that Python refuses to print; a one-term base is budgeted too
+        from jaccoord.qpoly import MAX_POWER_DIGITS
+
+        big = "(" + "9" * 200 + "*x + " + "7" * 200 + "*y + 1/" + "3" * 100 + ")^49"
+        for text in (big, "7^6000", "(" + "9" * 88 + "*x + y + 1)^49"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check", "--", text)
+            assert time.perf_counter() - start < 1
+            assert code == 1 and out == ""
+            error = json.loads(err)["error"]
+            assert error["kind"] == "InputTooLarge" and f"more than {MAX_POWER_DIGITS}" in error["detail"]
+        # 49 * 88 digits are refused above, 99 * 43 digits are expanded
+        code, doc, _ = run_json(capsys, "polygon", "--", "(" + "9" * 42 + "8*x + 1)^99")
+        assert code == 0
+        assert doc["vertices"] == [[0, 0], [99, 0]]
+
     def test_product_budget_is_input_too_large(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "polygon", "(x+y+1)^49*(x+y+1)^49")

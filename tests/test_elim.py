@@ -17,6 +17,7 @@ from jaccoord import (
     gen_random_coordinate,
     parse_poly,
     rat,
+    squarefree_part,
     theorem3_scan,
 )
 from jaccoord import elim, fibre, qpoly
@@ -34,12 +35,15 @@ from jaccoord.elim import (
     resultant,
     strip_rational_roots,
     subresultant_chain,
-    unipoly_to_sympy,
 )
 
 # the reference rings of the chain tests: Q, and Q[x, y] by exact division
 RAT_RING = Ring(rat(0), rat(1), operator.mul, operator.sub, operator.truediv)
 BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), operator.mul, operator.sub, BiPoly.exact_div)
+
+
+def unipoly_to_sympy(u: UniPoly, sym) -> sympy.Poly:
+    return sympy.Poly.from_list([sympy.Rational(c) for c in reversed(u.coeffs)] or [0], sym)
 
 
 def upoly(*coeffs):
@@ -653,6 +657,65 @@ class TestSympyBridge:
         f = parse_poly("y - x^2")
         polys = [f, f.diff_x(), f.diff_y()]
         assert not has_common_torus_zero(polys)
+
+
+class TestRationalRootsOracle:
+    """rational_roots and strip_rational_roots against sympy's
+    Poly.ground_roots, on seeded products of linear factors b*t - a with
+    multiplicities 1-3, small irreducible or reducible cubics and quartics,
+    powers of t and rational scales."""
+
+    @staticmethod
+    def _corpus(rng):
+        for k in range(240):
+            big = k % 3 == 0  # numerators and denominators above 2^64
+            factors = []
+            for _ in range(rng.randint(0, 4)):
+                if rng.random() < 0.75:
+                    a = rng.randint(-2**80, 2**80) if big else rng.randint(-30, 30)
+                    b = rng.randint(2**65, 2**80) if big else rng.choice([1, 2, 3, 6, 101, 103, 101 * 103])
+                    factors.append(([-a, b], rng.choice([1, 1, 1, 2, 3])))
+                else:
+                    cs = [rng.randint(-9, 9) for _ in range(rng.randint(3, 4))] + [rng.randint(1, 5)]
+                    factors.append((cs, 1))
+            if k % 4 == 0:
+                factors.append(([0, 1], rng.randint(1, 3)))
+            scale = rat(rng.randint(1, 10**rng.choice([1, 25])), rng.randint(1, 10**rng.choice([1, 25])))
+            yield factors, scale
+        # roots congruent modulo 101 and 103, so that both primes divide the
+        # discriminant; lc divisible by 101 * 103, so that both are skipped
+        m = 101 * 103
+        yield [([-1, 1], 1), ([-1 - m, 1], 1), ([-2, 1], 1)], rat(1)
+        yield [([-3, 1], 1), ([-3 - 5 * m, 1], 1), ([1, 1], 2), ([5, 0, 1], 1)], rat(7, 2)
+        yield [([-5, m], 1), ([7, 101], 1), ([1, 103], 1)], rat(1)
+        yield [([-1, 1], 1), ([-1 - m, 1], 1), ([-3, 2 * m], 2)], rat(-3, 5)
+
+    def test_against_ground_roots(self):
+        t, rng = sympy.Symbol("t"), random.Random(71)
+        seen = dict.fromkeys(["repeated", "zero", "big", "lc_101_103", "disc_101_103"], 0)
+        for factors, scale in self._corpus(rng):
+            u = UniPoly([scale])
+            for cs, mult in factors:
+                u = u * UniPoly(cs) ** mult
+            if u.is_constant():
+                continue
+            U = unipoly_to_sympy(u, t)
+            want = {rat(int(r.p), int(r.q)): m for r, m in U.ground_roots().items()}
+            roots, cof = strip_rational_roots(u)
+            assert rational_roots(u) == roots == sorted(want), u
+            linear = sympy.prod([(t - sympy.Rational(r.numerator, r.denominator)) ** m for r, m in want.items()])
+            q, r = sympy.div(U, sympy.Poly(linear, t))
+            assert r.is_zero and unipoly_to_sympy(cof, t).as_expr() == q.monic().as_expr(), u
+            # g: the primitive squarefree part without the root 0, whose
+            # roots modulo the first primes from 101 on are lifted
+            g = list(squarefree_part(UniPoly(u.nums[next(k for k, n in enumerate(u.nums) if n):])).nums)
+            seen["repeated"] += any(m > 1 for m in want.values())
+            seen["zero"] += rat(0) in want
+            seen["big"] += any(abs(r.numerator) > 2**64 and r.denominator > 2**64 for r in want)
+            seen["lc_101_103"] += g[-1] % (101 * 103) == 0 and len(want) > 1
+            disc = sympy.Poly(g[::-1], t).discriminant() if len(g) > 1 else 1
+            seen["disc_101_103"] += all(g[-1] % p and disc % p == 0 for p in (101, 103))
+        assert min(seen.values()) >= 2, seen
 
 
 def _plain_groebner_torus(polys):

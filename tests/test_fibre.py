@@ -24,7 +24,7 @@ from jaccoord import fibre, gen_random_coordinate
 from jaccoord.coordinate import _rand_linear
 from jaccoord.elim import bipoly_squarefree_part
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
-from jaccoord.newton import edge_faces, support_polygon
+from jaccoord.newton import edge_faces, lattice_counts, support_polygon
 from jaccoord.qpoly import InputTooLarge
 
 # an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
@@ -414,6 +414,85 @@ class TestAbsoluteFactorCount:
             L = _rand_linear(rng, 3)
             lx, ly = L.components()
             assert absolute_factor_count(substitute(f, lx, ly)) == n
+
+
+class TestFibrePencil:
+    """For c != P(0, 0), the Newton polygon of P - c is that of P, so
+    _fibre_pencil reads the genus, the branches and the faces away from the
+    origin once per P.  With the factor count held at 1, so that any P and c
+    qualify, its report at c must be _fibre_tail's on P - c, whose face
+    verdict, polygon, genus and branches are computed on P - c itself."""
+
+    TEXTS = [
+        "x^2 + 2*x + 1 + x*y^2 + y^3",  # the face on the x-axis is (x + 1)^2 at c = 0
+        "(y - x^2)^2 + x + 1",  # the top face is a square for every c
+        "x*y + x^3 + y^2",  # no constant term
+        "x^2*y + 2*x^4*y^2",  # a segment without a constant term
+        "3*x*y^2 + x^2*y^4 + 1",  # a segment
+        "(x*y - 1)^2",  # a segment whose origin face is (t - 1)^2 at c = 0
+        "y^2 - x^3 - x",
+        "x",
+    ]
+
+    @staticmethod
+    def _random(rng):
+        if rng.random() < 0.2:  # a segment: terms along one ray from the origin
+            p, q = rng.choice([(1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (2, 3)])
+            keys = rng.sample(range(1, 5), rng.randint(1, 3)) + [0] * rng.randint(0, 1)
+            terms = {(k * p, k * q): rat(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for k in keys}
+        else:
+            d = rng.randint(2, 5)
+            mons = [(i, j) for i in range(d + 1) for j in range(d + 1 - i) if (i, j) != (0, 0) or rng.random() < 0.5]
+            terms = {e: rat(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for e in rng.sample(mons, rng.randint(2, min(6, len(mons))))}
+        return BiPoly(terms)
+
+    @staticmethod
+    def _square_face_values(P):
+        """The c that make a length-2 face through the origin a square."""
+        out = []
+        for face in edge_faces(P, newton_polygon(P)):
+            e = face["e"]
+            if face["full_length"] == 2 and e[1] != 0 and (0, 0) in (face["v0"], face["v1"]):
+                far = e[2] if face["v0"] == (0, 0) else e[0]
+                out.append(P.constant_term() - e[1] ** 2 / (4 * far))
+        return out
+
+    def test_matches_each_fibre(self):
+        rng = random.Random(67)
+        polys = [parse_poly(t) for t in self.TEXTS] + [self._random(rng) for _ in range(200)]
+        seen = Counter()
+        for P in polys:
+            if P.is_constant():
+                continue
+            report = fibre._fibre_pencil(P, lambda c: 1)
+            cs = {rat(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)} | {rat(0)}
+            for c in (cs | set(self._square_face_values(P))) - {P.constant_term()}:
+                f = P - BiPoly.const(c)
+                N = newton_polygon(f)
+                assert N == newton_polygon(P), (P, c)
+                got = report(c)
+                assert got == fibre._fibre_tail(c, f, True, 1, fibre._faces_nondegenerate), (P, c)
+                assert got.nondegenerate == fibre._faces_nondegenerate(f), (P, c)
+                if got.nondegenerate:
+                    assert got.branches_at_infinity == fibre._branches_tail(f), (P, c)
+                    assert got.genus == (lattice_counts(N)[0] if N.dim == 2 else Unknown("SegmentPolygon"))
+                seen["segment"] += N.dim == 1
+                seen["no_constant"] += P.constant_term() == 0
+                seen[got.nondegenerate] += 1
+                seen["origin_face"] += c in self._square_face_values(P) and not got.nondegenerate
+        assert min(seen[k] for k in ("segment", "no_constant", True, False, "origin_face")) >= 20, seen
+
+    def test_counts_other_than_one_take_the_general_path(self):
+        # a reducible count, and c = P(0, 0), read fibre_report's gates
+        P = parse_poly("(x^2 + y)^2 + (x^2 + y) + 1/2")
+        report = fibre._fibre_pencil(P, fibre._ruppert_pencil(P))
+        for c in (rat(7, 3), rat(1, 2), rat(0)):
+            assert report(c) == fibre_report(P, c)
+        assert report(rat(7, 3)).abs_factor_count == 2
+        P = parse_poly("y^2 - x^3 - x + 1/2")
+        s = fibre._fibre_pencil(P, fibre._ruppert_pencil(P))(rat(1, 2))
+        assert s == fibre_report(P, rat(1, 2))
+        assert s.genus == 1 and s.branches_at_infinity == Unknown("ZeroConstantTerm")
 
 
 class TestNondegenerate:
@@ -955,7 +1034,8 @@ class TestCriticalValues:
         has the critical values as roots: its squarefree part is the
         squarefree product of the critical factors, up to a scalar."""
         import sympy
-        from jaccoord.elim import bipoly_to_sympy, unipoly_to_sympy
+        from jaccoord.elim import bipoly_to_sympy
+        from test_elim import unipoly_to_sympy
 
         x, y, c = sympy.symbols("x y c")
         rng = random.Random(23)

@@ -209,6 +209,12 @@ class _RefParser:
             n = int(t[1])
             if base.num_terms() > 1:
                 qpoly._check_points("power", n * base.degx, n * base.degy, t[2])
+            digits = n * math.log10(max(base.den, sum(map(abs, base.nums.values()))))
+            if digits > qpoly.MAX_POWER_DIGITS:
+                raise InputTooLarge(
+                    f"power with coefficients of up to {math.ceil(digits)} digits,"
+                    f" more than {qpoly.MAX_POWER_DIGITS} (at position {t[2]})"
+                )
             base = base ** n
         return base
 
