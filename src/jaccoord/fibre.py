@@ -286,8 +286,19 @@ class FibreReport:
     branches_at_infinity: MaybeInt
 
 
+# Budget of fibre_report, checked before any work: the lattice points of the
+# Newton polygon of P - c, on which the Ruppert system is built; 435 is a dense
+# degree-28 triangle.  On a 2-vCPU Xeon at c = 1/3, the degree-27 coordinate
+# gen_random_coordinate(14, 3, 3, 3) (406 points) takes 7.9 s; at the bound, a
+# dense 29x15 box takes 47 s and a dense degree-28 triangle 95 s (on dense P
+# mostly the nondegeneracy test's resultants: 5.6 of 6.4 s at degree 18), and
+# x^433 + y 0.05 s.
+MAX_FIBRE_POINTS = 435
+
+
 def fibre_report(P: BiPoly, c) -> FibreReport:
-    """All invariants of the fibre P = c, computed on the squarefree part.
+    """All invariants of the fibre P = c, computed on the squarefree part;
+    InputTooLarge past MAX_FIBRE_POINTS.
 
     Each invariant is computed once: a translation keeps squarefreeness and
     the factor count, so nondegeneracy is the only test made on the
@@ -299,7 +310,13 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
     """
     if P.is_constant():
         raise ConstantInputError("fibre_report needs a nonconstant P")
-    sq, reduced = bipoly_squarefree_part(P - BiPoly.const(c))
+    f = P - BiPoly.const(c)
+    interior, boundary, _ = lattice_counts(newton_polygon(f))
+    if interior + boundary > MAX_FIBRE_POINTS:
+        raise InputTooLarge(
+            f"fibre polygon with {interior + boundary} lattice points, more than {MAX_FIBRE_POINTS}"
+        )
+    sq, reduced = bipoly_squarefree_part(f)
     return _fibre_tail(c, sq, reduced, None, nondegenerate)
 
 

@@ -16,10 +16,12 @@ built only at the API edge: ``coeff``, ``items``, ``coeffs``, ``lc``,
 :func:`substitute` tabulates the powers of one image; when the other is a
 monomial, as x or y in every triangular step, each term of P is one shifted
 multiple of a table entry, and only two images of several terms take
-Horner's rule.  :func:`jacobian_det` makes one pass over the term pairs of
-P and Q.  The univariate gcd is proved to be a power of x modulo
-MODULAR_PRIME when it can be, which covers coprime operands, and is
-otherwise the primitive PRS, the one exact univariate gcd of the package.
+Horner's rule.  :func:`jacobian_det` packs each y-row of the four partial
+derivatives into one integer (Kronecker substitution), so that its sum is
+one big-integer product per pair of rows.  The univariate gcd is proved to
+be a power of x modulo MODULAR_PRIME when it can be, which covers coprime
+operands, and is otherwise the primitive PRS, the one exact univariate gcd
+of the package.
 All values are immutable after construction and every operation is pure, so
 instances can be shared freely across threads.
 """
@@ -648,29 +650,57 @@ def substitute(P: BiPoly, sx: BiPoly, sy: BiPoly) -> BiPoly:
     return BiPoly(acc, d * dx ** degx * dy ** degy)
 
 
-def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
-    """P_x Q_y - P_y Q_x, exactly, on integer numerators, in one pass over
-    the term pairs of P and Q.
+def _packed_derivative_rows(p: Dict[Term, int], B: int) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """The y-rows of p_x and of p_y, each packed into one integer with the
+    coefficient of x^i at bit B i; signed coefficients are simply summed."""
+    rx: Dict[int, int] = {}
+    ry: Dict[int, int] = {}
+    for (i, j), c in p.items():
+        if i:
+            rx[j] = rx.get(j, 0) + (i * c << B * (i - 1))
+        if j:
+            ry[j - 1] = ry.get(j - 1, 0) + (j * c << B * i)
+    return rx, ry
 
-    With P = p / dp and Q = q / dq, the pair c x^i y^j of p and d x^a y^b of
-    q adds c d (b i - a j) x^(i+a-1) y^(j+b-1); a pair with b i = a j adds
-    nothing, and every other pair has i + a >= 1 and j + b >= 1.  The sum is
-    kept in one integer map keyed by i + a + w (j + b), where
-    w = degx p + degx q + 1 exceeds i + a; the keys are unpacked and the
-    sum divided by dp dq once, at the end.
+
+def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
+    """P_x Q_y - P_y Q_x, exactly, on integer numerators packed by rows.
+
+    With P = p / dp and Q = q / dq, each y-row of p_x, p_y, q_x and q_y is
+    one integer holding x^i at bit B i (Kronecker substitution), so the sum
+    over row pairs, acc[j1 + j2] +- r1 r2, is a few big-integer products.
+    n1 = |p|_1 max(degx P, degy P, 1) bounds |p_x|_1 and |p_y|_1, n2 the
+    same for q, so every coefficient of the result lies within 2 n1 n2 and
+    B = bit_length(2 n1 n2) + 1 leaves each a balanced base-2^B digit.
+    The rows are decoded digit by digit and divided by dp dq once; a
+    constant result is row 0, one digit.
     """
-    w = P.degx + Q.degx + 1
-    ts = [(a + w * b, a, b, d) for (a, b), d in Q.nums.items()]
+    p, q = P.nums, Q.nums
+    n1 = sum(map(abs, p.values())) * max(max(map(max, p), default=0), 1)
+    n2 = sum(map(abs, q.values())) * max(max(map(max, q), default=0), 1)
+    B = (2 * n1 * n2).bit_length() + 1
+    px, py = _packed_derivative_rows(p, B)
+    qx, qy = _packed_derivative_rows(q, B)
     acc: Dict[int, int] = {}
     get = acc.get
-    for (i, j), c in P.nums.items():
-        ks = i + w * j
-        for kt, a, b, d in ts:
-            f = b * i - a * j
-            if f:
-                k = ks + kt
-                acc[k] = get(k, 0) + f * d * c
-    return BiPoly({(k % w - 1, k // w - 1): v for k, v in acc.items()}, P.den * Q.den)
+    for j1, r1 in px.items():
+        for j2, r2 in qy.items():
+            acc[j1 + j2] = get(j1 + j2, 0) + r1 * r2
+    for j1, r1 in py.items():
+        for j2, r2 in qx.items():
+            acc[j1 + j2] = get(j1 + j2, 0) - r1 * r2
+    mask, half, out = (1 << B) - 1, 1 << (B - 1), {}
+    for j, v in acc.items():
+        i = 0
+        while v:
+            d = v & mask
+            if d >= half:
+                d -= 1 << B
+            if d:
+                out[(i, j)] = d
+            v = (v - d) >> B
+            i += 1
+    return BiPoly(out, P.den * Q.den)
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +710,10 @@ def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
 # monomial [n[/d]*](x[^i][*y[^j]] | y[^j]), as BiPoly.to_str writes it, is
 # lexed whole, without inner spaces and with ASCII digits.  It is never
 # followed by a digit or by ^, so x^2^3 and x^23^4 still fail at their
-# second ^; any other form, such as 2 * x ^ 3, is lexed token by token.
+# second ^; any other form, such as 2 * x ^ 3, is lexed token by token.  A
+# term that is one such token, not followed by *, is summed by the parser
+# from its parts, with no polynomial of its own.  No digit run may be longer
+# than MAX_POWER_DIGITS.
 _TOKEN_RE = re.compile(
     r"\s*(?:((?:([0-9]+)(?:/([0-9]+))?\*)?"
     r"(?:x(?:\^([0-9]+))?(?:\*(y)(?:\^([0-9]+))?)?|(y)(?:\^([0-9]+))?))(?!\d|\s*\^)"
@@ -707,6 +740,8 @@ def _tokenize(text: str) -> List[Tuple[str, str, int, object]]:
         if m.start() != pos:  # skipped an unexpected character
             break
         pos = m.end()
+        if pos - m.start() > MAX_POWER_DIGITS:
+            _check_digits(m)
         n, d, xi, xy, xj, yo, yj, tok = m.groups()[1:]
         if tok is not None:
             toks.append(("int" if tok[0].isdigit() else tok, tok, m.start(9), None))
@@ -738,7 +773,8 @@ MAX_POWER_POINTS = 2_500
 # decimal digits of the coefficients of base^n, bounded before expanding by
 # n * log10(max(den, sum of |numerators|)) of the base: Python prints no longer
 # integer by default, and check on (a*x + b*y + 1/c)^49, with a, b and c of 43
-# digits, just under the bound, takes 2.6-4.4 s on a 2-vCPU Xeon
+# digits, just under the bound, takes 2.6-4.4 s on a 2-vCPU Xeon; the same
+# bound holds each digit run of the text, which Python would not convert
 MAX_POWER_DIGITS = 4_300
 
 
@@ -749,6 +785,17 @@ def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
             f"{what} with {points} lattice points, more than"
             f" {MAX_POWER_POINTS} (at position {pos})"
         )
+
+
+def _check_digits(m: re.Match) -> None:
+    """InputTooLarge for the first digit run of token match m longer than
+    MAX_POWER_DIGITS: a coefficient, denominator, exponent or integer."""
+    for g in (2, 3, 4, 6, 8, 9):
+        run = m.group(g)
+        if run is not None and len(run) > MAX_POWER_DIGITS:
+            raise InputTooLarge(
+                f"number of {len(run)} digits, more than {MAX_POWER_DIGITS} (at position {m.start(g)})"
+            )
 
 
 class _Parser:
@@ -785,20 +832,30 @@ class _Parser:
 
     def expr(self) -> BiPoly:
         """The signed terms, summed into one term map over the lcm of their
-        denominators."""
+        denominators.  A term that is one monomial token, not followed by *
+        (the lexer never puts ^ after one), is summed from its parts without
+        a polynomial of its own."""
+        toks = self.toks
         terms = []
         op = self.next()[0] if self.peek()[0] in "+-" else "+"
         while True:
-            terms.append((op, self.term()))
+            kind, _, _, val = toks[self.k]
+            if kind == "mono" and toks[self.k + 1][0] != "*":
+                self.k += 1
+                n, d, i, j = val
+                terms.append((op, 1 if d is None else int(d), {(int(i), int(j)): 1 if n is None else int(n)}))
+            else:
+                t = self.term()
+                terms.append((op, t.den, t.nums))
             if self.peek()[0] not in "+-":
                 break
             op = self.next()[0]
-        den = math.lcm(*[t.den for _, t in terms])
+        den = math.lcm(*[d for _, d, _ in terms])
         acc: Dict[Term, int] = {}
         get = acc.get
-        for op, t in terms:
-            s = den // t.den if op == "+" else -(den // t.den)
-            for e, n in t.nums.items():
+        for op, d, nums in terms:
+            s = den // d if op == "+" else -(den // d)
+            for e, n in nums.items():
                 acc[e] = get(e, 0) + s * n
         return BiPoly(acc, den)
 

@@ -1,7 +1,8 @@
 """A tier-1 subset of the byte corpus: the check, witness, polygon, fibre,
-special-values and scan documents of the test-suite literals, recomputed in
-process with tools/byte_corpus.py and compared with their committed digests
-in tools/byte_corpus.jsonl.  Also the names perfbench/tracing.py wraps, which
+special-values and scan documents of the test-suite literals, and the check
+and witness documents of the certify texts of benchmark seed 11 (variant 0),
+recomputed in process with tools/byte_corpus.py and compared with their
+committed digests in tools/byte_corpus.jsonl.  Also the names perfbench/tracing.py wraps, which
 must stay in the package for a traced benchmark run to start."""
 
 import importlib
@@ -13,18 +14,37 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_literal_documents_match_committed_digests(monkeypatch):
+def load_corpus(monkeypatch):
+    """tools/byte_corpus.py as a module, and the committed lines as
+    (argv, digest) pairs."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src/ and perfbench/
     monkeypatch.chdir(ROOT)  # the CLI reads an input that names an existing file
     spec = importlib.util.spec_from_file_location("byte_corpus", os.path.join(ROOT, "tools/byte_corpus.py"))
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
-    texts = corpus.literal_texts()
     with open(os.path.join(ROOT, "tools/byte_corpus.jsonl"), encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh]
+    return corpus, lines
+
+
+def test_literal_documents_match_committed_digests(monkeypatch):
+    corpus, lines = load_corpus(monkeypatch)
+    texts = corpus.literal_texts()
     subset = [(argv, d) for argv, d in lines if argv[0] in ("check", "witness", "polygon", "fibre", "special-values", "scan") and argv[-1] in texts]
     assert len(subset) >= 1500, len(subset)
     assert [argv for argv, d in subset if corpus.digest(argv) != d] == []
+
+
+def test_certify_documents_match_committed_digests(monkeypatch):
+    # the check and witness documents of the benchmark's certify texts of
+    # seed 11, sign variant 0: the complements and Jacobians of its largest
+    # certificates, up to degree 27
+    corpus, lines = load_corpus(monkeypatch)
+    texts = sorted({item.texts[0] for item in corpus.WORKLOADS["certify"](11)})
+    committed = {tuple(argv): d for argv, d in lines if argv[0] in ("check", "witness")}
+    argvs = [(command, "--", text) for text in texts for command in ("check", "witness")]
+    assert len(argvs) >= 250 and all(a in committed for a in argvs), len(argvs)
+    assert [a for a in argvs if corpus.digest(list(a)) != committed[a]] == []
 
 
 def test_tracer_layers_resolve(monkeypatch):

@@ -110,6 +110,36 @@ class TestCheck:
         assert code == 0
         assert doc["vertices"] == [[0, 0], [99, 0]]
 
+    def test_digit_run_budget_is_input_too_large(self, capsys):
+        # a coefficient, denominator or exponent, in a monomial or a lone
+        # integer, of MAX_POWER_DIGITS digits parses; one digit more is
+        # refused at the lexer, naming the budget and the run's offset
+        from jaccoord.qpoly import MAX_POWER_DIGITS
+
+        def texts(k):
+            run = "7" * k
+            return [
+                (run + "*x + y", 0),
+                ("x + 2/" + run + "*y", 6),
+                ("y - x^" + run + "*y", 6),
+                ("x^2*y^" + run + " + x", 6),
+                ("x + y + " + run, 8),
+                ("(x + y)^2 - 1/" + run, 14),
+            ]
+
+        for text, _ in texts(MAX_POWER_DIGITS):
+            assert run(capsys, "polygon", "--", text)[0] == 0
+        code, doc, _ = run_json(capsys, "check", "--", "7" * MAX_POWER_DIGITS + "*x + y")
+        assert code == 0 and doc["outcome"] == "coordinate"
+        for text, at in texts(MAX_POWER_DIGITS + 1):
+            for command in ("check", "polygon"):
+                code, out, err = run(capsys, command, "--", text)
+                assert (code, out) == (1, "")
+                assert json.loads(err)["error"] == {
+                    "kind": "InputTooLarge",
+                    "detail": f"number of {MAX_POWER_DIGITS + 1} digits, more than {MAX_POWER_DIGITS} (at position {at})",
+                }
+
     def test_product_budget_is_input_too_large(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "polygon", "(x+y+1)^49*(x+y+1)^49")
@@ -202,6 +232,25 @@ class TestFibre:
         code, out, err = run(capsys, "fibre", "y + x^2", "--c", "zzz")
         assert code == 1
         assert json.loads(err)["error"]["kind"] == "UsageError"
+
+
+    def test_fibre_budget_is_input_too_large(self, capsys):
+        # the Newton polygon of P - c is counted before any work: x^433 + y
+        # has 435 lattice points, at the bound
+        from jaccoord.fibre import MAX_FIBRE_POINTS
+
+        assert MAX_FIBRE_POINTS == 435
+        code, doc, _ = run_json(capsys, "fibre", "--c", "1/3", "--", "x^433 + y")
+        assert code == 0 and doc["abs_factor_count"] == 1
+        for text, points in (("x^434 + y", 436), ("x^3000*y + y^2 + 1", 3003), ("x^100000 + y", 100002)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "fibre", "--c", "1/3", "--", text)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == {
+                "kind": "InputTooLarge",
+                "detail": f"fibre polygon with {points} lattice points, more than {MAX_FIBRE_POINTS}",
+            }
 
 
 class TestScan:
@@ -324,6 +373,35 @@ class TestSafetyGuards:
         assert json.loads(err)["error"] == {
             "kind": "InternalVerificationFailure", "detail": "jacobian of certified pair not constant"
         }
+
+    def test_corrupt_complement_fails_the_packed_jacobian(self, capsys, monkeypatch):
+        # the complement is corrupted to Q + x^2, so J(P, Q + x^2) = J(P, Q) - 2x P_y
+        # is not constant, and the real jacobian_det must see it
+        from jaccoord import InternalVerificationFailure, check, coordinate, qpoly
+
+        real = coordinate.apply_witness
+        calls = []
+
+        def corrupt(W):
+            X, Q = real(W)
+            return X, Q + parse_poly("x^2")
+
+        def spy(P, Q):
+            calls.append((P, Q))
+            return qpoly.jacobian_det(P, Q)
+
+        monkeypatch.setattr(coordinate, "apply_witness", corrupt)
+        monkeypatch.setattr(coordinate, "jacobian_det", spy)
+        for text in ("y + x^3", "x + 2/3*(y + x^2)^3"):
+            with pytest.raises(InternalVerificationFailure, match="jacobian of certified pair not constant"):
+                check(parse_poly(text))
+            code, out, err = run(capsys, "check", "--", text)
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == {
+                "kind": "InternalVerificationFailure", "detail": "jacobian of certified pair not constant"
+            }
+        assert len(calls) == 4
+        assert not qpoly.jacobian_det(*calls[0]).is_constant()
 
     def test_ruppert_solution_space_lost(self, capsys, monkeypatch):
         from jaccoord import InternalVerificationFailure, absolute_factor_count, fibre

@@ -361,6 +361,70 @@ class TestParse:
         assert s == "x^2 + x*y + x + y + 1"
 
 
+class _TermOnlyParser(qpoly._Parser):
+    """The parser with every term read through term(), as before a lone
+    monomial token was summed from its parts."""
+
+    def expr(self):
+        terms = []
+        op = self.next()[0] if self.peek()[0] in "+-" else "+"
+        while True:
+            terms.append((op, self.term()))
+            if self.peek()[0] not in "+-":
+                break
+            op = self.next()[0]
+        acc = BiPoly.zero()
+        for op, t in terms:
+            acc = acc + t if op == "+" else acc - t
+        return acc
+
+
+def term_only_parse(text):
+    return _TermOnlyParser(text).parse()
+
+
+class TestMonomialSum:
+    """expr sums a term that is one monomial token from its parts; the
+    result, error and position equal those of a parse through term()."""
+
+    MIXED = [
+        "-2/3*x^2 + (x + y)*y - 3*x^2*y^3",
+        "2*x^2*3",
+        "x^2^3",
+        "2*x^2^3",
+        "x^2*y + 4/6*x*y^2 - 0*y + 0/5*x - 3/9*x",
+        "y^2 - 2/3*x*y^4 + x*(y + 1) - 5/2*y + 7 - x",
+        "-x - y*x + 2/4*x^2*y^2",
+        "3*x^2*y - x^2*y^2*y + (x)^2",
+        "x*y + 2/0*x",
+        "x + 1/2*y + z",
+        "x^3 * y + x^3*y + x^3*y^1",
+    ]
+
+    @pytest.mark.parametrize("text", MIXED)
+    def test_mixed_inputs(self, text):
+        assert parse_outcome(parse_poly, text) == parse_outcome(term_only_parse, text)
+
+    def test_mixed_outcomes(self):
+        assert parse_poly("-2/3*x^2 + (x + y)*y - 3*x^2*y^3") == parse_poly("-3*x^2*y^3 - 2/3*x^2 + x*y + y^2")
+        assert parse_poly("2*x^2*3") == parse_poly("6*x^2")
+        assert parse_outcome(parse_poly, "x^2^3")[2:] == ("unexpected '^' (at position 3)", 3)
+
+    def test_perfbench_texts(self):
+        import os
+        import sys
+
+        sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+        try:
+            from workloads import WORKLOADS
+        finally:
+            sys.path.pop(0)
+        texts = {t for seed in (11, 12) for make in WORKLOADS.values() for it in make(seed) for t in it.texts}
+        assert len(texts) >= 1000, len(texts)
+        for text in sorted(texts):
+            assert parse_outcome(parse_poly, text) == parse_outcome(term_only_parse, text), text
+
+
 small_rats = st.fractions(min_value=-50, max_value=50, max_denominator=36)
 term_maps = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), small_rats, max_size=8)
 coeff_lists = st.lists(small_rats, max_size=8)
@@ -677,6 +741,79 @@ class TestJacobian:
         lhs = jacobian_det(substitute(P, sx, sy), substitute(Q, sx, sy))
         rhs = substitute(jacobian_det(P, Q), sx, sy) * jacobian_det(sx, sy)
         assert lhs == rhs
+
+
+def signed_big(rng, bits):
+    return rng.choice((-1, 1)) * rng.randint(2 ** (bits - 1), 2 ** bits)
+
+
+def random_terms(rng, n, degx, degy, coeff):
+    return BiPoly({(rng.randint(0, degx), rng.randint(0, degy)): coeff() for _ in range(n)})
+
+
+class TestPackedJacobian:
+    """jacobian_det packs the y-rows of the partial derivatives into one
+    integer each, in slots of B bits: seeded inputs against the term-pair
+    references, with coefficients large enough to fill the slots."""
+
+    def assert_jacobian(self, A, B):
+        J = jacobian_det(A, B)
+        assert J == ref_jacobian(A, B) == diff_jacobian(A, B), (A, B)
+        assert jacobian_det(B, A) == -J
+        assert_rat_coefficients(J)
+        return J
+
+    def test_large_mixed_sign_coefficients(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            bits = rng.randint(200, 400)
+            big = lambda: rat(signed_big(rng, bits), rng.choice((1, rng.randint(1, 2 ** 64))))  # noqa: E731
+            A = random_terms(rng, rng.randint(1, 14), rng.randint(0, 9), rng.randint(0, 9), big)
+            B = random_terms(rng, rng.randint(1, 14), rng.randint(0, 9), rng.randint(0, 9), big)
+            self.assert_jacobian(A, B)
+
+    def test_one_sign_and_magnitude(self):
+        # every term +M or every term -M, M = 2^k - 1, so that no two terms
+        # cancel and the largest coefficient of the result comes close to the
+        # bound 2 n1 n2 that sets the slot width
+        rng = random.Random(42)
+        closest = 0.0
+        for _ in range(30):
+            M = 2 ** rng.randint(200, 400) - 1
+            n = rng.randint(1, 12)
+            sa, sb = rng.choice((-1, 1)), rng.choice((-1, 1))
+            A = random_terms(rng, rng.randint(1, 10), n, n, lambda: sa * M)
+            B = random_terms(rng, rng.randint(1, 10), n, n, lambda: sb * M)
+            self.assert_jacobian(A, B)
+        for n in range(1, 13):
+            M = 2 ** (200 + 17 * n) - 1
+            for A, B in ((BiPoly({(n, 0): M}), BiPoly({(0, n): -M})),
+                         (BiPoly({(n, 0): M, (0, n): M}), BiPoly({(0, n): M, (n, 0): -M}))):
+                J = self.assert_jacobian(A, B)
+                bound = 2 * (sum(map(abs, A.nums.values())) * n) * (sum(map(abs, B.nums.values())) * n)
+                closest = max(closest, max(map(abs, J.nums.values())) / bound)
+        assert closest >= 0.25, closest
+
+    def test_zero_constant_and_univariate_operands(self):
+        rng = random.Random(43)
+        coeff = lambda: rat(signed_big(rng, 300), rng.randint(1, 9))  # noqa: E731
+        operands = [BiPoly.zero(), BiPoly.const(coeff()), BiPoly.const(rat(-2, 7))]
+        for _ in range(4):
+            operands.append(random_terms(rng, 6, 12, 0, coeff))  # in x alone
+            operands.append(random_terms(rng, 6, 0, 12, coeff))  # in y alone
+            operands.append(random_terms(rng, 6, 12, 12, coeff))
+        for A in operands:
+            for B in operands:
+                J = self.assert_jacobian(A, B)
+                if A.is_constant() or B.is_constant():
+                    assert J.is_zero()
+
+    def test_sparse_high_degree(self):
+        texts = ["x^40*y^3 + 1", "y^57 - 3/2*x", "x^61*y^2 + 5*x^3 - y^44", "-7/3*x^90 + y", "x^33*y^29 + 2", "x*y"]
+        for a in texts:
+            for b in texts:
+                self.assert_jacobian(parse_poly(a), parse_poly(b))
+        assert jacobian_det(parse_poly("x^40*y^3 + 1"), parse_poly("y")) == parse_poly("40*x^39*y^3")
 
 
 def test_one_rational_type():
