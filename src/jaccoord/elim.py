@@ -20,8 +20,10 @@ variable; any other input runs the exact gcds with its partial derivatives.
 A rational matrix is eliminated fraction-free, on a copy whose rows are
 scaled to primitive integer rows, for its rank and pivot positions; an
 integer matrix also has a rank modulo a prime, which is a lower bound on
-its rank over Q.  rat_det, a Bareiss determinant, has no caller here; it
-stays for the tests' reference oracles and the benchmark tracer.
+its rank over Q, from the one modular elimination loop, echelon_mod_p,
+which can also reduce later rows modulo the span of the first ones.
+rat_det, a Bareiss determinant, has no caller here; it stays for the
+tests' reference oracles and the benchmark tracer.
 
 Rational roots are found modulo a small prime, lifted p-adically and each
 confirmed exactly.  sympy only decides whether a system has a common zero on
@@ -342,13 +344,30 @@ def rank_mod_p(rows: List[List], p: int) -> int:
 
     A minor that is nonzero mod p is nonzero over Q, so this is at most the
     rank over Q, and equal to it unless p divides every nonzero maximal
-    minor.
+    minor.  It is the number of pivots of echelon_mod_p on all the rows.
+    fibre._ruppert_pencil ranks with it, per c, only the rows U that the
+    constant term reaches, once reduced modulo the c-free rows T: rank [T; U]
+    = rank T + the rank of that block, and the reduction is linear in the
+    row.
     """
     mat = [[int(x) % p for x in row] for row in rows]
-    n = len(mat)
-    rank = 0
+    return len(echelon_mod_p(mat, p, len(mat)))
+
+
+def echelon_mod_p(mat: List[List[int]], p: int, pivot_rows: int) -> List[int]:
+    """Gaussian elimination modulo the prime p, in place, of a matrix of
+    residues, with pivots taken from its first pivot_rows rows only; returns
+    their pivot columns, ascending, whose number is the rank of those rows.
+
+    Each pivot column is cleared in every row below the pivot, later rows
+    included, by subtracting a multiple of the pivot row: so those rows end
+    reduced modulo the row space of the first pivot_rows, zero at every
+    pivot column, and the reduction is linear in the row, reduce(a + k b) =
+    reduce(a) + k reduce(b) for a scalar k.
+    """
+    n, rank, pivots = len(mat), 0, []
     for col in range(len(mat[0]) if mat else 0):
-        sel = next((i for i in range(rank, n) if mat[i][col]), None)
+        sel = next((i for i in range(rank, pivot_rows) if mat[i][col]), None)
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
@@ -359,10 +378,12 @@ def rank_mod_p(rows: List[List], p: int) -> int:
             ri = mat[i]
             c = ri[col]
             if c:
+                ri[col] = 0
                 for k, x in ptail:
                     ri[k] = (ri[k] - c * x) % p
         rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 def rat_det(rows: List[List]):

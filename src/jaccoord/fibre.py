@@ -11,15 +11,20 @@ f_i, and by Ostrowski's theorem, N(f) = N(f/f_i) + N(f_i), their supports
 lie in N - (1, 0) and N - (0, 1), N the Newton polygon of f with the
 origin.  So the system is built on those lattice points alone, the
 polytope form of Gao's system (Gao, 2003; Abu Salem, Gao & Lauder, 2004),
-with the same solution space, a segment N included.  The test suite
-validates it against the degree box and a constructive oracle.  Each column
+with the same solution space, a segment N included; its unknowns are read
+off the lattice y-range of N at each x.  The test suite validates it
+against the degree box and a constructive oracle.  Each column
 is g_y f - g f_y or h f_x - h_x f for one monomial g or h, and the matrix
 is in graded order, rows by descending total degree and columns by their
 first row, so that it is nearly triangular before elimination.  The
 system is built with integer coefficients and its rank is taken modulo
 MODULAR_PRIME first: rank_p <= rank_Q gives count_p >= count_Q >= 1, so
 count_p == 1 certifies absolute irreducibility, and only count_p > 1 runs
-the exact elimination over Q.
+the exact elimination over Q.  Along the pencil P - c only the rows U that
+the constant term reaches depend on c, so _ruppert_pencil reduces them
+modulo the echelon form of the others, T, once per P, and ranks only that
+|U|-row block per c: rank [T; U] = rank T + the rank of U reduced modulo
+T's row space, and the reduction is linear in the row.
 
 Every invariant is taken on the squarefree part of P - c.  Two gcds are
 proved modulo the same prime where they can be: elim.bipoly_squarefree_part
@@ -70,6 +75,7 @@ from .elim import (
     _int_primitive_rows,
     _int_y_rows,
     bipoly_squarefree_part,
+    echelon_mod_p,
     has_common_torus_zero,
     pdeg,
     pseudo_rem,
@@ -111,48 +117,73 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], int]):
     """Integer coefficient matrix of the differential system of the integer
     term map f_terms, and its column count; absent entries are 0.
 
-    The unknowns lie in the Newton polygon N of the keys of f_terms plus
-    the origin.  Column g = x^u y^v, for (u+1, v) in N, is g_y f - g f_y,
-    with entry c (v - j) at row x^(i+u) y^(j+v-1) for each term c x^i y^j,
-    and column h = x^u y^v, for (u, v+1) in N, is h f_x - h_x f, entry
-    c (i - u) at row x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.
-    Rows are in descending total degree, then x-degree, and columns in the
-    order of their first row, as in a Macaulay matrix, which elimination
-    barely fills in.  The polygon and both orders follow from the keys of
-    f_terms alone (zero values count), so maps on one support share one row
-    set and column order."""
-    N = support_polygon(f_terms)
-    m, n = max(i for i, _ in f_terms), max(j for _, j in f_terms)
+    The unknowns are the lattice points of the Newton polygon N of the keys
+    of f_terms plus the origin, read off its y-range at each x.  Column
+    g = x^u y^v, for (u+1, v) in N, is g_y f - g f_y, with entry c (v - j)
+    at row x^(i+u) y^(j+v-1) for each term c x^i y^j, and column
+    h = x^u y^v, for (u, v+1) in N, is h f_x - h_x f, entry c (i - u) at
+    row x^(i+u-1) y^(j+v), skipping v = j = 0 and u = i = 0.  Rows are in
+    descending total degree, then x-degree, and columns in the order of
+    their first row, as in a Macaulay matrix, which elimination barely
+    fills in; each column is scattered into its rows.  The polygon and both
+    orders follow from the keys of f_terms alone (zero values count), so
+    maps on one support share one row set and column order."""
+    ranges = support_polygon(f_terms).y_ranges()
     columns = [
         {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
-        for u in range(m) for v in range(n + 1) if N.contains((u + 1, v))
+        for u, (_, lo, hi) in enumerate(ranges[1:]) for v in range(lo, hi + 1)
     ] + [
         {(i + u - 1, j + v): c * (i - u) for (i, j), c in f_terms.items() if u or i}
-        for u in range(m + 1) for v in range(n) if N.contains((u, v + 1))
+        for u, lo, hi in ranges for v in range(max(lo, 1) - 1, hi)
     ]
     monomials = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
     index = {e: k for k, e in enumerate(monomials)}
     columns.sort(key=lambda col: min(map(index.__getitem__, col), default=len(index)))
-    return [[col.get(e, 0) for col in columns] for e in monomials], len(columns)
+    rows = [[0] * len(columns) for _ in monomials]
+    for k, col in enumerate(columns):
+        for e, c in col.items():
+            rows[index[e]][k] = c
+    return rows, len(columns)
 
 
 def _ruppert_pencil(P: BiPoly):
     """c -> the factor count of P - c modulo MODULAR_PRIME, None where the
     prime divides the denominator of c.  The rows are linear in f: those of
-    den*(P - c) are the rows of P without its constant term plus
-    den*(P(0, 0) - c) times the rows of 1.  All are built on the support of
-    P plus the origin, so they share one polygon, row set and column order."""
+    den*(P - c) are base + k*unit, base the rows of P without its constant
+    term, unit the rows of 1 and k = den*(P(0, 0) - c), all built on the
+    support of P plus the origin, so they share one polygon, row set and
+    column order.
+
+    Only the rows that the constant term reaches depend on c.  So, once per
+    P and modulo the prime, the rows split into T, those whose unit half is
+    zero, and U, the rest; T is brought to echelon form, and the base and
+    unit halves of each U row are reduced modulo its row space, which is
+    exact for every k at once, as the reduction is linear in the row.  T's
+    pivot columns, where every reduced row is zero, are dropped.  Since
+    rank [T; U] = rank T + the rank of U reduced modulo T's row space, a
+    sample ranks only the |U| x (ncols - rank T) block base + k*unit of the
+    reduced halves, and its count is ncols - rank T - that rank."""
     den, nums = P.den, dict(P.nums)
     k0, p = nums.pop((0, 0), 0), MODULAR_PRIME
     base, ncols = ruppert_rows({**nums, (0, 0): 0})
     unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1})[0]
-    pairs = [([b % p for b in rb], [e % p for e in re]) for rb, re in zip(base, unit)]
+    t_rows, u_base, u_unit = [], [], []
+    for rb, re in zip(base, unit):
+        rb, re = [b % p for b in rb], [e % p for e in re]
+        if any(re):
+            u_base.append(rb)
+            u_unit.append(re)
+        else:
+            t_rows.append(rb)
+    pivots = set(echelon_mod_p(t_rows + u_base + u_unit, p, len(t_rows)))
+    keep = [k for k in range(ncols) if k not in pivots]
+    pairs = [([rb[k] for k in keep], [re[k] for k in keep]) for rb, re in zip(u_base, u_unit)]
 
     def count(c) -> Optional[int]:
         if c.denominator % p == 0:
             return None
         k = (k0 * c.denominator - den * c.numerator) * pow(c.denominator, -1, p) % p
-        return ncols - rank_mod_p([[b + k * e for b, e in zip(rb, re)] for rb, re in pairs], p)
+        return len(keep) - rank_mod_p([[b + k * e for b, e in zip(rb, re)] for rb, re in pairs], p)
 
     return count
 

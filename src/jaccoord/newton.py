@@ -38,14 +38,29 @@ class LatticePolygon:
             return [(v[0], v[1])]
         return []
 
-    def contains(self, point: Point) -> bool:
-        """Whether the lattice point lies in the closed polygon.  A segment
-        runs from (0,0) to its lexicographically larger end, and the points
-        of its line between the two ends in that order are its points."""
-        if self.dim < 2:
-            lo, hi = self.vertices[0], self.vertices[-1]
-            return _cross(lo, hi, point) == 0 and lo <= point <= hi
-        return all(_cross(a, b, point) >= 0 for a, b in self.edges())
+    def y_ranges(self) -> List[Tuple[int, int, int]]:
+        """(x, lo, hi) for each x from 0 to the largest x of a vertex: the
+        lattice points of the closed polygon at x are (x, lo), ..., (x, hi),
+        none where lo > hi.  A point is in the polygon iff it is on the inner
+        side of every edge a -> b, cross(a, b, p) >= 0; at a fixed x that
+        bounds y from below on an edge running right, from above on one
+        running left, and not at all on a vertical one.  A segment runs both
+        ways, which leaves its line, and y stays between the lowest and
+        highest vertex, which bounds a vertical segment and a point."""
+        v = self.vertices
+        edges = self.edges() if self.dim == 2 else [(v[0], v[-1]), (v[-1], v[0])]
+        ys = [b for _, b in v]
+        out = []
+        for x in range(max(a for a, _ in v) + 1):
+            lo, hi = min(ys), max(ys)
+            for (a0, a1), (b0, b1) in edges:
+                dx, t = b0 - a0, (b1 - a1) * (x - a0)
+                if dx > 0:
+                    lo = max(lo, a1 - (-t // dx))
+                elif dx < 0:
+                    hi = min(hi, a1 + t // dx)
+            out.append((x, lo, hi))
+        return out
 
 
 def newton_polygon(P: BiPoly) -> LatticePolygon:

@@ -860,6 +860,9 @@ class _Parser:
         return BiPoly(acc, den)
 
     def term(self) -> BiPoly:
+        """Factors multiplied, each product bounded before it is formed: its
+        box as a power's, and its digits by log10(max(den_a den_b,
+        |a|_1 |b|_1)), which bounds every numerator and the denominator."""
         acc = self.factor()
         while self.peek()[0] == "*":
             pos = self.next()[2]
@@ -867,6 +870,13 @@ class _Parser:
             a, b = acc.num_terms(), f.num_terms()
             if min(a, b) > 1 and a * b > MAX_POWER_POINTS:
                 _check_points("product", acc.degx + f.degx, acc.degy + f.degy, pos)
+            norm = sum(map(abs, acc.nums.values())) * sum(map(abs, f.nums.values()))
+            digits = math.log10(max(acc.den * f.den, norm))
+            if digits > MAX_POWER_DIGITS:
+                raise InputTooLarge(
+                    f"product with coefficients of up to {math.ceil(digits)} digits,"
+                    f" more than {MAX_POWER_DIGITS} (at position {pos})"
+                )
             acc = acc * f
         return acc
 

@@ -1,7 +1,8 @@
 """A tier-1 subset of the byte corpus: the check, witness, polygon, fibre,
-special-values and scan documents of the test-suite literals, and the check
+special-values and scan documents of the test-suite literals, the check
 and witness documents of the certify texts of benchmark seed 11 (variant 0),
-recomputed in process with tools/byte_corpus.py and compared with their
+and the scan and fibre documents of its audit and fibre texts, recomputed
+in process with tools/byte_corpus.py and compared with their
 committed digests in tools/byte_corpus.jsonl.  Also the names perfbench/tracing.py wraps, which
 must stay in the package for a traced benchmark run to start."""
 
@@ -45,6 +46,24 @@ def test_certify_documents_match_committed_digests(monkeypatch):
     argvs = [(command, "--", text) for text in texts for command in ("check", "witness")]
     assert len(argvs) >= 250 and all(a in committed for a in argvs), len(argvs)
     assert [a for a in argvs if corpus.digest(list(a)) != committed[a]] == []
+
+
+def test_pencil_documents_match_committed_digests(monkeypatch):
+    # the scan documents of the benchmark's audit texts of seed 11, sign
+    # variant 0, which the Ruppert pencil answers, and the fibre documents of
+    # its fibre texts wherever the corpus has them (total degree up to 12),
+    # which the Ruppert builder answers
+    corpus, lines = load_corpus(monkeypatch)
+    committed = {tuple(argv): d for argv, d in lines if argv[0] in ("scan", "fibre")}
+    scans = [("scan", "--", item.texts[0]) for item in corpus.WORKLOADS["audit"](11)]
+    fibres = [
+        ("fibre", "--c", c, "--", item.texts[0])
+        for item in corpus.WORKLOADS["fibre"](11) for c in corpus.FIBRE_VALUES
+    ]
+    fibres = [a for a in fibres if a in committed]
+    assert len(scans) == 10 and all(a in committed for a in scans)
+    assert len(fibres) >= 40, len(fibres)
+    assert [a for a in scans + fibres if corpus.digest(list(a)) != committed[a]] == []
 
 
 def test_tracer_layers_resolve(monkeypatch):

@@ -110,6 +110,33 @@ class TestCheck:
         assert code == 0
         assert doc["vertices"] == [[0, 0], [99, 0]]
 
+    def test_product_digit_budget_is_input_too_large(self, capsys):
+        # a product of digit runs within their budget is refused at its *
+        # once log10(max(den_a den_b, |a|_1 |b|_1)) passes MAX_POWER_DIGITS,
+        # before Python is asked to print its coefficients; half the budget
+        # on each side is multiplied and certified
+        from jaccoord.qpoly import MAX_POWER_DIGITS
+
+        nines, half = "9" * 4000, "9" * (MAX_POWER_DIGITS // 2)
+        refused = [  # (text, the offset of the refused *, digits)
+            (nines + "*" + nines + "*x + y", 4000, 8000),
+            ("x + (" + nines + "*x + 1)*(" + nines + "*y + 1)", 4012, 8000),
+            ("x + 1/" + nines + "*y*(1/" + nines + ")", 4008, 8000),
+            ("y - x*" + half + "*x*9" + half, 2158, MAX_POWER_DIGITS + 1),
+        ]
+        for text, at, digits in refused:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check", "--", text)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == {
+                "kind": "InputTooLarge",
+                "detail": f"product with coefficients of up to {digits} digits,"
+                f" more than {MAX_POWER_DIGITS} (at position {at})",
+            }
+        code, doc, _ = run_json(capsys, "check", "--", half + "*" + half + "*x + y")
+        assert code == 0 and doc["outcome"] == "coordinate"
+
     def test_digit_run_budget_is_input_too_large(self, capsys):
         # a coefficient, denominator or exponent, in a monomial or a lone
         # integer, of MAX_POWER_DIGITS digits parses; one digit more is

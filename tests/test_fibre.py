@@ -1,7 +1,10 @@
 """Fibre invariants: factor counts, nondegeneracy, genus, branches."""
 
+import importlib.util
 import operator
+import os
 import random
+import sys
 from collections import Counter
 from math import gcd
 
@@ -20,12 +23,15 @@ from jaccoord import (
     special_value_candidates,
     substitute,
 )
-from jaccoord import fibre, gen_random_coordinate
+from jaccoord import audit, fibre, gen_random_coordinate, theorem3_scan
 from jaccoord.coordinate import _rand_linear
 from jaccoord.elim import bipoly_squarefree_part
 from jaccoord.fibre import ConstantInputError, NotSquarefreeError, Unknown
 from jaccoord.newton import edge_faces, lattice_counts, support_polygon
 from jaccoord.qpoly import InputTooLarge
+from test_newton import ref_contains
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # an affine image of x^5 + y^5 + 1, whose one critical point has mu = 16
 FERMAT5_IMAGE = substitute(
@@ -87,6 +93,32 @@ def _int_system(P):
     """The integer term map of P and its largest exponents of x and y, the
     arguments of ref_ruppert_rows."""
     return P.nums, P.degx, P.degy
+
+
+def scan_ruppert_rows(f_terms):
+    """ruppert_rows as it was built before the y-ranges: every point of the
+    degree box tested for membership in the polygon, and each row read from
+    the columns with dict.get."""
+    N = support_polygon(f_terms)
+    m, n = max(i for i, _ in f_terms), max(j for _, j in f_terms)
+    columns = [
+        {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
+        for u in range(m) for v in range(n + 1) if ref_contains(N, (u + 1, v))
+    ] + [
+        {(i + u - 1, j + v): c * (i - u) for (i, j), c in f_terms.items() if u or i}
+        for u in range(m + 1) for v in range(n) if ref_contains(N, (u, v + 1))
+    ]
+    monomials = sorted({e for col in columns for e in col}, key=lambda e: (-e[0] - e[1], -e[0]))
+    index = {e: k for k, e in enumerate(monomials)}
+    columns.sort(key=lambda col: min(map(index.__getitem__, col), default=len(index)))
+    return [[col.get(e, 0) for col in columns] for e in monomials], len(columns)
+
+
+def _pencil_halves(P):
+    """The term maps of the pencil's base and unit rows: P without its
+    constant term, and 1, both on the support of P plus the origin."""
+    nums = {e: n for e, n in P.nums.items() if e != (0, 0)}
+    return {**nums, (0, 0): 0}, {**dict.fromkeys(nums, 0), (0, 0): 1}
 
 
 def _count_p(rows, ncols, p=None):
@@ -190,7 +222,7 @@ class TestRuppertOrder:
         columns = _ref_ruppert_columns(f_terms, m, n)
         N = support_polygon(f_terms)
         kept = [col for (kind, u, v), col in zip(_ref_unknowns(m, n), columns)
-                if N.contains((u + 1, v) if kind == "g" else (u, v + 1))]
+                if ref_contains(N, (u + 1, v) if kind == "g" else (u, v + 1))]
         graded = sorted({e for col in columns for e in col}, key=_graded)
         at = sorted({e for col in kept for e in col}, key=_graded)
         assert len(ref) == len(graded) and len(rows) == len(at)
@@ -249,6 +281,18 @@ class TestRuppertOrder:
             graded, reference = graded + updates, reference + ref_updates
         assert reference > 10_000
         assert 2 * graded <= reference, (graded, reference)
+
+    def test_rows_of_the_membership_scan(self):
+        # the y-range builder gives the rows and the column order of the
+        # membership scan it replaced, on this corpus, the polygon corpus,
+        # and the base and unit halves of their pencils
+        maps = [f_terms for f_terms, _, _ in self._corpus()]
+        polys = _small_generator_coordinates() + TestRuppertPolygon._polys() + [FERMAT4_IMAGE, FERMAT5_IMAGE]
+        maps += [_int_system(P)[0] for P in polys]
+        maps += [half for P in polys for half in _pencil_halves(P)]
+        assert len(maps) >= 150
+        for f_terms in maps:
+            assert fibre.ruppert_rows(f_terms) == scan_ruppert_rows(f_terms), f_terms
 
 
 class TestRuppertPolygon:
@@ -414,6 +458,96 @@ class TestAbsoluteFactorCount:
             L = _rand_linear(rng, 3)
             lx, ly = L.components()
             assert absolute_factor_count(substitute(f, lx, ly)) == n
+
+
+def _perfbench_workloads(monkeypatch):
+    """perfbench/workloads.py as a module, imported without writing
+    bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("workloads", os.path.join(ROOT, "perfbench/workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _constant_term_rows(P):
+    """The number of rows of the Ruppert system of P - c that its constant
+    term reaches, the nonzero rows of the pencil's unit half, and the
+    number of rows of that system."""
+    unit = fibre.ruppert_rows(_pencil_halves(P)[1])[0]
+    return sum(any(row) for row in unit), len(unit)
+
+
+class TestSchurPencil:
+    """The pencil ranks, per sample, only the rows that the constant term
+    reaches, reduced modulo the c-free rows once per P; its count is that of
+    the full Ruppert rows of P - c."""
+
+    @staticmethod
+    def _polys():
+        """Seeded random P of degree 1-6, coefficients a/b with |a| <= 4 and
+        b <= 3, each monomial kept with probability 1/2; two-step generator
+        coordinates; a reducible pencil and a reducible fibre."""
+        rng, polys = random.Random(28), []
+        while len(polys) < 300:
+            d = rng.randint(1, 6)
+            P = BiPoly({(i, j): rat(rng.randint(-4, 4), rng.randint(1, 3))
+                        for i in range(d + 1) for j in range(d + 1 - i) if rng.random() < 0.5})
+            if not P.is_constant():
+                polys.append(P)
+        polys += [gen_random_coordinate(s, 2, 3, 3)[0] for s in range(40)]
+        return polys + [parse_poly("x*y"), parse_poly("(y - x^2)*(y + x^3 + 1)")]
+
+    def test_count_is_that_of_the_full_rows(self):
+        rng, samples, above = random.Random(29), 0, 0
+        for P in self._polys():
+            pencil = fibre._ruppert_pencil(P)
+            cs = {P.constant_term(), rat(0), rat(1), rat(-1, 2), rat(rng.randint(-9, 9), rng.randint(1, 4))}
+            for c in sorted(cs):
+                rows, ncols = fibre.ruppert_rows((P - BiPoly.const(c)).nums)
+                count = pencil(c)
+                assert count == ncols - fibre.rank_mod_p(rows, fibre.MODULAR_PRIME), (P, c)
+                samples, above = samples + 1, above + (count > 1)
+        assert samples >= 1400 and above >= 100, (samples, above)
+
+    def test_blocks_are_the_rows_the_constant_term_reaches(self, monkeypatch):
+        # the matrices the pencil ranks on the benchmark's audit families,
+        # seed 11: never more rows than the constant term reaches, and on the
+        # generator coordinates under a third of the rows of the full system
+        items = _perfbench_workloads(monkeypatch).audit_items(11)
+        blocks, sampling, rank_p, pencil_of = [], [], fibre.rank_mod_p, audit._ruppert_pencil
+
+        def rank(rows, p):
+            if sampling:
+                blocks.append((sampling[-1], len(rows)))
+            return rank_p(rows, p)
+
+        def pencil(P):
+            count = pencil_of(P)
+
+            def sampled(c):
+                sampling.append(P)
+                try:
+                    return count(c)
+                finally:
+                    sampling.pop()
+
+            return sampled
+
+        monkeypatch.setattr(fibre, "rank_mod_p", rank)
+        monkeypatch.setattr(audit, "_ruppert_pencil", pencil)
+        generators = 0
+        for item in items:
+            P, blocks[:] = parse_poly(item.texts[0]), []
+            theorem3_scan(P, *item.args)
+            reached, full = _constant_term_rows(P)
+            assert len(blocks) >= 8 and all(Q is P for Q, _ in blocks), item.label
+            assert all(n <= reached for _, n in blocks), (item.label, blocks, reached)
+            if item.label.startswith("gen"):
+                generators += 1
+                assert all(3 * n < full for _, n in blocks), (item.label, blocks, full)
+        assert (len(items), generators) == (10, 5)
 
 
 class TestFibrePencil:

@@ -18,6 +18,7 @@ from jaccoord.newton import (
     PolygonNotTriangle,
     TriangleFace,
     edge_faces,
+    support_polygon,
 )
 
 
@@ -41,6 +42,21 @@ def rand_polygon(rng, max_coord=8, npts=6):
     for _ in range(npts):
         t[(rng.randint(0, max_coord), rng.randint(0, max_coord))] = rat(1)
     return newton_polygon(BiPoly(t))
+
+
+def ref_contains(N, point):
+    """Whether the lattice point lies in the closed polygon N: on the inner
+    side of every edge.  A segment runs from (0,0) to its lexicographically
+    larger end, and the points of its line between the two ends in that
+    order are its points.  The membership rule the y-ranges are checked
+    against."""
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    if N.dim < 2:
+        lo, hi = N.vertices[0], N.vertices[-1]
+        return cross(lo, hi, point) == 0 and lo <= point <= hi
+    return all(cross(a, b, point) >= 0 for a, b in N.edges())
 
 
 class TestPolygon:
@@ -84,16 +100,16 @@ class TestPolygon:
         assert N.vertices == ((0, 0), (4, 0), (0, 2))
         inside = [(0, 0), (4, 0), (0, 2), (2, 0), (0, 1), (2, 1), (1, 1)]
         outside = [(3, 1), (1, 2), (5, 0), (0, 3), (-1, 0), (1, -1)]
-        assert all(N.contains(p) for p in inside)
-        assert not any(N.contains(p) for p in outside)
+        assert all(ref_contains(N, p) for p in inside)
+        assert not any(ref_contains(N, p) for p in outside)
 
     def test_contains_segment_and_point(self):
         N = newton_polygon(parse_poly("x^2*y^2 - 1"))
         assert N.dim == 1
-        assert all(N.contains(p) for p in [(0, 0), (1, 1), (2, 2)])
-        assert not any(N.contains(p) for p in [(3, 3), (-1, -1), (1, 0), (1, 2), (0, 2)])
+        assert all(ref_contains(N, p) for p in [(0, 0), (1, 1), (2, 2)])
+        assert not any(ref_contains(N, p) for p in [(3, 3), (-1, -1), (1, 0), (1, 2), (0, 2)])
         N = newton_polygon(parse_poly("7"))
-        assert N.contains((0, 0)) and not N.contains((1, 0))
+        assert ref_contains(N, (0, 0)) and not ref_contains(N, (1, 0))
 
     def test_contains_counts_the_lattice_points(self):
         rng = random.Random(12)
@@ -101,7 +117,49 @@ class TestPolygon:
             N = rand_polygon(rng)
             interior, boundary, _ = lattice_counts(N)
             box = [(i, j) for i in range(-1, 10) for j in range(-1, 10)]
-            assert sum(map(N.contains, box)) == interior + boundary
+            assert sum(ref_contains(N, p) for p in box) == interior + boundary
+
+
+class TestYRanges:
+    """The lattice points read off y_ranges are those of the cross-product
+    rule, on general, collinear, one-point and vertical-edge supports."""
+
+    @staticmethod
+    def _supports():
+        rng, out = random.Random(28), [[], [(0, 0)]]
+        for k in range(3200):
+            shape = k % 4
+            if shape == 0:  # general: 1-7 points
+                pts = [(rng.randint(0, 7), rng.randint(0, 7)) for _ in range(rng.randint(1, 7))]
+            elif shape == 1:  # collinear through the origin, axis lines included
+                a, b = rng.choice([(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (3, 2), (1, 3)])
+                pts = [(a * t, b * t) for t in rng.sample(range(0, 6), rng.randint(1, 3))]
+            elif shape == 2:  # a vertical edge at the largest x
+                x0 = rng.randint(1, 7)
+                ys = rng.sample(range(0, 8), 2)
+                pts = [(x0, y) for y in ys] + [(rng.randint(0, x0 - 1), rng.randint(0, 7)) for _ in range(3)]
+            else:  # a vertical edge at x = 0, off the origin
+                pts = [(0, rng.randint(1, 7))] + [(rng.randint(1, 7), rng.randint(0, 7)) for _ in range(2)]
+            out.append(pts)
+        return out
+
+    def test_against_the_cross_product_rule(self):
+        kinds = dict.fromkeys([(0, True), (1, False), (1, True), (2, True)], 0)  # (dim, vertical)
+        supports = self._supports()
+        for pts in supports:
+            N = support_polygon(pts)
+            ranges = N.y_ranges()
+            top = max(x for x, _ in N.vertices)
+            assert [x for x, _, _ in ranges] == list(range(top + 1))
+            got = {(x, y) for x, lo, hi in ranges for y in range(lo, hi + 1)}
+            high = max(y for _, y in N.vertices)
+            box = [(x, y) for x in range(-1, top + 2) for y in range(-1, high + 2)]
+            assert got == {p for p in box if ref_contains(N, p)}, pts
+            vertical = top == 0 or any(a[0] == b[0] for a, b in N.edges())
+            if (N.dim, vertical) in kinds:
+                kinds[N.dim, vertical] += 1
+        assert len(supports) >= 3000
+        assert min(kinds.values()) >= 50, kinds
 
 
 class TestLatticeCounts:
