@@ -89,6 +89,9 @@ def _mode_with_source(pairs: List[Tuple[object, object]]):
     return value, source
 
 
+_SAMPLE_POOL = frozenset(rat(a, b) for a in range(-9, 10) for b in range(1, 5))
+
+
 def theorem3_scan(P: BiPoly, n_random: int = 8, seed: int = 0) -> ScanReport:
     """Sample fibres of P and audit them against the coordinate verdict."""
     if P.is_constant():
@@ -98,7 +101,7 @@ def theorem3_scan(P: BiPoly, n_random: int = 8, seed: int = 0) -> ScanReport:
     rng = random.Random(seed)
     sv = special_value_candidates(P)
     cs = set(sv.rational_candidates)
-    fresh = {rat(a, b) for a in range(-9, 10) for b in range(1, 5)} - cs
+    fresh = _SAMPLE_POOL - cs
     if n_random > len(fresh):
         raise ValueError(
             f"n_random must be <= {len(fresh)}: the values a/b, |a| <= 9,"

@@ -67,7 +67,7 @@ from .qpoly import (
     substitute,
 )
 from .coordinate import InternalVerificationFailure
-from .newton import edge_faces, lattice_counts, newton_polygon, support_polygon
+from .newton import LatticePolygon, edge_faces, lattice_counts, newton_polygon, support_polygon
 from .elim import (
     UNIPOLY_RING,
     ZX_RING,
@@ -284,12 +284,12 @@ def branches_at_infinity(f: BiPoly) -> MaybeInt:
         return Unknown("ZeroConstantTerm")
     if not nondegenerate(f):
         return Unknown("Degenerate")
-    return _branches_tail(f)
+    return _branches_tail(newton_polygon(f))
 
 
-def _branches_tail(f: BiPoly) -> int:
-    """Lattice lengths of the edges facing infinity, once f is known
-    nondegenerate with a nonzero constant term.
+def _branches_tail(N: LatticePolygon) -> int:
+    """Lattice lengths of the edges facing infinity of the Newton polygon N
+    of f, once f is known nondegenerate with a nonzero constant term.
 
     The edges run a -> b around the vertex cycle of the Newton polygon, and
     one faces infinity when its outward normal (b1 - a1, a0 - b0) has a
@@ -298,7 +298,7 @@ def _branches_tail(f: BiPoly) -> int:
     face polynomial squarefree of degree the lattice length, one place per
     root.
     """
-    v = newton_polygon(f).vertices
+    v = N.vertices
     edges = zip(v, v[1:] + v[:1])
     return sum(gcd(b[0] - a[0], b[1] - a[1]) for a, b in edges if b[1] > a[1] or a[0] > b[0])
 
@@ -375,7 +375,7 @@ def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) ->
     if shifted:
         b_val = Unknown("ZeroConstantTerm")
     else:
-        b_val = _branches_tail(sq) if nd else Unknown("Degenerate")
+        b_val = _branches_tail(N) if nd else Unknown("Degenerate")
     return FibreReport(c, count, reduced, nd, g_val, b_val)
 
 
@@ -394,7 +394,7 @@ def _fibre_pencil(P: BiPoly, count_p):
         else:
             far = far and _face_ok(e, n)
     genus = lattice_counts(N)[0] if N.dim == 2 else Unknown("SegmentPolygon")
-    branches, degenerate = _branches_tail(P), Unknown("Degenerate")
+    branches, degenerate = _branches_tail(N), Unknown("Degenerate")
 
     def report(c) -> FibreReport:
         count = count_p(c)

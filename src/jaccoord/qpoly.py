@@ -13,6 +13,10 @@ content), division by Gauss's lemma in Z[x, y] and Z[x].  Rationals are
 built only at the API edge: ``coeff``, ``items``, ``coeffs``, ``lc``,
 ``[k]``, ``eval`` and ``to_str``.
 
+:func:`parse_poly` reads a signed sum of canonical terms, as ``to_str``
+writes them, in one regex pass, and any other text by recursive descent over
+one token per number, variable or operator.
+
 :func:`substitute` tabulates the powers of one image; when the other is a
 monomial, as x or y in every triangular step, each term of P is one shifted
 multiple of a table entry, and only two images of several terms take
@@ -35,12 +39,11 @@ from fractions import Fraction as Rat
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 # the one rational type of the package: rat builds it from integers or
-# parses 'p/q', and rat_str writes 'p' when the denominator is 1, else 'p/q'
+# parses 'p/q'
 RAT_ZERO = Rat(0)
 RAT_ONE = Rat(1)
 BACKEND = "fractions"
 rat = Rat
-rat_str = str
 
 Term = Tuple[int, int]
 
@@ -53,6 +56,13 @@ class InputTooLarge(ValueError):
     """The input exceeds a resource budget, such as MAX_NESTING,
     MAX_POWER_POINTS or MAX_POWER_DIGITS while parsing or the degree guard
     of the reduction; no verdict."""
+
+
+def rat_str(c) -> str:
+    """'p', or 'p/q' when q > 1; InputTooLarge past MAX_POWER_DIGITS digits, which Python would not print."""
+    if not -_DIGIT_LIMIT < c.numerator < _DIGIT_LIMIT or c.denominator >= _DIGIT_LIMIT:
+        raise InputTooLarge(f"number of more than {MAX_POWER_DIGITS} digits to print")
+    return str(c)
 
 
 class PolyParseError(SyntaxError):
@@ -706,64 +716,6 @@ def jacobian_det(P: BiPoly, Q: BiPoly) -> BiPoly:
 # ---------------------------------------------------------------------------
 # parsing
 
-# The grammar reads numbers, x, y and the operators; for speed, a canonical
-# monomial [n[/d]*](x[^i][*y[^j]] | y[^j]), as BiPoly.to_str writes it, is
-# lexed whole, without inner spaces and with ASCII digits.  It is never
-# followed by a digit or by ^, so x^2^3 and x^23^4 still fail at their
-# second ^; any other form, such as 2 * x ^ 3, is lexed token by token.  A
-# term that is one such token, not followed by *, is summed by the parser
-# from its parts, with no polynomial of its own.  No digit run may be longer
-# than MAX_POWER_DIGITS.
-_TOKEN_RE = re.compile(
-    r"\s*(?:((?:([0-9]+)(?:/([0-9]+))?\*)?"
-    r"(?:x(?:\^([0-9]+))?(?:\*(y)(?:\^([0-9]+))?)?|(y)(?:\^([0-9]+))?))(?!\d|\s*\^)"
-    r"|(\d+|[xy()+\-*/^]))"
-)
-
-
-def _tokenize(text: str) -> List[Tuple[str, str, int, object]]:
-    """Tokens (kind, text, pos, value) in one finditer pass.
-
-    A canonical monomial is one token of kind "mono", with the text and
-    offset of its first number or variable, so that an error names what a
-    lexer of single numbers and variables would name, and value (n, d, i, j):
-    the digit strings of its coefficient (None where absent) and exponents.
-    Its coefficient is lexed as separate tokens after ^ or /, where the
-    grammar wants a lone integer, and when d is zero, for the parser to
-    report.  Other tokens have value None.
-    """
-    # unicode minus is accepted as a convenience alias
-    text = text.replace("−", "-")
-    toks: List[Tuple[str, str, int, object]] = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:  # skipped an unexpected character
-            break
-        pos = m.end()
-        if pos - m.start() > MAX_POWER_DIGITS:
-            _check_digits(m)
-        n, d, xi, xy, xj, yo, yj, tok = m.groups()[1:]
-        if tok is not None:
-            toks.append(("int" if tok[0].isdigit() else tok, tok, m.start(9), None))
-            continue
-        i, j = ("0", yj or "1") if yo else (xi or "1", (xj or "1") if xy else "0")
-        at = m.start(1)
-        if n is not None and (toks and toks[-1][0] in ("^", "/") or d and not d.strip("0")):
-            toks.append(("int", n, at, None))
-            at += len(n)
-            if d is not None:
-                toks += [("/", "/", at, None), ("int", d, at + 1, None)]
-                at += 1 + len(d)
-            toks.append(("*", "*", at, None))
-            n, d, at = None, None, at + 1
-        toks.append(("mono", n or ("y" if yo else "x"), at, (n, d, i, j)))
-    if text[pos:].strip():
-        bad = len(text) - len(text[pos:].lstrip())
-        raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
-    toks.append(("end", "", len(text), None))
-    return toks
-
-
 MAX_NESTING = 100  # parenthesis depth; each level costs four stack frames
 # lattice points (degx + 1)*(degy + 1) of the degree box of base^n, for a base
 # of more than one term; a product of two such factors is refused only when
@@ -773,9 +725,10 @@ MAX_POWER_POINTS = 2_500
 # decimal digits of the coefficients of base^n, bounded before expanding by
 # n * log10(max(den, sum of |numerators|)) of the base: Python prints no longer
 # integer by default, and check on (a*x + b*y + 1/c)^49, with a, b and c of 43
-# digits, just under the bound, takes 2.6-4.4 s on a 2-vCPU Xeon; the same
-# bound holds each digit run of the text, which Python would not convert
+# digits, just under the bound, takes 2.6-4.4 s on a 2-vCPU Xeon; it also bounds
+# each digit run of the text, each product and sum, and every rat_str
 MAX_POWER_DIGITS = 4_300
+_DIGIT_LIMIT = 10 ** MAX_POWER_DIGITS  # the least integer of more digits
 
 
 def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
@@ -787,22 +740,90 @@ def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
         )
 
 
-def _check_digits(m: re.Match) -> None:
-    """InputTooLarge for the first digit run of token match m longer than
-    MAX_POWER_DIGITS: a coefficient, denominator, exponent or integer."""
-    for g in (2, 3, 4, 6, 8, 9):
-        run = m.group(g)
-        if run is not None and len(run) > MAX_POWER_DIGITS:
+def _check_digits(what: str, digits: float, pos: int) -> None:
+    if digits > MAX_POWER_DIGITS:
+        raise InputTooLarge(
+            f"{what} of up to {math.ceil(digits)} digits, more than {MAX_POWER_DIGITS} (at position {pos})"
+        )
+
+
+def _sum_terms(terms: List[Tuple[int, int, int, object]]) -> BiPoly:
+    """The terms (pos, sign, den, (exponent, numerator) pairs) over the lcm of
+    their denominators; InputTooLarge at the offset pos of the term that takes
+    that lcm to 10^MAX_POWER_DIGITS, its digits bounded by bit_length log10 2."""
+    den = 1
+    for pos, _, d, _ in terms:
+        den = math.lcm(den, d)
+        if den >= _DIGIT_LIMIT:
+            _check_digits("sum with a denominator", den.bit_length() * math.log10(2), pos)
+    acc: Dict[Term, int] = {}
+    get = acc.get
+    for _, s, d, pairs in terms:
+        s *= den // d
+        for e, n in pairs:
+            acc[e] = get(e, 0) + s * n
+    return BiPoly(acc, den)
+
+
+# a sign, then a term: n[/d] followed by * and x[^i][*y[^j]] or y[^j], or by
+# neither x nor y; or the monomial alone.  A digit run longer than _RUN leaves
+# digits with no sign before them.  Groups: sign, term, n, d, x, i, y, j, y, j.
+_RUN = f"([0-9]{{1,{MAX_POWER_DIGITS}}})"
+_CANONICAL_TERM_RE = re.compile(
+    rf"\s*([+-]?)\s*((?:{_RUN}(?:/{_RUN})?(?:\*(?=[xy])|(?![xy])))?(?(3)|(?=[xy]))"
+    rf"(?:(x)(?:\^{_RUN})?(?:\*(y)(?:\^{_RUN})?)?|(y)(?:\^{_RUN})?)?)"
+)
+
+
+def _canonical_sum(text: str) -> BiPoly | None:
+    """text as a sum of canonical terms, or None on a gap, a missing sign, a
+    zero denominator or a long digit run; n/d in lowest terms, as in the grammar."""
+    terms, pos = [], 0
+    for m in _CANONICAL_TERM_RE.finditer(text):
+        sign, _, n, d, x, xi, xy, xj, yo, yj = m.groups()
+        c, den = int(n or 1), int(d or 1)
+        if m.start() != pos or pos and not sign or not den:
+            return None
+        if d:
+            g = math.gcd(c, den)
+            c, den = c // g, den // g
+        e = (int(xi or 1) if x else 0, int(xj or yj or 1) if xy or yo else 0)
+        terms.append((m.start(2), -1 if sign == "-" else 1, den, ((e, c),)))
+        pos = m.end()
+    if not terms or pos != len(text):
+        return None
+    return _sum_terms(terms)
+
+
+_TOKEN_RE = re.compile(r"\s*(\d+|[xy()+\-*/^])")
+
+
+def _tokenize(text: str) -> List[Tuple[str, str, int]]:
+    """Tokens (kind, text, pos), one per number, variable or operator;
+    InputTooLarge for a digit run longer than MAX_POWER_DIGITS."""
+    # unicode minus is accepted as a convenience alias
+    text = text.replace("−", "-")
+    toks: List[Tuple[str, str, int]] = []
+    pos = 0
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # skipped an unexpected character
+            break
+        pos = m.end()
+        tok = m[1]
+        if len(tok) > MAX_POWER_DIGITS:
             raise InputTooLarge(
-                f"number of {len(run)} digits, more than {MAX_POWER_DIGITS} (at position {m.start(g)})"
+                f"number of {len(tok)} digits, more than {MAX_POWER_DIGITS} (at position {m.start(1)})"
             )
+        toks.append(("int" if tok[0].isdigit() else tok, tok, m.start(1)))
+    if text[pos:].strip():
+        bad = len(text) - len(text[pos:].lstrip())
+        raise PolyParseError(f"unexpected character {text[bad]!r}", bad)
+    toks.append(("end", "", len(text)))
+    return toks
 
 
 class _Parser:
-    """Recursive descent over: + - * ^ parentheses, x, y, integer and p/q.
-
-    A monomial token is an atom: it is the product n/d * x^i * y^j that the
-    grammar would build from its parts, as one term."""
+    """Recursive descent over: + - * ^ parentheses, x, y, integer and p/q."""
 
     def __init__(self, text: str):
         self.toks = _tokenize(text)
@@ -831,33 +852,17 @@ class _Parser:
         return p
 
     def expr(self) -> BiPoly:
-        """The signed terms, summed into one term map over the lcm of their
-        denominators.  A term that is one monomial token, not followed by *
-        (the lexer never puts ^ after one), is summed from its parts without
-        a polynomial of its own."""
-        toks = self.toks
+        """The signed terms, summed by _sum_terms."""
         terms = []
         op = self.next()[0] if self.peek()[0] in "+-" else "+"
         while True:
-            kind, _, _, val = toks[self.k]
-            if kind == "mono" and toks[self.k + 1][0] != "*":
-                self.k += 1
-                n, d, i, j = val
-                terms.append((op, 1 if d is None else int(d), {(int(i), int(j)): 1 if n is None else int(n)}))
-            else:
-                t = self.term()
-                terms.append((op, t.den, t.nums))
+            pos = self.peek()[2]
+            t = self.term()
+            terms.append((pos, -1 if op == "-" else 1, t.den, t.nums.items()))
             if self.peek()[0] not in "+-":
                 break
             op = self.next()[0]
-        den = math.lcm(*[d for _, d, _ in terms])
-        acc: Dict[Term, int] = {}
-        get = acc.get
-        for op, d, nums in terms:
-            s = den // d if op == "+" else -(den // d)
-            for e, n in nums.items():
-                acc[e] = get(e, 0) + s * n
-        return BiPoly(acc, den)
+        return _sum_terms(terms)
 
     def term(self) -> BiPoly:
         """Factors multiplied, each product bounded before it is formed: its
@@ -871,12 +876,7 @@ class _Parser:
             if min(a, b) > 1 and a * b > MAX_POWER_POINTS:
                 _check_points("product", acc.degx + f.degx, acc.degy + f.degy, pos)
             norm = sum(map(abs, acc.nums.values())) * sum(map(abs, f.nums.values()))
-            digits = math.log10(max(acc.den * f.den, norm))
-            if digits > MAX_POWER_DIGITS:
-                raise InputTooLarge(
-                    f"product with coefficients of up to {math.ceil(digits)} digits,"
-                    f" more than {MAX_POWER_DIGITS} (at position {pos})"
-                )
+            _check_digits("product with coefficients", math.log10(max(acc.den * f.den, norm)), pos)
             acc = acc * f
         return acc
 
@@ -889,19 +889,12 @@ class _Parser:
             if base.num_terms() > 1:
                 _check_points("power", n * base.degx, n * base.degy, t[2])
             digits = n * math.log10(max(base.den, sum(map(abs, base.nums.values()))))
-            if digits > MAX_POWER_DIGITS:
-                raise InputTooLarge(
-                    f"power with coefficients of up to {math.ceil(digits)} digits,"
-                    f" more than {MAX_POWER_DIGITS} (at position {t[2]})"
-                )
+            _check_digits("power with coefficients", digits, t[2])
             base = base ** n
         return base
 
     def atom(self) -> BiPoly:
-        kind, tok, pos, val = self.next()
-        if kind == "mono":
-            n, d, i, j = val
-            return BiPoly({(int(i), int(j)): 1 if n is None else int(n)}, 1 if d is None else int(d))
+        kind, tok, pos = self.next()
         if kind == "int":
             num = int(tok)
             if self.peek()[0] == "/":
@@ -930,5 +923,8 @@ class _Parser:
 
 
 def parse_poly(text: str) -> BiPoly:
-    """Parse the expression grammar; parse-print-parse is the identity."""
-    return _Parser(text).parse()
+    """Parse the expression grammar; parse-print-parse is the identity.  A sum
+    of canonical terms takes _canonical_sum, any other text the grammar; both
+    end in _sum_terms, so a text has the same outcome on either."""
+    p = _canonical_sum(text)
+    return _Parser(text).parse() if p is None else p

@@ -1,11 +1,12 @@
 """CLI contract: exit codes, JSON shape, determinism, corpus runner."""
 
 import json
+import math
 import time
 
 import pytest
 
-from jaccoord import parse_poly
+from jaccoord import InputTooLarge, Rat, parse_poly
 from jaccoord.cli import main
 
 
@@ -166,6 +167,66 @@ class TestCheck:
                     "kind": "InputTooLarge",
                     "detail": f"number of {MAX_POWER_DIGITS + 1} digits, more than {MAX_POWER_DIGITS} (at position {at})",
                 }
+
+    def test_sum_digit_budget_is_input_too_large(self, capsys):
+        # a sum is put over the lcm of its terms' denominators and refused at
+        # the first token of the term that takes that lcm to
+        # 10^MAX_POWER_DIGITS, on the canonical pass, in the grammar and
+        # inside parentheses; a coefficient counts in lowest terms, so
+        # 11/(11*2^(k-1)), that is 1/2^(k-1), parses on both paths
+        from jaccoord.qpoly import MAX_POWER_DIGITS
+
+        nines = "9" * 2500
+        found = math.lcm(int(nines), int(nines + "7"))
+        k = MAX_POWER_DIGITS
+        top = 10 ** k
+        refused = [  # (text, offset of the refused term, its lcm)
+            ("1/" + nines + "*x + 1/" + nines + "7*x + y", 2507, found),
+            ("1/" + nines + " * x + 1/" + nines + "7 * x + y", 2509, found),
+            ("(1/" + nines + "*x + 1/" + nines + "7*x) + y", 2508, found),
+            ("1/" + str(2 ** k) + "*x + 1/" + str(5 ** k) + "*y", len(str(2 ** k)) + 7, top),
+            ("1/" + str(2 ** k) + "*x + 1/" + str(5 ** k) + " * y", len(str(2 ** k)) + 7, top),
+        ]
+        for text, at, lcm in refused:
+            for command in ("check", "witness"):
+                code, out, err = run(capsys, command, "--", text)
+                assert (code, out) == (1, "")
+                assert json.loads(err)["error"] == {
+                    "kind": "InputTooLarge",
+                    "detail": f"sum with a denominator of up to {math.ceil(lcm.bit_length() * math.log10(2))}"
+                    f" digits, more than {MAX_POWER_DIGITS} (at position {at})",
+                }
+        two, five = str(2 ** (k - 1)), str(5 ** (k - 1))  # an lcm of exactly MAX_POWER_DIGITS digits
+        for text in ("1/" + two + "*x + 1/" + five + "*y", "11/" + str(11 * 2 ** (k - 1)) + "*x + 1/" + five + "*y",
+                     "11/" + str(11 * 2 ** (k - 1)) + " * x + 1/" + five + "*y"):
+            code, doc, _ = run_json(capsys, "check", "--", text)
+            assert code == 0 and doc["outcome"] == "coordinate"
+            assert parse_poly(text).den == 10 ** (k - 1)
+
+    def test_printed_number_budget_is_input_too_large(self, capsys):
+        # rat_str refuses a numerator or denominator of more than
+        # MAX_POWER_DIGITS digits, which Python would not print, and every
+        # document is built before a byte is written: the witness of this
+        # coordinate has a linear step with a 6,003-digit coefficient, and
+        # its check document prints none
+        from jaccoord.qpoly import MAX_POWER_DIGITS, rat_str
+
+        text = "9" * 3000 + "*x + " + "7" * 3000 + "*y + 1/" + "7" * 3000
+        code, doc, _ = run_json(capsys, "check", "--", text)
+        assert code == 0 and doc["outcome"] == "coordinate"
+        code, out, err = run(capsys, "witness", "--", text)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == {
+            "kind": "InputTooLarge",
+            "detail": f"number of more than {MAX_POWER_DIGITS} digits to print",
+        }
+        top = 10 ** MAX_POWER_DIGITS
+        assert rat_str(Rat(1 - top, top - 1)) == "-1"
+        assert rat_str(Rat(1 - top)) == "-" + "9" * MAX_POWER_DIGITS
+        assert rat_str(Rat(1, top - 1)) == "1/" + "9" * MAX_POWER_DIGITS
+        for big in (Rat(top), Rat(-top), Rat(1, top), Rat(top + 1, top)):
+            with pytest.raises(InputTooLarge):
+                rat_str(big)
 
     def test_product_budget_is_input_too_large(self, capsys):
         start = time.perf_counter()

@@ -341,6 +341,23 @@ class TestParse:
     @example(text="1/2/3*x")
     @example(text="x^23^4")
     @example(text="2*x ^2")
+    # each way the canonical pass refuses a text, and a leading + and odd
+    # digits, which it reads
+    @example(text="2/0*x + y")
+    @example(text="x + 3/00*y")
+    @example(text="+x - y")
+    @example(text="x + -y")
+    @example(text="- -x")
+    @example(text="2 * x + y")
+    @example(text="x y")
+    @example(text="2x")
+    @example(text="x*2 + y")
+    @example(text="y*x")
+    @example(text="x^2^3 + y")
+    @example(text="x^02*y^0 + 007")
+    @example(text="x +")
+    @example(text="")
+    @example(text="  ")
     def test_matches_reference_parser(self, text):
         assert parse_outcome(parse_poly, text) == parse_outcome(ref_parse, text)
 
@@ -361,31 +378,14 @@ class TestParse:
         assert s == "x^2 + x*y + x + y + 1"
 
 
-class _TermOnlyParser(qpoly._Parser):
-    """The parser with every term read through term(), as before a lone
-    monomial token was summed from its parts."""
-
-    def expr(self):
-        terms = []
-        op = self.next()[0] if self.peek()[0] in "+-" else "+"
-        while True:
-            terms.append((op, self.term()))
-            if self.peek()[0] not in "+-":
-                break
-            op = self.next()[0]
-        acc = BiPoly.zero()
-        for op, t in terms:
-            acc = acc + t if op == "+" else acc - t
-        return acc
-
-
-def term_only_parse(text):
-    return _TermOnlyParser(text).parse()
+def grammar_parse(text):
+    """The grammar alone, without the canonical pass."""
+    return qpoly._Parser(text).parse()
 
 
 class TestMonomialSum:
-    """expr sums a term that is one monomial token from its parts; the
-    result, error and position equal those of a parse through term()."""
+    """A text that the canonical pass reads, or refuses, has the result,
+    error and position that the grammar alone gives it."""
 
     MIXED = [
         "-2/3*x^2 + (x + y)*y - 3*x^2*y^3",
@@ -403,7 +403,7 @@ class TestMonomialSum:
 
     @pytest.mark.parametrize("text", MIXED)
     def test_mixed_inputs(self, text):
-        assert parse_outcome(parse_poly, text) == parse_outcome(term_only_parse, text)
+        assert parse_outcome(parse_poly, text) == parse_outcome(grammar_parse, text)
 
     def test_mixed_outcomes(self):
         assert parse_poly("-2/3*x^2 + (x + y)*y - 3*x^2*y^3") == parse_poly("-3*x^2*y^3 - 2/3*x^2 + x*y + y^2")
@@ -422,7 +422,56 @@ class TestMonomialSum:
         texts = {t for seed in (11, 12) for make in WORKLOADS.values() for it in make(seed) for t in it.texts}
         assert len(texts) >= 1000, len(texts)
         for text in sorted(texts):
-            assert parse_outcome(parse_poly, text) == parse_outcome(term_only_parse, text), text
+            assert qpoly._canonical_sum(text) is not None, text
+            assert parse_outcome(parse_poly, text) == parse_outcome(grammar_parse, text), text
+
+    @staticmethod
+    def _variant(rng, P):
+        """P.to_str() with random spacing around its signs, perhaps a leading
+        +, and repeated and zero-coefficient monomials put in."""
+        terms = re.findall(r"-?[^ ]+", P.to_str().replace(" - ", " -").replace(" + ", " "))
+        for _ in range(rng.randint(0, 3)):
+            t = rng.choice(terms).lstrip("-")
+            mono = re.sub(r"^[0-9]+(/[0-9]+)?\*?", "", t)
+            t = rng.choice([t, "0*" + mono if mono else "0"])
+            terms.insert(rng.randint(0, len(terms)), rng.choice(["", "-"]) + t)
+        out = rng.choice(["", "+", " + "]) if not terms[0].startswith("-") else ""
+        for k, t in enumerate(terms):
+            sign, body = ("-", t[1:]) if t.startswith("-") else ("+" if k else "", t)
+            out += rng.choice(["", " ", "  "]) + sign + rng.choice(["", " ", "\t"]) + body if sign else body
+        return out
+
+    @staticmethod
+    def _edit(rng, text):
+        """text with one random edit: a character deleted, a space put
+        inside a term, or a denominator zeroed."""
+        kind = rng.choice(["delete", "space", "zero"])
+        if kind == "zero" and "/" in text:
+            k = rng.choice([m.start() for m in re.finditer("/", text)])
+            return text[:k + 1] + re.sub(r"^[0-9]+", lambda m: "0" * len(m[0]), text[k + 1:])
+        inside = [k for k in range(1, len(text)) if text[k - 1] not in " +-" and text[k] not in " +-"]
+        if kind == "space" and inside:
+            k = rng.choice(inside)
+            return text[:k] + " " + text[k:]
+        k = rng.randrange(len(text))
+        return text[:k] + text[k + 1:]
+
+    def test_edited_canonical_texts(self):
+        rng = random.Random(29)
+        polys = [rand_bipoly(rng, max_deg=rng.randint(0, 4), bound=12, terms=rng.randint(1, 7)) for _ in range(600)]
+        polys += [gen_random_coordinate(seed, 1, 3, 5)[0] for seed in range(60)]
+        seen = {"canonical": 0, "refused": 0, "error": 0}
+        for P in polys:
+            text = self._variant(rng, P)
+            for t in (text, self._edit(rng, text)):
+                got = parse_outcome(parse_poly, t)
+                assert got == parse_outcome(ref_parse, t), t
+                canonical = qpoly._canonical_sum(t) is not None
+                if canonical:
+                    assert got == parse_outcome(grammar_parse, t), t
+                seen["canonical" if canonical else "refused"] += 1
+                seen["error"] += got[0] == "error"
+        assert seen["canonical"] >= 700 and seen["refused"] >= 450 and seen["error"] >= 300, seen
 
 
 small_rats = st.fractions(min_value=-50, max_value=50, max_denominator=36)
