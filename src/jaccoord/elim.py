@@ -3,15 +3,21 @@ gcd and squarefree part, exact Gaussian elimination of rational matrices,
 and rational roots.
 
 Polynomials in the elimination variable are dense coefficient lists over
-a ring: Z[x] (integer coefficient lists) and Z[x, c] (integer term maps)
-for every subresultant chain of the package, Q[x] for the reductions of
-fibre._values_over, and Q and Q[x, c], which the tests take as reference.
-A small adapter carries each ring's zero, one, product, difference and
-exact division, so one subresultant chain serves all five.  All
-divisions performed by the chain are exact by theory; an inexact division
-raises, it is never silently rounded.  The callers pass the integer
-numerators of their inputs, so the chain runs without a gcd per
-coefficient, and they use its elements only up to nonzero constants.
+a ring: Z for every chain over Z[x], Z[x, c] (integer term maps) for
+fibre._polar_limits, Q[x] for the reductions of fibre._values_over, and Q
+and Q[x, c], which the tests take as reference.  A small adapter carries
+each ring's zero, one, product, difference and exact division, so one
+subresultant chain serves all five.  All divisions performed by the chain
+are exact by theory; an inexact division raises, it is never silently
+rounded.  The callers pass the integer numerators of their inputs, so the
+chain runs without a gcd per coefficient, and they use its elements only
+up to nonzero constants.
+
+A chain of A and B in Z[x][y] runs in Z on their images at x = 2^S
+(Kronecker substitution), and the caller decodes only the elements it
+reads.  S comes from a proved bound: every coefficient of the chain is at
+most sqrt((sum_k |A_k|_1^2)^deg B (sum_k |B_k|_1^2)^deg A), see
+_kronecker_width.
 
 A bivariate squarefree part is proved to be the input itself modulo
 MODULAR_PRIME when it can be, by univariate slices, up to three per
@@ -51,11 +57,9 @@ from .qpoly import (
     ZeroPolynomialError,
     _gcd_mod_p,
     _int_coeffs,
-    _int_conv,
     _int_exact_div,
     _int_mul,
     _int_primitive,
-    _int_sub,
     _int_terms_exact_div,
     rat,
     squarefree_part,
@@ -78,9 +82,16 @@ class Ring:
     exact_div: Callable
 
 
+def _exact_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ValueError("inexact integer division")
+    return q
+
+
 UNIPOLY_RING = Ring(UniPoly.zero(), UniPoly.const(1), operator.mul, operator.sub, UniPoly.exact_div)
-# Z[x]: integer coefficient lists, degree 0 first, without trailing zeros
-ZX_RING = Ring([], [1], lambda a, b: _int_conv(a, b) if a and b else [], _int_sub, _int_exact_div)
+# Z: the images at x = 2^S of Z[x] elements, see _kronecker_width
+Z_RING = Ring(0, 1, operator.mul, operator.sub, _exact_quotient)
 # Z[x, c]: integer term maps {(i, j): n} of n x^i c^j, without zero values
 ZXC_RING = Ring(
     {}, {(0, 0): 1}, lambda a, b: {e: n for e, n in _int_mul(a, b).items() if n},
@@ -192,6 +203,65 @@ def resultant(A: List, B: List, R: Ring):
 
 
 # ---------------------------------------------------------------------------
+# chains over Z[x], run in Z at x = 2^S
+
+
+def _kronecker_width(a: Sequence[int], b: Sequence[int], other: int = 0) -> int:
+    """The slot width S, a multiple of 8, at which the subresultant chain
+    of A and B in Z[x][y] runs in Z, given the l1 norms a_k = |A_k|_1 and
+    b_k = |B_k|_1 of their coefficients in Z[x], and that of any other
+    element of Z[x] whose image must stay nonzero.
+
+    Every polynomial and every h of the chain is a subresultant of A and B
+    up to sign, so each of its coefficients is a minor D(x) of Sylvester's
+    matrix, with at most deg B rows of A_k and deg A rows of B_k.  On
+    |x| = 1, |A_k(x)| <= a_k and |B_k(x)| <= b_k, so by Hadamard's
+    inequality |D(x)| <= sqrt((sum a_k^2)^deg B (sum b_k^2)^deg A), and so
+    is each coefficient of D, the mean of D(x) x^-i over the circle.  With
+    the inputs' own coefficients and the other one, which covers B = 0 and
+    deg B = 0, every coefficient is below 2^(S-1) in absolute value: one
+    balanced base-2^S digit of its image at x = 2^S, which is nonzero unless
+    it is zero.
+    Evaluation there is a ring homomorphism, so each exact division of the
+    chain, by a product of its nonzero coefficients, and each
+    pseudo-remainder, unique for its power of the leading coefficient, is
+    the image of the one over Z[x]: the chain in Z is the image of the chain
+    in Z[x].
+    """
+    na, nb = sum(n * n for n in a), sum(n * n for n in b)
+    bits = (max(len(b) - 1, 0) * na.bit_length() + max(len(a) - 1, 0) * nb.bit_length() + 1) // 2
+    return 8 * (max(bits, max((*a, *b, other)).bit_length()) // 8 + 1)
+
+
+def _l1_norms(rows: Sequence[Sequence[int]]) -> List[int]:
+    return [sum(map(abs, u)) for u in rows]
+
+
+def _kronecker_pack(rows: Sequence[Sequence[int]], S: int) -> List[int]:
+    """The images at x = 2^S of Z[x] elements (integer coefficient lists)."""
+    return [sum(c << S * i for i, c in enumerate(u) if c) for u in rows]
+
+
+def _kronecker_unpack(v: int, S: int) -> List[int]:
+    """The stripped Z[x] element u with u(2^S) = v and every |u_i| < 2^(S-1):
+    v plus 2^(S-1) in each of n slots, enough to hold u, has the bytes of
+    the digits u_i + 2^(S-1) in [0, 2^S)."""
+    k, half, n = S // 8, 1 << (S - 1), abs(v).bit_length() // S + 1
+    data = (v + int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")).to_bytes(k * n, "little")
+    u = [int.from_bytes(data[i:i + k], "little") - half for i in range(0, k * n, k)]
+    while u and not u[-1]:
+        u.pop()
+    return u
+
+
+def _zx_resultant(A: List[List[int]], B: List[List[int]]) -> List[int]:
+    """Res_y(A, B) of A, B in Z[x][y], up to sign, an integer coefficient
+    list; the chain runs in Z."""
+    S = _kronecker_width(_l1_norms(A), _l1_norms(B))
+    return _kronecker_unpack(resultant(_kronecker_pack(A, S), _kronecker_pack(B, S), Z_RING), S)
+
+
+# ---------------------------------------------------------------------------
 # bivariate gcd and squarefree part
 
 
@@ -204,7 +274,7 @@ def _unipoly_list_gcd(us: Sequence[UniPoly]) -> UniPoly:
 
 def _int_y_rows(f: BiPoly) -> List[List[int]]:
     """f times its denominator, the polynomial of its numerators, in
-    Z[x][y]: a list over the powers of y of ZX_RING elements."""
+    Z[x][y]: a list over the powers of y of integer coefficient lists."""
     return [list(u.nums) for u in BiPoly(f.nums).y_coeffs()]
 
 
@@ -218,7 +288,8 @@ def _int_primitive_rows(rows: List[List[int]]) -> Tuple[UniPoly, List[List[int]]
 
 def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     """gcd in Q[x,y], normalized so the lex-leading coefficient is 1; the
-    primitive parts in y run their subresultant chain over Z[x]."""
+    subresultant chain of the primitive parts in y runs in Z, and only its
+    last element is read back to Z[x]."""
     if f.is_zero():
         return _lex_normalize(g)
     if g.is_zero():
@@ -228,11 +299,12 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     cont = cf.gcd(cg)
     if pdeg(fp) < pdeg(gp):
         fp, gp = gp, fp
-    last = subresultant_chain(fp, gp, ZX_RING)[-1][0]
+    S = _kronecker_width(_l1_norms(fp), _l1_norms(gp))
+    last = subresultant_chain(_kronecker_pack(fp, S), _kronecker_pack(gp, S), Z_RING)[-1][0]
     if pdeg(last) == 0:  # coprime primitive parts: the gcd is the content
         return cont.to_bipoly("x")
     # primitive part of the last nonzero subresultant is the pp-gcd
-    pp = _int_primitive_rows(last)[1]
+    pp = _int_primitive_rows([_kronecker_unpack(v, S) for v in last])[1]
     return _lex_normalize(BiPoly.from_y_coeffs([UniPoly(u) * cont for u in pp]))
 
 
@@ -490,7 +562,8 @@ def bipoly_to_sympy(f: BiPoly):
 def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
     """gcd over Q[x] of Res_y(A, f), for the first A with deg_y A >= 1 and
     every other f; None when there is no such A or only one polynomial.
-    The resultants are taken over Z[x], of integer multiples of the inputs.
+    The resultants are those of integer multiples of the inputs, by
+    _zx_resultant.
 
     A common zero (x0, y0) makes x0 a root of every Res_y(A, f).  The
     y-degree guard matters: the resultant of two y-free polynomials is 1
@@ -501,7 +574,7 @@ def _torus_resultant_gcd(polys: Sequence[BiPoly]) -> Optional[UniPoly]:
         return None
     ay = _int_y_rows(polys[a])
     return _unipoly_list_gcd(
-        [UniPoly(resultant(ay, _int_y_rows(f), ZX_RING)) for i, f in enumerate(polys) if i != a]
+        [UniPoly(_zx_resultant(ay, _int_y_rows(f))) for i, f in enumerate(polys) if i != a]
     )
 
 

@@ -37,12 +37,16 @@ places at infinity are the lattice lengths of its edges facing infinity.
 fibre_report gives both only under full nondegeneracy and irreducibility,
 through one gate sequence, _fibre_tail, which genus shares (the public
 branches_at_infinity has no irreducibility gate); everything outside those
-hypotheses is an explicit Unknown, never a guess.
+hypotheses is an explicit Unknown, never a guess.  fibre_report builds the
+Newton polygon once, for its budget, and where P - c is its own squarefree
+part, the Ruppert system, the edge faces, the genus and the branches all
+read that one.
 
 Special value candidates are a superset of the bifurcation set: exactly
 the critical values, from one subresultant chain of Q_y and Q_x over Z[x],
-plus the values atypical at infinity, among the limits of Q along the polar
-branches at infinity, read off Res_y(Q - c, Q_y) over Z[x, c].
+run in Z at x = 2^S, plus the values atypical at infinity, among the limits
+of Q along the polar branches at infinity, read off Res_y(Q - c, Q_y) over
+Z[x, c].
 Q = P(x + t*y, y), where t is the first of 0, 1, -1, 2, -2, ... with
 degy Q = deg P, the exact condition that makes every fibre of Q finite
 over the x-line.
@@ -70,10 +74,14 @@ from .coordinate import InternalVerificationFailure
 from .newton import LatticePolygon, edge_faces, lattice_counts, newton_polygon, support_polygon
 from .elim import (
     UNIPOLY_RING,
-    ZX_RING,
+    Z_RING,
     ZXC_RING,
     _int_primitive_rows,
     _int_y_rows,
+    _kronecker_pack,
+    _kronecker_unpack,
+    _kronecker_width,
+    _l1_norms,
     bipoly_squarefree_part,
     echelon_mod_p,
     has_common_torus_zero,
@@ -113,9 +121,10 @@ MaybeInt = Union[int, Unknown]
 # Ruppert/Gao linear system
 
 
-def ruppert_rows(f_terms: Dict[Tuple[int, int], int]):
+def ruppert_rows(f_terms: Dict[Tuple[int, int], int], N: Optional[LatticePolygon] = None):
     """Integer coefficient matrix of the differential system of the integer
-    term map f_terms, and its column count; absent entries are 0.
+    term map f_terms, and its column count; absent entries are 0.  N is the
+    polygon below, when the caller has built it.
 
     The unknowns are the lattice points of the Newton polygon N of the keys
     of f_terms plus the origin, read off its y-range at each x.  Column
@@ -128,7 +137,7 @@ def ruppert_rows(f_terms: Dict[Tuple[int, int], int]):
     fills in; each column is scattered into its rows.  The polygon and both
     orders follow from the keys of f_terms alone (zero values count), so
     maps on one support share one row set and column order."""
-    ranges = support_polygon(f_terms).y_ranges()
+    ranges = (support_polygon(f_terms) if N is None else N).y_ranges()
     columns = [
         {(i + u, j + v - 1): c * (v - j) for (i, j), c in f_terms.items() if v or j}
         for u, (_, lo, hi) in enumerate(ranges[1:]) for v in range(lo, hi + 1)
@@ -164,9 +173,9 @@ def _ruppert_pencil(P: BiPoly):
     sample ranks only the |U| x (ncols - rank T) block base + k*unit of the
     reduced halves, and its count is ncols - rank T - that rank."""
     den, nums = P.den, dict(P.nums)
-    k0, p = nums.pop((0, 0), 0), MODULAR_PRIME
-    base, ncols = ruppert_rows({**nums, (0, 0): 0})
-    unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1})[0]
+    k0, p, N = nums.pop((0, 0), 0), MODULAR_PRIME, newton_polygon(P)
+    base, ncols = ruppert_rows({**nums, (0, 0): 0}, N)
+    unit = ruppert_rows({**dict.fromkeys(nums, 0), (0, 0): 1}, N)[0]
     t_rows, u_base, u_unit = [], [], []
     for rb, re in zip(base, unit):
         rb, re = [b % p for b in rb], [e % p for e in re]
@@ -206,10 +215,11 @@ def absolute_factor_count(f: BiPoly) -> int:
     return _factor_count(f)
 
 
-def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
+def _factor_count(f: BiPoly, count_p: Optional[int] = None, N: Optional[LatticePolygon] = None) -> int:
     """absolute_factor_count of an f already known nonconstant and
-    squarefree, given its count modulo MODULAR_PRIME if known."""
-    rows, ncols = ruppert_rows(f.nums)
+    squarefree, given its count modulo MODULAR_PRIME and its Newton polygon
+    if known."""
+    rows, ncols = ruppert_rows(f.nums, N)
     dim = ncols - rank_mod_p(rows, MODULAR_PRIME) if count_p is None else count_p
     if dim > 1:
         dim = ncols - rat_eliminate(rows)[0]
@@ -224,17 +234,20 @@ def _factor_count(f: BiPoly, count_p: Optional[int] = None) -> int:
 # Newton nondegeneracy
 
 
-def nondegenerate(f: BiPoly) -> bool:
+def nondegenerate(f: BiPoly, N: Optional[LatticePolygon] = None) -> bool:
     """True iff every edge face is squarefree with both endpoint monomials
-    present, and f, f_x, f_y share no zero with both coordinates nonzero."""
+    present, and f, f_x, f_y share no zero with both coordinates nonzero;
+    N is the Newton polygon of f, when the caller has built it."""
     if f.is_constant():
         raise ConstantInputError("nondegenerate needs a nonconstant input")
-    return _faces_nondegenerate(f) and not has_common_torus_zero([f, f.diff_x(), f.diff_y()])
+    N = newton_polygon(f) if N is None else N
+    return _faces_nondegenerate(f, N) and not has_common_torus_zero([f, f.diff_x(), f.diff_y()])
 
 
-def _faces_nondegenerate(f: BiPoly) -> bool:
-    """The edge-face half of nondegenerate: all of it for a smooth f = 0."""
-    return all(_face_ok(face["e"], face["full_length"]) for face in edge_faces(f, newton_polygon(f)))
+def _faces_nondegenerate(f: BiPoly, N: LatticePolygon) -> bool:
+    """The edge-face half of nondegenerate, on the Newton polygon N of f:
+    all of it for a smooth f = 0."""
+    return all(_face_ok(face["e"], face["full_length"]) for face in edge_faces(f, N))
 
 
 def _face_ok(e: UniPoly, length: int) -> bool:
@@ -282,9 +295,10 @@ def branches_at_infinity(f: BiPoly) -> MaybeInt:
         raise ConstantInputError("branches_at_infinity needs a nonconstant input")
     if f.constant_term() == 0:
         return Unknown("ZeroConstantTerm")
-    if not nondegenerate(f):
+    N = newton_polygon(f)
+    if not nondegenerate(f, N):
         return Unknown("Degenerate")
-    return _branches_tail(newton_polygon(f))
+    return _branches_tail(N)
 
 
 def _branches_tail(N: LatticePolygon) -> int:
@@ -320,10 +334,10 @@ class FibreReport:
 # Budget of fibre_report, checked before any work: the lattice points of the
 # Newton polygon of P - c, on which the Ruppert system is built; 435 is a dense
 # degree-28 triangle.  On a 2-vCPU Xeon at c = 1/3, the degree-27 coordinate
-# gen_random_coordinate(14, 3, 3, 3) (406 points) takes 7.9 s; at the bound, a
-# dense 29x15 box takes 47 s and a dense degree-28 triangle 95 s (on dense P
-# mostly the nondegeneracy test's resultants: 5.6 of 6.4 s at degree 18), and
-# x^433 + y 0.05 s.
+# gen_random_coordinate(14, 3, 3, 3) (406 points) takes 7.1 s; at the bound, a
+# dense 29x15 box takes 26 s and a dense degree-28 triangle 59 s, coefficients
+# drawn from +-1, +-2, +-3 (on dense P mostly the nondegeneracy test's
+# resultants: 1.4 of 1.8 s at degree 18), and x^433 + y 0.04 s.
 MAX_FIBRE_POINTS = 435
 
 
@@ -342,30 +356,33 @@ def fibre_report(P: BiPoly, c) -> FibreReport:
     if P.is_constant():
         raise ConstantInputError("fibre_report needs a nonconstant P")
     f = P - BiPoly.const(c)
-    interior, boundary, _ = lattice_counts(newton_polygon(f))
+    N = newton_polygon(f)
+    interior, boundary, _ = lattice_counts(N)
     if interior + boundary > MAX_FIBRE_POINTS:
         raise InputTooLarge(
             f"fibre polygon with {interior + boundary} lattice points, more than {MAX_FIBRE_POINTS}"
         )
     sq, reduced = bipoly_squarefree_part(f)
-    return _fibre_tail(c, sq, reduced, None, nondegenerate)
+    return _fibre_tail(c, sq, reduced, None, nondegenerate, N if reduced else None)
 
 
-def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg) -> FibreReport:
+def _fibre_tail(c, sq: BiPoly, reduced: bool, count_p: Optional[int], nondeg, N=None) -> FibreReport:
     """fibre_report from the squarefree part sq, given a factor count modulo
-    MODULAR_PRIME if known (final when 1) and a nondegeneracy test.  The one
-    gate sequence of the genus and the branches: Reducible, ShiftFailed,
-    Degenerate, then SegmentPolygon for the genus and ZeroConstantTerm for
-    the branches."""
-    count = 1 if count_p == 1 else _factor_count(sq, count_p)
+    MODULAR_PRIME if known (final when 1), a nondegeneracy test of (f, N)
+    and the Newton polygon N of sq if known.  The one gate sequence of the
+    genus and the branches: Reducible, ShiftFailed, Degenerate, then
+    SegmentPolygon for the genus and ZeroConstantTerm for the branches."""
+    N = newton_polygon(sq) if N is None else N
+    count = 1 if count_p == 1 else _factor_count(sq, count_p, N)
     if count != 1:
         reducible = Unknown("Reducible")
-        return FibreReport(c, count, reduced, nondeg(sq), reducible, reducible)
+        return FibreReport(c, count, reduced, nondeg(sq, N), reducible, reducible)
     shifted = sq.constant_term() == 0
     g = _shift_to_nonzero_constant(sq) if shifted else sq
     if g is None:
         return FibreReport(c, count, reduced, False, Unknown("ShiftFailed"), Unknown("ZeroConstantTerm"))
-    nd, N = nondeg(g), newton_polygon(g)
+    N = newton_polygon(g) if shifted else N
+    nd = nondeg(g, N)
     if not nd:
         g_val = Unknown("Degenerate")
     elif N.dim < 2:
@@ -385,7 +402,8 @@ def _fibre_pencil(P: BiPoly, count_p):
     polygon of P, which holds the origin, so the genus, the branches and
     the faces away from the origin are read once per P; each c tests only
     the at most two faces through the origin, less c in the origin's slot.
-    A count other than 1, and c = P(0, 0), take _fibre_tail."""
+    A count other than 1, and c = P(0, 0), take _fibre_tail, on the same
+    polygon, as every P - c has it."""
     N, k0, near, far = newton_polygon(P), P.constant_term(), [], True
     for face in edge_faces(P, N):
         e, n = face["e"], face["full_length"]
@@ -399,7 +417,7 @@ def _fibre_pencil(P: BiPoly, count_p):
     def report(c) -> FibreReport:
         count = count_p(c)
         if count != 1 or c == k0:
-            return _fibre_tail(c, P - BiPoly.const(c), True, count, _faces_nondegenerate)
+            return _fibre_tail(c, P - BiPoly.const(c), True, count, _faces_nondegenerate, N)
         if far and all(_face_ok(e - UniPoly.monomial(c, o), n) for e, n, o in near):
             return FibreReport(c, 1, True, True, genus, branches)
         return FibreReport(c, 1, True, False, degenerate, degenerate)
@@ -437,12 +455,23 @@ def _shear(P: BiPoly) -> BiPoly:
         t = -t if t > 0 else 1 - t
 
 
-def _chain(A: BiPoly, B: BiPoly) -> List[Tuple[List[List[int]], List[int]]]:
-    """subresultant_chain in y over Z[x] of the numerators of A, whose
-    y-leading coefficient is a nonzero constant, and of B reduced modulo A.
-    Each element is that of the chain over Q[x] up to a nonzero constant."""
-    a, b = _int_y_rows(A), pstrip(_int_y_rows(B), ZX_RING)
-    return subresultant_chain(a, pseudo_rem(b, a, ZX_RING), ZX_RING)
+def _chain(A: BiPoly, B: BiPoly) -> Tuple[int, List[Tuple[List[int], int]]]:
+    """(S, chain): the subresultant chain in y of the numerators a of A,
+    whose y-leading coefficient is a nonzero constant, and b of B, with
+    deg_y B <= deg_y A, reduced modulo a, run in Z on their images at
+    x = 2^S; _kronecker_unpack reads an element back to Z[x].  Each element
+    is that of the chain over Q[x] up to a nonzero constant.  The reduction
+    is at most one pseudo-division step, lc(a) b - lc(b) a, whose k-th
+    coefficient has l1 norm at most |lc a| |b_k|_1 + |lc b|_1 |a_k|_1; the
+    width also keeps the image of lc(b) nonzero, so that the step runs."""
+    a, b = _int_y_rows(A), _int_y_rows(B)
+    na, nb = _l1_norms(a), _l1_norms(b)
+    top = nb.pop() if len(b) == len(a) else 0
+    if top:
+        nb = [abs(a[-1][0]) * m + top * n for m, n in zip(nb, na)]
+    S = _kronecker_width(na, nb, top)
+    a, b = _kronecker_pack(a, S), pstrip(_kronecker_pack(b, S), Z_RING)
+    return S, subresultant_chain(a, pseudo_rem(b, a, Z_RING), Z_RING)
 
 
 def _inverse_mod(a: UniPoly, T: UniPoly) -> UniPoly:
@@ -502,19 +531,24 @@ def _critical_factors(Q: BiPoly) -> List[UniPoly]:
     splits into pieces T_k (Gonzalez-Vega & El Kahoui, 1996).
     """
     Qy, Qx = Q.diff_y(), Q.diff_x()
-    chain, pieces = _chain(Qy, Qx), []
+    (S, chain), pieces = _chain(Qy, Qx), []
     G = chain[-1][0]
     if pdeg(G) > 0:
-        G = BiPoly.from_y_coeffs([UniPoly(u) for u in _int_primitive_rows(G)[1]])
+        G = _int_primitive_rows([_kronecker_unpack(v, S) for v in G])[1]
+        G = BiPoly.from_y_coeffs([UniPoly(u) for u in G])
         pieces.append((UniPoly([0, 1]), G.y_coeffs()))
-        chain = _chain(Qy.exact_div(G), Qx.exact_div(G))
-    T = squarefree_part(UniPoly(chain[-1][1]))
+        S, chain = _chain(Qy.exact_div(G), Qx.exact_div(G))
+
+    def read(v: int) -> UniPoly:
+        return UniPoly(_kronecker_unpack(v, S))
+
+    T = squarefree_part(read(chain[-1][1]))
     for p, h in reversed(chain[:-1]):  # rising degree, up to (Q_y / G, const)
-        h = UniPoly(h)
+        h = read(h)
         g = T.gcd(h)
         Tk, T = T.exact_div(g), g
         if Tk.deg >= 1:
-            pieces.append((Tk, [(UniPoly(u) * h).exact_div(UniPoly(p[-1])) for u in p]))
+            pieces.append((Tk, [(read(u) * h).exact_div(read(p[-1])) for u in p]))
     points = sum(Tk.deg * (len(Sk) - 1) for Tk, Sk in pieces)
     if points > MAX_CRITICAL_POINTS:
         raise InputTooLarge(f"{points} critical points to evaluate, more than {MAX_CRITICAL_POINTS}")

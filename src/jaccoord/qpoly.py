@@ -170,14 +170,6 @@ def _int_exact_div(a: List[int], b: List[int]) -> List[int]:
     return q
 
 
-def _int_sub(a: List[int], b: List[int]) -> List[int]:
-    """a - b for integer coefficient lists, stripped."""
-    out = [x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials
 
@@ -888,8 +880,9 @@ class _Parser:
             n = int(t[1])
             if base.num_terms() > 1:
                 _check_points("power", n * base.degx, n * base.degy, t[2])
-            digits = n * math.log10(max(base.den, sum(map(abs, base.nums.values()))))
-            _check_digits("power with coefficients", digits, t[2])
+            scale = math.log10(max(base.den, sum(map(abs, base.nums.values()))))
+            # exact, as n may pass the range of a float; 0 for a monomial of coefficient +-1
+            _check_digits("power with coefficients", scale and n * Rat(scale), t[2])
             base = base ** n
         return base
 

@@ -203,6 +203,29 @@ class TestCheck:
             assert code == 0 and doc["outcome"] == "coordinate"
             assert parse_poly(text).den == 10 ** (k - 1)
 
+    def test_power_past_float_range_is_input_too_large(self, capsys):
+        # an exponent past the range of a float is budgeted exactly: a base
+        # whose numbers grow is refused at the exponent's offset, and a
+        # monomial of unit coefficient parses, as its canonical spelling does
+        from jaccoord.qpoly import MAX_POWER_DIGITS
+
+        sevens = "7" * 400
+        for command in ("check", "polygon"):
+            code, out, err = run(capsys, command, "--", "(2*x)^" + sevens)
+            assert (code, out) == (1, "")
+            error = json.loads(err)["error"]
+            assert error["kind"] == "InputTooLarge"
+            assert error["detail"].endswith(f" digits, more than {MAX_POWER_DIGITS} (at position 6)")
+        canonical = {
+            "x^2*y ^ " + sevens + " + x": "x^2*y^" + sevens + " + x",
+            "(x^2*y)^" + sevens + " + x": f"x^{2 * int(sevens)}*y^{sevens} + x",
+        }
+        for text, spelling in canonical.items():
+            assert parse_poly(text) == parse_poly(spelling)
+            assert run(capsys, "polygon", "--", text) == run(capsys, "polygon", "--", spelling)
+            code, out, err = run(capsys, "check", "--", text)
+            assert (code, out, json.loads(err)["error"]["kind"]) == (1, "", "InputTooLarge")
+
     def test_printed_number_budget_is_input_too_large(self, capsys):
         # rat_str refuses a numerator or denominator of more than
         # MAX_POWER_DIGITS digits, which Python would not print, and every

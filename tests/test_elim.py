@@ -23,7 +23,7 @@ from jaccoord import (
 from jaccoord import elim, fibre, qpoly
 from jaccoord.elim import (
     UNIPOLY_RING,
-    ZX_RING,
+    Z_RING,
     ZXC_RING,
     Ring,
     bipoly_to_sympy,
@@ -165,7 +165,7 @@ class TestResultant:
         rings = (
             (RAT_RING, lambda u: list(u.coeffs)),
             (UNIPOLY_RING, lambda u: [UniPoly([c]) for c in u.coeffs]),
-            (ZX_RING, lambda u: [[int(c)] if c else [] for c in u.coeffs]),
+            (Z_RING, lambda u: [int(c) for c in u.coeffs]),
             (ZXC_RING, lambda u: [{(0, 0): int(c)} if c else {} for c in u.coeffs]),
         )
         for R, wrap in rings:
@@ -217,7 +217,7 @@ class TestSubresultantChain:
 
 def _integer_multiple(p):
     """(den, den * p) for a list p of UniPoly or BiPoly, den the lcm of all
-    its denominators, as ZX_RING or ZXC_RING elements."""
+    its denominators, as integer coefficient lists or ZXC_RING elements."""
     if all(isinstance(u, UniPoly) for u in p):
         den = math.lcm(*[c.denominator for u in p for c in u.coeffs])
         return den, [[int(c * den) for c in u.coeffs] for u in p]
@@ -247,20 +247,37 @@ def _factor(a, b):
     return lam if all(a[e] == lam * b[e] for e in a) else None
 
 
+def _zx_run(ZA, ZB):
+    """The chain of ZA and ZB in Z[x][y], run in Z at x = 2^S and read back
+    element by element, and their resultant, ZA with a zero top slice."""
+    S = elim._kronecker_width(elim._l1_norms(ZA), elim._l1_norms(ZB))
+    A, B = elim._kronecker_pack(ZA, S), elim._kronecker_pack(ZB, S)
+
+    def read(v):
+        return elim._kronecker_unpack(v, S)
+
+    chain = [([read(v) for v in p], read(h)) for p, h in subresultant_chain(A, B, Z_RING)]
+    return chain, elim._zx_resultant(ZA + [[]], ZB)
+
+
+def _zxc_run(ZA, ZB):
+    return subresultant_chain(ZA, ZB, ZXC_RING), resultant(ZA + [{}], ZB, ZXC_RING)
+
+
 class TestIntegerRings:
-    """The chains over Z[x] and Z[x, c] equal those over Q[x] and Q[x, c],
-    element by element, up to nonzero rational factors, and exactly on
-    integer inputs."""
+    """The chains over Z[x], run in Z by Kronecker substitution, and over
+    Z[x, c] equal those over Q[x] and Q[x, c], element by element, up to
+    nonzero rational factors, and exactly on integer inputs."""
 
     @staticmethod
-    def _same_chain(A, B, R, QR):
+    def _same_chain(A, B, run, QR):
         (da, ZA), (db, ZB) = _integer_multiple(A), _integer_multiple(B)
-        got, ref = subresultant_chain(ZA, ZB, R), subresultant_chain(A, B, QR)
+        (got, res), ref = run(ZA, ZB), subresultant_chain(A, B, QR)
         assert [len(p) for p, _ in got] == [len(p) for p, _ in ref]
         pairs = [(_flat(p), _flat(q)) for (p, _), (q, _) in zip(got, ref)]
         pairs += [(_flat([h]), _flat([g])) for (_, h), (_, g) in zip(got, ref)]
         # zero top slices are stripped
-        pairs.append((_flat([resultant(ZA + [R.zero], ZB, R)]), _flat([resultant(A, B + [QR.zero], QR)])))
+        pairs.append((_flat([res]), _flat([resultant(A, B + [QR.zero], QR)])))
         factors = [_factor(a, b) for a, b in pairs]
         assert None not in factors, (A, B)
         assert da * db > 1 or set(factors) == {1}, (A, B)
@@ -281,10 +298,67 @@ class TestIntegerRings:
             g = sparse_poly(rng, rng.randint(1, da), even, 1 + k % 2, rational=k % 4 == 1)
             if k % 5 == 0:
                 f, g = f * parse_poly("y - 1"), g * parse_poly("y - 1")
-            degs = self._same_chain(f.y_coeffs(), g.y_coeffs(), ZX_RING, UNIPOLY_RING)
+            degs = self._same_chain(f.y_coeffs(), g.y_coeffs(), _zx_run, UNIPOLY_RING)
             kinds["shared" if degs[-1] > 0 else "coprime"] += 1
             kinds["gap"] += self._gaps(degs)
         assert min(kinds.values()) >= 10, kinds
+
+    def test_zx_encoding_edges(self):
+        # the cases the encoding at x = 2^S is sensitive to, against the
+        # chain over Q[x]: negative and alternating-sign coefficients, a
+        # resultant at the proved bound, B = 0 and deg B = 0
+        cases = [
+            ("-x^3*y^2 - 5*x*y^2 - 7*y - 2*x^4 - 1", "-3*x^2*y - x - 9"),
+            ("(x^2 - x + 1)*y^3 + (-x^3 + 2*x^2 - 3*x + 4)*y + x^4 - x^3 + x^2 - x + 1",
+             "(x - 1)*y^2 + (-x^2 + x - 1)*y + 1 - x"),
+            ("(x - 1)^5*y^2 - (x + 1)^5", "(x - 1)^3*y - (x + 1)^3"),
+            ("64*y + 64", "64*y - 64"),
+            ("y^3 - x^5 + 1", "0"),
+            ("300*y^3 - 200*x^5 + 1", "0"),
+            ("y^3 - x^5 + 1", "x^3 - 2*x + 1"),
+            ("300*y^3 - 200*x^5 + 1", "x + 1"),
+            ("-x^4 + x - 1", "x^2 - 1"),
+        ]
+        for a, b in cases:
+            A, B = parse_poly(a).y_coeffs(), parse_poly(b).y_coeffs()
+            B = [] if B == [UniPoly.zero()] else B
+            self._same_chain(A, B, _zx_run, UNIPOLY_RING)
+        # Hadamard's bound sqrt(2 * 64^2 * 2 * 64^2) is reached
+        assert elim._zx_resultant([[64], [64]], [[-64], [64]]) in ([8192], [-8192])
+        assert elim._zx_resultant([[1, 1]], []) == []
+
+    def test_kronecker_slots(self):
+        # every slot holds [-2^(S-1), 2^(S-1)); a norm of 2^(S-1) needs the
+        # next width
+        assert elim._kronecker_width([127], []) == 8
+        assert elim._kronecker_width([128], []) == 16
+        for u in ([-128, 127, -1, 0, 1, -128], [127] * 5, [-128] * 5, [1, -128], [-1, 0, 0, 127], []):
+            v = elim._kronecker_pack([u], 8)[0]
+            assert v == sum(c * 256 ** i for i, c in enumerate(u))
+            assert elim._kronecker_unpack(v, 8) == u, u
+
+    def test_torus_resultant_gcd_matches_unipoly(self):
+        # the gcd of Res_y(f, f_x) and Res_y(f, f_y), on smooth and singular
+        # fibres of generator coordinates and Fermat images
+        fermat = [
+            qpoly.substitute(parse_poly(t), parse_poly(u), parse_poly(v))
+            for t, u, v in (("x^4 + y^4 + 1", "2*x - y + 1/3", "x + y - 2"),
+                            ("x^5 + y^5 + 1", "x + 2*y - 1", "x - y + 1/2"))
+        ]
+        polys = [gen_random_coordinate(s, 2, 3, 3)[0] for s in range(4)] + fermat
+        singular = 0
+        for P in polys:
+            for c in (rat(0), rat(1), rat(1, 3)):
+                system = [P - BiPoly.const(c)]
+                system += [system[0].diff_x(), system[0].diff_y()]
+                a = next(i for i, f in enumerate(system) if f.degy >= 1)
+                A = system[a].y_coeffs()
+                ref = elim._unipoly_list_gcd(
+                    [resultant(A, f.y_coeffs(), UNIPOLY_RING) for i, f in enumerate(system) if i != a]
+                )
+                assert elim._torus_resultant_gcd(system) == ref, (P, c)
+                singular += ref.deg > 0
+        assert singular >= 2, singular
 
     def test_zxc_matches_bipoly_chain(self):
         # lists in y of polynomials in x and c, as _polar_limits takes them
@@ -310,10 +384,34 @@ class TestIntegerRings:
             if k % 5 == 0:
                 common = [parse_poly("x - 2*y"), BiPoly.const(1)]  # y - x + 2c, c in the y slot
                 A, B = times(A, common), times(B, common)
-            degs = self._same_chain(A, B, ZXC_RING, BIPOLY_RING)
+            degs = self._same_chain(A, B, _zxc_run, BIPOLY_RING)
             kinds["shared" if degs[-1] > 0 else "coprime"] += 1
             kinds["gap"] += self._gaps(degs)
         assert min(kinds.values()) >= 5, kinds
+
+    def test_fibre_chain_matches_unipoly_chain(self):
+        # fibre._chain reduces Q_x modulo Q_y in Z before its chain: against
+        # the chain over Q[x], on shears of generator coordinates and of
+        # dense sextics, most with Q_x and Q_y of equal y-degree
+        rng = random.Random(43)
+        polys = [P for P in (gen_random_coordinate(s, 2, 3, 3)[0] for s in range(16)) if P.total_degree() > 1]
+        polys += [
+            BiPoly({(i, j): rat(rng.choice([-3, -2, -1, 1, 2, 3])) for i in range(7) for j in range(7 - i)})
+            for _ in range(3)
+        ]
+        equal = 0
+        for P in polys:
+            Q = fibre._shear(P)
+            A, B = Q.diff_y().y_coeffs(), Q.diff_x().y_coeffs()
+            equal += len(A) == len(B)
+            ref = subresultant_chain(A, elim.pseudo_rem(B, A, UNIPOLY_RING), UNIPOLY_RING)
+            S, got = fibre._chain(Q.diff_y(), Q.diff_x())
+            assert [len(p) for p, _ in got] == [len(p) for p, _ in ref], P
+            for (p, h), (q, g) in zip(got, ref):
+                p = [elim._kronecker_unpack(v, S) for v in p]
+                assert _factor(_flat(p), _flat(q)) is not None, P
+                assert _factor(_flat([elim._kronecker_unpack(h, S)]), _flat([g])) is not None, P
+        assert equal >= 5, equal
 
     def test_polar_limits_match_bipoly_resultant(self):
         # the x-leading coefficient of Res_y(Q - c, Q_y) over Q[x, c]
@@ -340,9 +438,11 @@ class TestIntegerRings:
             with pytest.raises(ValueError, match="inexact bivariate division"):
                 div(a, b)
         with pytest.raises(ValueError, match="inexact univariate division"):
-            ZX_RING.exact_div([1, 0, 1], [1, 1])
+            qpoly._int_exact_div([1, 0, 1], [1, 1])
         with pytest.raises(ValueError, match="inexact univariate division"):
-            ZX_RING.exact_div([3, 3], [2])
+            qpoly._int_exact_div([3, 3], [2])
+        with pytest.raises(ValueError, match="inexact integer division"):
+            Z_RING.exact_div(-7, 2)
 
 
 class TestBivariateGcd:

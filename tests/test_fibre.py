@@ -606,7 +606,7 @@ class TestFibrePencil:
                 assert N == newton_polygon(P), (P, c)
                 got = report(c)
                 assert got == fibre._fibre_tail(c, f, True, 1, fibre._faces_nondegenerate), (P, c)
-                assert got.nondegenerate == fibre._faces_nondegenerate(f), (P, c)
+                assert got.nondegenerate == fibre._faces_nondegenerate(f, N), (P, c)
                 if got.nondegenerate:
                     assert got.branches_at_infinity == fibre._branches_tail(N), (P, c)
                     assert got.genus == (lattice_counts(N)[0] if N.dim == 2 else Unknown("SegmentPolygon"))
@@ -903,7 +903,7 @@ class TestSpecialValues:
         monkeypatch.setattr(fibre, "_values_over", counted)
         special_value_candidates(P)
         Q = fibre._shear(P)
-        return len(fibre._chain(Q.diff_y(), Q.diff_x())[-1][0]) - 1, calls
+        return len(fibre._chain(Q.diff_y(), Q.diff_x())[1][-1][0]) - 1, calls
 
     def test_shape_position_route(self, monkeypatch):
         # one piece, k = 1: both critical points have their own x

@@ -209,7 +209,8 @@ class _RefParser:
             n = int(t[1])
             if base.num_terms() > 1:
                 qpoly._check_points("power", n * base.degx, n * base.degy, t[2])
-            digits = n * math.log10(max(base.den, sum(map(abs, base.nums.values()))))
+            scale = math.log10(max(base.den, sum(map(abs, base.nums.values()))))
+            digits = scale and n * rat(scale)
             if digits > qpoly.MAX_POWER_DIGITS:
                 raise InputTooLarge(
                     f"power with coefficients of up to {math.ceil(digits)} digits,"
@@ -358,6 +359,8 @@ class TestParse:
     @example(text="x +")
     @example(text="")
     @example(text="  ")
+    @example(text="(2*x)^" + "7" * 400)
+    @example(text="(x^2*y)^" + "7" * 400)
     def test_matches_reference_parser(self, text):
         assert parse_outcome(parse_poly, text) == parse_outcome(ref_parse, text)
 
