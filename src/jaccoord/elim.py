@@ -2,16 +2,13 @@
 gcd and squarefree part, exact Gaussian elimination of rational matrices,
 and rational roots.
 
-Polynomials in the elimination variable are dense coefficient lists over
-a ring: Z for every chain over Z[x], Z[x, c] (integer term maps) for
-fibre._polar_limits, Q[x] for the reductions of fibre._values_over, and Q
-and Q[x, c], which the tests take as reference.  A small adapter carries
-each ring's zero, one, product, difference and exact division, so one
-subresultant chain serves all five.  All divisions performed by the chain
-are exact by theory; an inexact division raises, it is never silently
-rounded.  The callers pass the integer numerators of their inputs, so the
-chain runs without a gcd per coefficient, and they use its elements only
-up to nonzero constants.
+Polynomials in the elimination variable are dense lists of Python
+integers, from degree 0 up, and one subresultant chain serves every caller.
+All divisions performed by the chain are exact by theory; an inexact
+division raises, it is never silently rounded.  resultant is the exact
+determinant of Sylvester's matrix, sign included.  The callers pass the
+integer numerators of their inputs, and use the chain's elements only up
+to nonzero constants.
 
 A chain of A and B in Z[x][y] runs in Z on their images at x = 2^S
 (Kronecker substitution), and the caller decodes only the elements it
@@ -24,10 +21,10 @@ MODULAR_PRIME when it can be, by univariate slices, up to three per
 variable; any other input runs the exact gcds with its partial derivatives.
 
 A rational matrix is eliminated fraction-free, on a copy whose rows are
-scaled to primitive integer rows, for its rank and pivot positions; an
-integer matrix also has a rank modulo a prime, which is a lower bound on
-its rank over Q, from the one modular elimination loop, echelon_mod_p,
-which can also reduce later rows modulo the span of the first ones.
+scaled to primitive integer rows, for its rank; an integer matrix also has
+a rank modulo a prime, which is a lower bound on its rank over Q, from the
+one modular elimination loop, echelon_mod_p, which can also reduce later
+rows modulo the span of the first ones.
 rat_det, a Bareiss determinant, has no caller here; it stays for the
 tests' reference oracles and the benchmark tracer.
 
@@ -39,12 +36,9 @@ can neither prove that there is none nor show one over a rational x.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import sympy
 
@@ -58,28 +52,14 @@ from .qpoly import (
     _gcd_mod_p,
     _int_coeffs,
     _int_exact_div,
-    _int_mul,
     _int_primitive,
-    _int_terms_exact_div,
     rat,
     squarefree_part,
 )
 
 
 # ---------------------------------------------------------------------------
-# coefficient ring adapters
-
-
-@dataclass(frozen=True)
-class Ring:
-    """Zero, one, product, difference and exact division of a coefficient
-    type; exact_div raises ValueError rather than round."""
-
-    zero: object
-    one: object
-    mul: Callable
-    sub: Callable
-    exact_div: Callable
+# subresultant chains of integer coefficient lists
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -89,22 +69,8 @@ def _exact_quotient(a: int, b: int) -> int:
     return q
 
 
-UNIPOLY_RING = Ring(UniPoly.zero(), UniPoly.const(1), operator.mul, operator.sub, UniPoly.exact_div)
-# Z: the images at x = 2^S of Z[x] elements, see _kronecker_width
-Z_RING = Ring(0, 1, operator.mul, operator.sub, _exact_quotient)
-# Z[x, c]: integer term maps {(i, j): n} of n x^i c^j, without zero values
-ZXC_RING = Ring(
-    {}, {(0, 0): 1}, lambda a, b: {e: n for e, n in _int_mul(a, b).items() if n},
-    lambda a, b: {e: n for e in a.keys() | b.keys() if (n := a.get(e, 0) - b.get(e, 0))},
-    _int_terms_exact_div,
-)
-
-
-# dense polynomial-over-ring helpers; a poly is a list of ring elements
-
-
-def pstrip(p: List, R: Ring) -> List:
-    while p and p[-1] == R.zero:
+def pstrip(p: List[int]) -> List[int]:
+    while p and not p[-1]:
         p.pop()
     return p
 
@@ -113,93 +79,61 @@ def pdeg(p: Sequence) -> int:
     return len(p) - 1
 
 
-def plc(p: Sequence):
-    return p[-1]
-
-
-def pscale(p: Sequence, c, R: Ring) -> List:
-    return pstrip([R.mul(a, c) for a in p], R)
-
-
-def psub(p: Sequence, q: Sequence, R: Ring) -> List:
-    n = max(len(p), len(q))
-    out = []
-    for k in range(n):
-        a = p[k] if k < len(p) else R.zero
-        b = q[k] if k < len(q) else R.zero
-        out.append(R.sub(a, b))
-    return pstrip(out, R)
-
-
-def pseudo_rem(A: Sequence, B: Sequence, R: Ring) -> List:
+def pseudo_rem(A: Sequence[int], B: Sequence[int]) -> List[int]:
     """prem(A, B): lc(B)^(degA-degB+1) * A mod B."""
-    dA, dB = pdeg(A), pdeg(B)
+    dB = pdeg(B)
     if dB < 0:
         raise ZeroDivisionError("pseudo-division by zero")
-    rem = list(A)
-    lcB = plc(B)
-    e = dA - dB + 1
+    rem, lcB, e = list(A), B[-1], pdeg(A) - dB + 1
     while pdeg(rem) >= dB:
-        d = pdeg(rem)
-        lead = plc(rem)
-        rem = psub(pscale(rem, lcB, R), [R.zero] * (d - dB) + [R.mul(a, lead) for a in B], R)
+        k, lead = len(rem) - 1 - dB, rem.pop()
+        rem = pstrip([c * lcB for c in rem[:k]] + [c * lcB - lead * b for c, b in zip(rem[k:], B)])
         e -= 1
-        if pdeg(rem) >= d:  # defensive; cannot happen
-            raise RuntimeError("pseudo-division failed to reduce degree")
-    for _ in range(max(e, 0)):
-        rem = pscale(rem, lcB, R)
-    return rem
+    return [c * lcB ** e for c in rem] if e > 0 else rem
 
 
-def subresultant_chain(A: List, B: List, R: Ring) -> List[Tuple[List, object]]:
+def subresultant_chain(A: List[int], B: List[int]) -> List[Tuple[List[int], int]]:
     """The subresultant PRS of A and B, deg A >= deg B, as pairs (p, h).
 
     The first pair is (A, lc A), then come B and every nonzero remainder.
     For deg A > deg B, up to sign, h is the principal subresultant
     coefficient s_j of degree j = deg p and p * h / lc p is the subresultant
     S_j; every s_j of a degree the chain skips is zero.  The chain ends on a
-    constant p, whose h is Res(A, B), or on a nonconstant p, a gcd of A and
-    B up to a factor in R.
+    constant p, whose h is Res(A, B) up to sign, or on a nonconstant p, a
+    gcd of A and B up to an integer factor.
     """
     if pdeg(A) < pdeg(B):
         raise ValueError(f"subresultant_chain needs deg A >= deg B, got {pdeg(A)} < {pdeg(B)}")
-    chain = [(list(A), plc(A))]
-    a, b, g, h = A, list(B), R.one, R.one
+    chain = [(list(A), A[-1])]
+    a, b, g, h = A, list(B), 1, 1
     while b:
         delta = pdeg(a) - pdeg(b)
-        r = pseudo_rem(a, b, R) if pdeg(b) > 0 else []
-        divisor = R.mul(g, _pow(h, delta, R)) if r else None
-        a, b = b, [R.exact_div(c, divisor) for c in r]
-        g = plc(a)
-        h = _pow_quotient(h, g, delta, R)
+        r = pseudo_rem(a, b) if pdeg(b) > 0 else []
+        divisor = g * h ** delta if r else 1
+        a, b = b, [_exact_quotient(c, divisor) for c in r]
+        g = a[-1]
+        h = _exact_quotient(g ** delta, h ** (delta - 1)) if delta else h
         chain.append((a, h))
     return chain
 
 
-def _pow(a, n: int, R: Ring):
-    return functools.reduce(R.mul, [a] * (n - 1), a) if n else R.one
-
-
-def _pow_quotient(h, g, delta: int, R: Ring):
-    """h^(1-delta) * g^delta, via exact division when delta > 1."""
-    if delta == 0:
-        return h
-    return R.exact_div(_pow(g, delta, R), _pow(h, delta - 1, R))
-
-
-def resultant(A: List, B: List, R: Ring):
-    """Resultant of A and B (in the list variable) over the ring R.
-
-    Computed through the subresultant chain; exact up to sign conventions,
-    which is all the root-hunting callers need.
+def resultant(A: List[int], B: List[int]) -> int:
+    """Res(A, B), the determinant of Sylvester's matrix of A and B, with
+    its sign: for deg A >= deg B it is (-1)^s h_last, s the sum of
+    deg p_i * deg p_(i+1) over consecutive elements of the chain, and
+    otherwise (-1)^(deg A deg B) Res(B, A).
     """
-    A, B = pstrip(list(A), R), pstrip(list(B), R)
+    A, B = pstrip(list(A)), pstrip(list(B))
     if not A or not B:
-        return R.zero
+        return 0
     if pdeg(A) < pdeg(B):
-        A, B = B, A
-    last, h = subresultant_chain(A, B, R)[-1]
-    return h if pdeg(last) == 0 else R.zero  # else a common factor
+        return (-1) ** (pdeg(A) * pdeg(B)) * resultant(B, A)
+    chain = subresultant_chain(A, B)
+    last, h = chain[-1]
+    if pdeg(last) > 0:  # a common factor
+        return 0
+    s = sum(pdeg(p) * pdeg(q) for (p, _), (q, _) in zip(chain, chain[1:]))
+    return -h if s % 2 else h
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +189,11 @@ def _kronecker_unpack(v: int, S: int) -> List[int]:
 
 
 def _zx_resultant(A: List[List[int]], B: List[List[int]]) -> List[int]:
-    """Res_y(A, B) of A, B in Z[x][y], up to sign, an integer coefficient
-    list; the chain runs in Z."""
+    """Res_y(A, B) of A, B in Z[x][y], sign included, an integer coefficient
+    list; the chain runs in Z, and the image of the resultant at x = 2^S is
+    the resultant of the images."""
     S = _kronecker_width(_l1_norms(A), _l1_norms(B))
-    return _kronecker_unpack(resultant(_kronecker_pack(A, S), _kronecker_pack(B, S), Z_RING), S)
+    return _kronecker_unpack(resultant(_kronecker_pack(A, S), _kronecker_pack(B, S)), S)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +235,7 @@ def bipoly_gcd(f: BiPoly, g: BiPoly) -> BiPoly:
     if pdeg(fp) < pdeg(gp):
         fp, gp = gp, fp
     S = _kronecker_width(_l1_norms(fp), _l1_norms(gp))
-    last = subresultant_chain(_kronecker_pack(fp, S), _kronecker_pack(gp, S), Z_RING)[-1][0]
+    last = subresultant_chain(_kronecker_pack(fp, S), _kronecker_pack(gp, S))[-1][0]
     if pdeg(last) == 0:  # coprime primitive parts: the gcd is the content
         return cont.to_bipoly("x")
     # primitive part of the last nonzero subresultant is the pp-gcd
@@ -371,9 +306,9 @@ def bipoly_is_squarefree(f: BiPoly) -> bool:
 # exact rational linear algebra, and rank modulo a prime
 
 
-def rat_eliminate(rows: List[List]) -> Tuple[int, List[int], List[int]]:
-    """Gaussian elimination of a rational matrix, which is left untouched;
-    returns (rank, pivot_rows, pivot_cols).
+def rat_eliminate(rows: List[List]) -> int:
+    """The rank of a rational matrix, which is left untouched, by Gaussian
+    elimination.
 
     Deterministic: scans columns left to right and picks the first remaining
     row with a nonzero entry.  Fraction-free: each row is scaled to a
@@ -382,16 +317,12 @@ def rat_eliminate(rows: List[List]) -> Tuple[int, List[int], List[int]]:
     there are left as they are.
     """
     mat = [_int_primitive(_int_coeffs(row)[1])[1] for row in rows]
-    n = len(mat)
-    order = list(range(n))  # original index of each physical row
-    pivot_cols: List[int] = []
-    r = 0
+    n, r = len(mat), 0
     for col in range(len(mat[0]) if mat else 0):
         sel = next((i for i in range(r, n) if mat[i][col]), None)
         if sel is None:
             continue
-        for seq in (mat, order):
-            seq[r], seq[sel] = seq[sel], seq[r]
+        mat[r], mat[sel] = mat[sel], mat[r]
         piv = mat[r][col]
         ptail = mat[r][col + 1:]
         for i in range(r + 1, n):
@@ -405,9 +336,8 @@ def rat_eliminate(rows: List[List]) -> Tuple[int, List[int], List[int]]:
                 h = math.gcd(*tail) or 1
                 ri[col] = 0
                 ri[col + 1:] = [v // h for v in tail] if h > 1 else tail
-        pivot_cols.append(col)
         r += 1
-    return r, order[:r], pivot_cols
+    return r
 
 
 def rank_mod_p(rows: List[List], p: int) -> int:

@@ -45,8 +45,9 @@ read that one.
 Special value candidates are a superset of the bifurcation set: exactly
 the critical values, from one subresultant chain of Q_y and Q_x over Z[x],
 run in Z at x = 2^S, plus the values atypical at infinity, among the limits
-of Q along the polar branches at infinity, read off Res_y(Q - c, Q_y) over
-Z[x, c].
+of Q along the polar branches at infinity, read off the x-leading
+coefficient of Res_y(Q - c, Q_y), interpolated in c from deg_y Q
+resultants over Z[x], each run in Z the same way.
 Q = P(x + t*y, y), where t is the first of 0, 1, -1, 2, -2, ... with
 degy Q = deg P, the exact condition that makes every fibre of Q finite
 over the x-line.
@@ -73,15 +74,14 @@ from .qpoly import (
 from .coordinate import InternalVerificationFailure
 from .newton import LatticePolygon, edge_faces, lattice_counts, newton_polygon, support_polygon
 from .elim import (
-    UNIPOLY_RING,
-    Z_RING,
-    ZXC_RING,
+    _exact_quotient,
     _int_primitive_rows,
     _int_y_rows,
     _kronecker_pack,
     _kronecker_unpack,
     _kronecker_width,
     _l1_norms,
+    _zx_resultant,
     bipoly_squarefree_part,
     echelon_mod_p,
     has_common_torus_zero,
@@ -90,7 +90,6 @@ from .elim import (
     pstrip,
     rank_mod_p,
     rat_eliminate,
-    resultant,
     strip_rational_roots,
     subresultant_chain,
 )
@@ -222,7 +221,7 @@ def _factor_count(f: BiPoly, count_p: Optional[int] = None, N: Optional[LatticeP
     rows, ncols = ruppert_rows(f.nums, N)
     dim = ncols - rank_mod_p(rows, MODULAR_PRIME) if count_p is None else count_p
     if dim > 1:
-        dim = ncols - rat_eliminate(rows)[0]
+        dim = ncols - rat_eliminate(rows)
     if dim < 1:
         raise InternalVerificationFailure(
             "Ruppert solution space lost the logarithmic-derivative solutions"
@@ -470,8 +469,8 @@ def _chain(A: BiPoly, B: BiPoly) -> Tuple[int, List[Tuple[List[int], int]]]:
     if top:
         nb = [abs(a[-1][0]) * m + top * n for m, n in zip(nb, na)]
     S = _kronecker_width(na, nb, top)
-    a, b = _kronecker_pack(a, S), pstrip(_kronecker_pack(b, S), Z_RING)
-    return S, subresultant_chain(a, pseudo_rem(b, a, Z_RING), Z_RING)
+    a, b = _kronecker_pack(a, S), pstrip(_kronecker_pack(b, S))
+    return S, subresultant_chain(a, pseudo_rem(b, a))
 
 
 def _inverse_mod(a: UniPoly, T: UniPoly) -> UniPoly:
@@ -501,11 +500,16 @@ def _values_over(T: UniPoly, S: List[UniPoly], Q: BiPoly) -> UniPoly:
     deg_y S = 1, Q reduces to Q(x, -s0/s1) in K: the shape position of a
     rational univariate representation (Rouillier, 1999).
     """
-    def reduce(U):
-        return [u.divmod(T)[1] for u in pseudo_rem(U, S, UNIPOLY_RING)]
-
     inv = _inverse_mod(S[-1], T)
     S = [(u * inv).divmod(T)[1] for u in S]  # monic in y
+
+    def reduce(U):  # U modulo S, monic in y, then modulo T
+        U, m = list(U), len(S) - 1
+        while len(U) > m:
+            lead = U.pop()
+            U[len(U) - m:] = [u - lead * s for u, s in zip(U[len(U) - m:], S)]
+        return [u.divmod(T)[1] for u in U]
+
     sigma, tau = _power_sums(S, len(S) - 1, lambda u: u.divmod(T)[1]), _power_sums(T.coeffs, T.deg)
     q = BiPoly.from_y_coeffs(reduce(Q.y_coeffs()))
     power, sums, coeffs = q, [], [RAT_ONE]  # coeffs[i] is that of c^(N - i)
@@ -555,24 +559,42 @@ def _critical_factors(Q: BiPoly) -> List[UniPoly]:
     return [_values_over(Tk, Sk, Q) for Tk, Sk in pieces]
 
 
+def _interpolate(values: Sequence[int]) -> List[int]:
+    """The coefficients, from degree 0 up, of the polynomial in Z[c] of
+    degree < n that takes values[k] at c = k, k < n, by Newton's divided
+    differences: the k-th one at consecutive integers is the k-th finite
+    difference over k!, an integer for a polynomial in Z[c]."""
+    dd, n = list(values), len(values)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            dd[i] = _exact_quotient(dd[i] - dd[i - 1], k)
+    out = [dd[-1]]
+    for k in range(n - 2, -1, -1):  # out * (c - k) + dd[k]
+        out = [a - k * b for a, b in zip([0] + out, out + [0])]
+        out[0] += dd[k]
+    return out
+
+
 def _polar_limits(Q: BiPoly) -> UniPoly:
     """A polynomial in c whose roots include the finite limits of Q along
     the branches at infinity of its polar curve, and so B-infinity.
 
     Q is a _shear, so each fibre Q = c is branched over the x-roots of
-    A(x, c) = Res_y(Q - c, Q_y), taken over Z[x, c] on the numerators
-    d*Q of Q, as Res_y(d*Q - d*c, d*Q_y), a nonzero constant times A.
-    Where the x-leading coefficient of A is nonzero, no branch point
-    escapes to infinity as c moves, so Q is locally trivial at infinity
-    there.
+    A(x, c) = Res_y(Q - c, Q_y), here Res_y(d*Q - d*c, d*Q_y) on the
+    numerators d*Q of Q.  Where the x-leading coefficient of A is nonzero,
+    no branch point escapes to infinity as c moves, so Q is locally trivial
+    at infinity there.  Only the n - 1 rows of d*Q - d*c in Sylvester's
+    matrix hold c, n = deg_y Q, so that coefficient, of degree < n in c, is
+    nonzero at one of c = 0, ..., n - 1 and is interpolated from the top
+    coefficients of the longest of the n resultants A(x, k) over Z[x],
+    exact as lc_y Q is a constant.
     """
-    den, nums = Q.den, Q.nums
-    rows = [{(i, 0): n for (i, k), n in nums.items() if k == j} for j in range(Q.degy + 1)]
-    dy = [{e: j * n for e, n in row.items()} for j, row in enumerate(rows) if j]
-    rows[0][(0, 1)] = -den
-    A = resultant(rows, dy, ZXC_RING)
-    top = max((i for i, _ in A), default=0)
-    return UniPoly([A.get((top, j), 0) for j in range(Q.degy)])  # deg_c A <= deg_y Q_y
+    rows = _int_y_rows(Q)
+    dy = [[j * n for n in row] for j, row in enumerate(rows) if j]
+    first = rows[0] or [0]
+    values = [_zx_resultant([[first[0] - Q.den * k] + first[1:]] + rows[1:], dy) for k in range(len(dy))]
+    top = max(map(len, values))
+    return UniPoly(_interpolate([v[-1] if len(v) == top else 0 for v in values]))
 
 
 def special_value_candidates(P: BiPoly) -> SpecialValues:

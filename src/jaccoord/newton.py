@@ -191,8 +191,9 @@ def face_binomial_power(
     m is forced to gcd(dx, dy).  With e_k the integer numerator of the edge
     coefficient of x^(p(m-k)) y^(qk), C = e_m and u1 = e_(m-1), a = -u1/(C m)
     must be nonzero; when it is zero the obstruction is the first slot k < m
-    that no nonzero a could fill, the first zero e_k.  Otherwise the expected
-    numerators follow the ratio of consecutive binomial terms,
+    that no nonzero a could fill, the first zero e_k, read off the face's
+    own terms, so that a sparse face of large m costs no list.  Otherwise
+    the expected numerators follow the ratio of consecutive binomial terms,
     expected_k = expected_(k+1) (k+1) u1 / ((m-k) C m), held as an unreduced
     integer pair from k = m-1 down to 0, and the obstruction is the smallest
     k whose e_k differs.  No power and no rational is built until C and a.
@@ -200,10 +201,11 @@ def face_binomial_power(
     m = gcd(F.dx, F.dy)
     p, q = F.dx // m, F.dy // m
     get = F.E.nums.get
-    e = [get((p * (m - k), q * k), 0) for k in range(m + 1)]
-    c, u1 = e[m], e[m - 1]
+    c, u1 = get((0, q * m), 0), get((p, q * (m - 1)), 0)
     if not u1:
-        return FaceNotBinomialPower(k=e.index(0))
+        present = {j // q for _, j in F.E.nums}
+        return FaceNotBinomialPower(k=next(k for k in range(m) if k not in present))
+    e = [get((p * (m - k), q * k), 0) for k in range(m + 1)]
     num, den, failed = c, 1, None
     for k in range(m - 1, -1, -1):
         num *= (k + 1) * u1

@@ -723,11 +723,16 @@ MAX_POWER_DIGITS = 4_300
 _DIGIT_LIMIT = 10 ** MAX_POWER_DIGITS  # the least integer of more digits
 
 
+def _amount(n: int, prefix: str = "") -> str:
+    """prefix and n, or 'over 10^MAX_POWER_DIGITS' for an n too long to print."""
+    return f"{prefix}{n}" if n < _DIGIT_LIMIT else f"over 10^{MAX_POWER_DIGITS}"
+
+
 def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
     points = (degx + 1) * (degy + 1)
     if points > MAX_POWER_POINTS:
         raise InputTooLarge(
-            f"{what} with {points} lattice points, more than"
+            f"{what} with {_amount(points)} lattice points, more than"
             f" {MAX_POWER_POINTS} (at position {pos})"
         )
 
@@ -735,7 +740,7 @@ def _check_points(what: str, degx: int, degy: int, pos: int) -> None:
 def _check_digits(what: str, digits: float, pos: int) -> None:
     if digits > MAX_POWER_DIGITS:
         raise InputTooLarge(
-            f"{what} of up to {math.ceil(digits)} digits, more than {MAX_POWER_DIGITS} (at position {pos})"
+            f"{what} of {_amount(math.ceil(digits), 'up to ')} digits, more than {MAX_POWER_DIGITS} (at position {pos})"
         )
 
 

@@ -226,6 +226,23 @@ class TestCheck:
             code, out, err = run(capsys, "check", "--", text)
             assert (code, out, json.loads(err)["error"]["kind"]) == (1, "", "InputTooLarge")
 
+    def test_budget_past_a_printable_count_is_input_too_large(self, capsys):
+        # a count of lattice points or of digits too long for Python to
+        # print is named by its order, and the message still names the
+        # bound and the exponent's offset
+        from jaccoord.qpoly import MAX_POWER_DIGITS, MAX_POWER_POINTS
+
+        nines, over = "9" * MAX_POWER_DIGITS, f"over 10^{MAX_POWER_DIGITS}"
+        cases = {
+            "(x+y)^" + nines: f"power with {over} lattice points, more than {MAX_POWER_POINTS} (at position 6)",
+            "(10000000000*x)^" + nines:
+                f"power with coefficients of {over} digits, more than {MAX_POWER_DIGITS} (at position 16)",
+        }
+        for text, detail in cases.items():
+            code, out, err = run(capsys, "polygon", "--", text)
+            assert (code, out) == (1, "")
+            assert json.loads(err)["error"] == {"kind": "InputTooLarge", "detail": detail}
+
     def test_printed_number_budget_is_input_too_large(self, capsys):
         # rat_str refuses a numerator or denominator of more than
         # MAX_POWER_DIGITS digits, which Python would not print, and every
@@ -318,6 +335,15 @@ class TestPolygon:
         assert doc["dim"] == 1
         assert doc["triangle"] is False
         assert doc["face"] is None
+
+    def test_sparse_hypotenuse_of_huge_degree(self, capsys):
+        # the face gate reads the first absent slot of x^n + y^n off the
+        # face's own terms, so n = 10^9 costs no list of n + 1 slots
+        n = 10 ** 9
+        code, doc, _ = run_json(capsys, "polygon", f"x^{n} + y^{n} + 1")
+        assert code == 0
+        assert doc["vertices"] == [[0, 0], [n, 0], [0, n]]
+        assert (doc["triangle"], doc["face"]) == (True, None)
 
 
 class TestFibre:

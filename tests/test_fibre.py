@@ -1,7 +1,6 @@
 """Fibre invariants: factor counts, nondegeneracy, genus, branches."""
 
 import importlib.util
-import operator
 import os
 import random
 import sys
@@ -126,7 +125,7 @@ def _count_p(rows, ncols, p=None):
 
 
 def _count_q(rows, ncols):
-    return ncols - fibre.rat_eliminate(rows)[0]
+    return ncols - fibre.rat_eliminate(rows)
 
 
 def _squarefree_terms(f_terms):
@@ -409,7 +408,7 @@ class TestAbsoluteFactorCount:
 
         def counted_rank_q(rows):
             out = rank_q(rows)
-            drops.append(out[0] > last[-1])
+            drops.append(out > last[-1])
             return out
 
         monkeypatch.setattr(fibre, "rank_mod_p", counted_rank_p)
@@ -950,9 +949,20 @@ def _rational_rank_drop_det(P):
     of a maximal square submatrix that is nonsingular at one of three probes.
     Its roots flag factor-count jumps, and some more.  Which submatrix comes
     first depends on the order of the matrix, and so do the spurious roots,
-    so this builds the lex-ordered matrix of ref_ruppert_rows."""
-    from jaccoord.elim import rat_det, rat_eliminate
+    so this builds the lex-ordered matrix of ref_ruppert_rows; the pivot
+    columns of the matrix and of its transpose at a probe, from sympy's
+    reduced row echelon form, pick a submatrix of its rank."""
+    from sympy import QQ
+    from sympy.polys.matrices import DomainMatrix
+
+    from jaccoord.elim import rat_det
     from jaccoord.qpoly import UniPoly
+
+    def pivots(M):
+        """(rank, pivot rows, pivot columns) of the rational matrix M."""
+        D = DomainMatrix([[QQ(v.numerator, v.denominator) for v in r] for r in M], (len(M), len(M[0])), QQ)
+        pcol = D.rref()[1]
+        return len(pcol), D.transpose().rref()[1], pcol
 
     terms = {e: UniPoly.const(c) for e, c in P.items()}
     terms[(0, 0)] = terms.get((0, 0), UniPoly.zero()) + UniPoly([0, -1])
@@ -961,7 +971,7 @@ def _rational_rank_drop_det(P):
     if not rows:
         return None
     probes = [
-        tuple(rat_eliminate([[u.eval(probe) for u in r] for r in rows]))
+        pivots([[u.eval(probe) for u in r] for r in rows])
         for probe in (rat(17, 3), rat(-19, 5), rat(23, 7))
     ]
     rank, prow, pcol = max(probes, key=lambda b: b[0])  # the first of maximal rank
@@ -1063,43 +1073,39 @@ class TestPolarLimits:
 def _elimination_critical_factors(P):
     """Reference: the critical factors by elimination, y twice and then x.
 
-    Res_y(P - c, P_y) and Res_y(P - c, P_x) over Q[x, c] give their
+    sympy's Res_y(P - c, P_y) and Res_y(P - c, P_x) over Q[x, c] give their
     c-contents, then Res_x of their primitive parts, taken again on the
     cofactors of their gcd when it vanishes; a y-free P is eliminated with x
     and y swapped.  Every critical value is a root, and some more."""
-    from jaccoord.elim import UNIPOLY_RING, Ring, _unipoly_list_gcd, bipoly_gcd, resultant
+    import sympy
 
-    BIPOLY_RING = Ring(BiPoly.zero(), BiPoly.const(1), operator.mul, operator.sub, BiPoly.exact_div)
+    from jaccoord.elim import bipoly_to_sympy
+    from jaccoord.qpoly import UniPoly
 
-    def res_y_minus_c(P, D):
-        minus_c = [u.to_bipoly("x") for u in P.y_coeffs()]
-        minus_c[0] = minus_c[0] - BiPoly.var_y()
-        return resultant(minus_c, [u.to_bipoly("x") for u in D.y_coeffs()], BIPOLY_RING)
+    x, y, c = sympy.symbols("x y c")
 
-    def split_x_content(A):
-        coeffs = A.x_coeffs()
-        cont = _unipoly_list_gcd(coeffs)
-        pp = {(i, j): c for i, u in enumerate(coeffs) for j, c in enumerate(u.exact_div(cont).coeffs)}
-        return cont, BiPoly({e: c for e, c in pp.items() if c})
+    def in_c(expr):
+        return UniPoly([rat(v.p, v.q) for v in reversed(sympy.Poly(expr, c).all_coeffs())])
 
+    f = bipoly_to_sympy(P)
     if P.degy == 0:
-        P = BiPoly.from_y_coeffs(P.x_coeffs())
+        f = f.subs({x: y, y: x}, simultaneous=True)
     factors, pps = [], []
-    for D in (P.diff_y(), P.diff_x()):
-        R = res_y_minus_c(P, D)
-        if R.is_zero():
+    for D in (f.diff(y), f.diff(x)):
+        R = sympy.resultant(f - c, D, y)
+        if R == 0:
             return factors
-        cont, pp = split_x_content(R)
-        factors.append(cont)
-        pps.append(pp)
+        cont = sympy.gcd_list(sympy.Poly(R, x).all_coeffs())
+        factors.append(in_c(cont))
+        pps.append(sympy.cancel(R / cont))
     ppA, ppB = pps
-    if ppA.degx == 0 or ppB.degx == 0:
+    if sympy.degree(ppA, x) == 0 or sympy.degree(ppB, x) == 0:
         return factors
-    R = resultant(ppA.x_coeffs(), ppB.x_coeffs(), UNIPOLY_RING)
-    if R.is_zero():
-        G = bipoly_gcd(ppA, ppB)
-        R = resultant(ppA.exact_div(G).x_coeffs(), ppB.exact_div(G).x_coeffs(), UNIPOLY_RING)
-    factors.append(R)
+    R = sympy.resultant(ppA, ppB, x)
+    if R == 0:
+        G = sympy.gcd(ppA, ppB)
+        R = sympy.resultant(sympy.cancel(ppA / G), sympy.cancel(ppB / G), x)
+    factors.append(in_c(R))
     return factors
 
 

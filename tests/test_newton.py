@@ -284,6 +284,18 @@ class TestFaceGate:
         assert isinstance(ff, FaceForm)
         assert (ff.p, ff.q, ff.m) == (3, 2, 1)
 
+    def test_sparse_face_of_huge_degree(self):
+        # e_(m-1) = 0: the first absent slot is read off the face's terms,
+        # without a list of its m + 1 slots, m = 10^9
+        n = 10 ** 9
+        cases = (
+            (f"x^{n} + y^{n} + 1", 1),
+            (f"x^{n} + x^{n - 1}*y + y^{n}", 2),
+            (f"x^{n} + x^{n - 1}*y^2 + y^{2 * n}", 2),  # q = 2
+        )
+        for text, k in cases:
+            assert face_binomial_power(triangle_face(parse_poly(text))) == FaceNotBinomialPower(k=k)
+
 
 def ref_face_binomial_power(F):
     """The face gate on rationals: every edge coefficient against
