@@ -5,6 +5,7 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from jaccoord import (
     BiPoly,
@@ -133,7 +134,8 @@ class TestResultant:
         assert elim._zx_resultant(P, Q) == [-4 * c for c in ints(parse_poly("x^3 + x + 1").y_coeffs()[0])]
 
     def test_matches_sympy(self):
-        # equal to sympy's resultant up to sign, over Z and over Z[x]; the
+        # equal to sympy's resultant, the determinant of Sylvester's matrix,
+        # sign included, over Z and over Z[x]; the
         # inputs include common factors, and chains whose degree drops by
         # more than one after the first step, where h^(delta-1) divides;
         # the last 80 pairs are the integer multiples of rational ones
@@ -161,7 +163,7 @@ class TestResultant:
             r = unipoly_to_sympy(UniPoly(r), X)
             expected = sympy.resultant(bipoly_to_sympy(BiPoly(f.nums)), bipoly_to_sympy(BiPoly(g.nums)), Y)
             expected = sympy.Poly(expected, X)
-            assert r in (expected, -expected)
+            assert r == expected, (f, g)
         assert min(inner_gaps) >= 10, inner_gaps
 
     def test_sign_is_the_sylvester_determinant(self):
@@ -216,6 +218,27 @@ def _det_subresultant(a, b, j):
         sympy.Matrix([head + [row[i]] for head, row in zip(lead, rows)]).det()
         for i in range(j + 1)
     ]
+
+
+_ZZX = sympy.ZZ[X]
+
+
+def _principal_subresultant(a, b, j):
+    """s_j(A, B) over Z[x] from its definition, as a coefficient list in x:
+    the determinant of the rows of _det_subresultant's matrix in the columns
+    of y^(m+n-j-1), ..., y^j, computed by sympy over Z[x]; a and b list the
+    y-coefficients of A and B as integer coefficient lists in x.  It is
+    lc(B)^(m-n) for j = n, 1 for j = n = m."""
+    m, n = len(a) - 1, len(b) - 1
+    width = m + n - j
+    a, b = ([_ZZX.from_sympy(sum((c * X**i for i, c in enumerate(u)), sympy.Integer(0))) for u in p] for p in (a, b))
+    zero = _ZZX.zero
+    rows = [[zero] * i + b + [zero] * (width - n - 1 - i) for i in range(m - j)]
+    rows += [[zero] * i + a + [zero] * (width - m - 1 - i) for i in range(n - j)]
+    if not rows:
+        return [1]
+    det = DomainMatrix([row[j:][::-1] for row in rows], (len(rows), len(rows)), _ZZX).det()
+    return [int(c) for c in reversed(sympy.Poly(_ZZX.to_sympy(det), X).all_coeffs())] if det else []
 
 
 class TestSubresultantChain:
@@ -273,15 +296,18 @@ def _zx_run(ZA, ZB):
 
 class TestIntegerRings:
     """The chains over Z[x], run in Z by Kronecker substitution, equal
-    sympy's subresultant PRS element by element up to sign, and their
-    resultants sympy's."""
+    sympy's subresultant PRS element by element up to sign, each h after
+    the first (lc A) is the principal subresultant coefficient s_(deg p) up
+    to sign, and their resultants are sympy's."""
 
     @staticmethod
     def _same_chain(ZA, ZB):
         (got, res), f, g = _zx_run(ZA, ZB), _rows_to_sympy(ZA), _rows_to_sympy(ZB)
         ref = sympy.subresultants(f, g, Y)
         assert len(got) == len(ref), (ZA, ZB)
+        assert got[0][1] == ZA[-1], (ZA, ZB)
         pairs = [(_flat(p), _sympy_flat(q)) for (p, _), q in zip(got, ref)]
+        pairs += [(_flat([h]), _flat([_principal_subresultant(ZA, ZB, len(p) - 1)])) for p, h in got[1:]]
         # zero top slices are stripped
         pairs.append((_flat([res]), _sympy_flat(sympy.resultant(f, g, Y))))
         assert all(_factor(a, b) in (1, -1) for a, b in pairs), (ZA, ZB)
@@ -371,9 +397,11 @@ class TestIntegerRings:
 
     def test_fibre_chain_matches_unipoly_chain(self):
         # fibre._chain reduces Q_x modulo Q_y in Z before its chain: against
-        # sympy's subresultant PRS of Q_y and prem(Q_x, Q_y) over Q[x], on
-        # shears of generator coordinates and of dense sextics, most with
-        # Q_x and Q_y of equal y-degree
+        # sympy's subresultant PRS of Q_y and prem(Q_x, Q_y) over Q[x], and
+        # each h after the first against s_(deg p) of the numerators of Q_y
+        # and of that remainder, up to sign, on shears of generator
+        # coordinates and of dense sextics, most with Q_x and Q_y of equal
+        # y-degree
         rng = random.Random(43)
         polys = [P for P in (gen_random_coordinate(s, 2, 3, 3)[0] for s in range(16)) if P.total_degree() > 1]
         polys += [
@@ -392,6 +420,12 @@ class TestIntegerRings:
             for (p, _), q in zip(got, ref):
                 p = [elim._kronecker_unpack(v, S) for v in p]
                 assert _factor(_flat(p), _sympy_flat(q)) is not None, P
+            a = elim._int_y_rows(Q.diff_y())
+            b = sympy.prem(_rows_to_sympy(elim._int_y_rows(Q.diff_x())), _rows_to_sympy(a), Y)
+            b = [[int(c) for c in reversed(sympy.Poly(u, X).all_coeffs())] for u in reversed(sympy.Poly(b, Y).all_coeffs())]
+            for p, h in got[1:]:
+                s_j = _principal_subresultant(a, b, len(p) - 1)
+                assert _factor(_flat([elim._kronecker_unpack(h, S)]), _flat([s_j])) in (1, -1), P
             if len(got[-1][0]) == 1:  # coprime: the last h is the resultant
                 h = elim._kronecker_unpack(got[-1][1], S)
                 assert _factor(_flat([h]), _sympy_flat(sympy.resultant(A, reduced, Y))) is not None, P
